@@ -125,11 +125,7 @@ def _grid_cell(args) -> float:
     d = _periods(d_years, series)
     if d < 2 or len(win) < (s + 1) * d:
         return math.nan
-    if s == 1:
-        mrp = mrp_one_split(win, d, kind).value
-    else:
-        mrp = mrp_fast(win, s, d, kind).value
-    return mrp - series_metric(win, kind)
+    return mrp_fast(win, s, d, kind).value - series_metric(win, kind)
 
 
 def sensitivity_grid(series: ReturnSeries,

@@ -47,12 +47,23 @@ def _mmddyy(day: datetime.date) -> str:
 def parse_duration(text: str, frequency: Frequency) -> int:
     """Parse '2y' (years) or '504p' (periods) into a period count."""
     text = text.strip()
-    if text.endswith("y"):
-        return int(round(float(text[:-1]) * frequency.periods_per_year))
-    if text.endswith("p"):
-        return int(text[:-1])
+    try:
+        if text.endswith("y"):
+            return int(round(float(text[:-1]) * frequency.periods_per_year))
+        if text.endswith("p"):
+            return int(text[:-1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"duration {text!r} is not a number") from None
     raise argparse.ArgumentTypeError(
         f"duration {text!r} needs a 'y' or 'p' suffix")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not >= 1")
+    return value
 
 
 def parse_years(text: str) -> float:
@@ -113,9 +124,8 @@ def _load(args) -> list[ReturnSeries]:
 def _reports(series_list, args) -> list[analytics.FactorReport]:
     kind = _metric_kind(args)
     freq = Frequency(args.frequency)
-    d_periods = parse_duration(args.min_segment, freq)
     lookback = parse_years(args.lookback)
-    d_years = d_periods / freq.periods_per_year
+    d_years = args.min_segment / freq.periods_per_year
     return [analytics.factor_report(s, lookback, d_years, kind)
             for s in series_list]
 
@@ -202,9 +212,8 @@ def cmd_portfolio(args) -> None:
         strategies.append(by_label[name])
         weights.append(float(w))
     spec = analytics.PortfolioSpec(tuple(weights), tuple(strategies))
-    freq = Frequency(args.frequency)
-    d = parse_duration(args.min_segment, freq)
-    res = analytics.portfolio_mrp(spec, args.splits, d, _metric_kind(args))
+    res = analytics.portfolio_mrp(spec, args.splits, args.min_segment,
+                                  _metric_kind(args))
     rows = [{
         "mrp": _fmt(res.value),
         "splits": " ".join(str(t) for t in res.optimal_splits.splits),
@@ -253,7 +262,10 @@ def cmd_fixture(args) -> None:
         vol_pre=args.vol_pre, vol_post=args.vol_post,
         frequency=Frequency(args.frequency),
     )
-    ingest.make_fixture(args.seed, spec, path=args.out)
+    if args.out:
+        ingest.make_fixture(args.seed, spec, path=args.out)
+    else:
+        ingest.write_csv(ingest.make_fixture(args.seed, spec), sys.stdout)
 
 
 def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
@@ -272,7 +284,7 @@ def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
     p.add_argument("--percent", action="store_true",
                    help="input values are percentages")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -338,6 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        args.min_segment = parse_duration(args.min_segment,
+                                          Frequency(args.frequency))
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"argument --min-segment: {exc}")
     try:
         args.func(args)
     except MinRegimeError as exc:

@@ -9,11 +9,17 @@ segments of at least d observations each. The engine provides:
 * ``mrp_one_split``       - O(n) scan for the single-split case,
 * ``mrp_fast``            - feasible-window algorithm, value-identical to
   brute force: the worst segment of the optimal partition is itself a
-  contiguous window whose prefix and suffix can each be cut into valid
-  segments, so minimizing over such windows suffices.
+  contiguous window whose prefix and suffix can each be cut into feasible
+  segments, so minimizing over such windows suffices. O(n) at s = 1 and
+  O(n^2) windows at s >= 2, on any data.
 
-Partitions containing a zero-variance segment are infeasible rather than
-scored at -inf; a constant sub-window must not hijack the minimum.
+Partitions containing a segment with an undefined metric (zero variance,
+or no return below ``mar`` for Sortino) are infeasible rather than scored
+at -inf; a constant sub-window must not hijack the minimum. A defined
+metric stays defined as its segment grows in either direction, so [a, b)
+is feasible exactly when b >= max(a + d, e[a]) with e from
+``defined_ends``, and whether a prefix or suffix can be cut into k
+feasible segments reduces to one threshold per k.
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ from .errors import Infeasible, NoValidPartition
 from .series import (
     SHARPE,
     MetricKind,
-    PrefixTable,
     ReturnSeries,
     build_prefix_sums,
+    defined_ends,
     metric_many,
 )
 
@@ -183,54 +189,56 @@ def mrp_one_split(series: ReturnSeries, d: int,
     return _result_from_splits(series, (t,), d, np.array([left[i], right[i]]))
 
 
-def _window_ends(n: int, s: int, d: int, i: int) -> np.ndarray:
-    """Valid end points j for a candidate window starting at i.
+def _reach(f: np.ndarray, n: int, s: int) -> tuple[list[int], list[int]]:
+    """Thresholds for cutting a prefix or a suffix into feasible segments.
 
-    A window [i, j) of length >= d can be a segment of some valid partition
-    iff there exist k, m >= 0 with k + m = s such that the prefix [0, i)
-    splits into k segments of length >= d and the suffix [j, n) into m.
+    ``f[a]`` is the least end of a feasible segment starting at a; it is
+    nondecreasing in a. [0, i) cuts into k feasible segments exactly when
+    i >= lo[k], and [j, n) into m >= 1 exactly when j <= hi[m]. Both lists
+    come from greedy cuts; unreachable entries read n + 1 and -1.
     """
-    if i == 0:
-        # all s splits go to the right: n - j >= s*d
-        return np.arange(d, n - s * d + 1, dtype=np.int64)
-    kmax_left = min(s, i // d)
-    if kmax_left < 1:
-        return np.empty(0, dtype=np.int64)
-    parts = []
-    # interior j: k in [1, min(s-1, kmax_left)]; the loosest choice k = k_hi
-    # gives the contiguous range j in [i+d, n - (s-k_hi)*d]
-    k_hi = min(s - 1, kmax_left)
-    if k_hi >= 1:
-        j_hi = n - (s - k_hi) * d
-        if i + d <= j_hi:
-            parts.append(np.arange(i + d, j_hi + 1, dtype=np.int64))
-    # j == n requires the prefix to take all s splits
-    if kmax_left >= s and n - i >= d:
-        parts.append(np.array([n], dtype=np.int64))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
+    lo = [0]
+    for _ in range(s + 1):
+        lo.append(int(f[lo[-1]]) if lo[-1] < n else n + 1)
+    hi = [n]
+    for _ in range(s):
+        hi.append(int(np.searchsorted(f, hi[-1], "right")) - 1)
+    return lo, hi
 
 
-def _complete_partition(n: int, s: int, d: int, i: int, j: int) -> tuple[int, ...]:
-    """Canonical partition having [i, j) as a segment.
+def _window_ends(n: int, s: int, lo: list[int], hi: list[int]) -> np.ndarray:
+    """Greatest end j < n of a candidate window [i, j), for every start i.
 
-    The prefix is cut into k segments and the suffix into m = s - k, each
-    of length d except the last, which absorbs the remainder.
+    A feasible window [i, j) can be a segment of some valid partition iff
+    there exist k, m >= 0 with k + m = s such that [0, i) cuts into k
+    feasible segments and [j, n) into m. At i = 0 only k = 0 applies;
+    otherwise the loosest choice is the largest k in [1, s-1] with
+    lo[k] <= i, which allows j <= hi[s - k]. Windows ending at n (m = 0)
+    are scanned apart. -1 marks a start with no such window.
     """
-    if i == 0:
-        k = 0
-    elif j == n:
-        k = s
-    else:
-        k = max(1, s - (n - j) // d)
-    m = s - k
-    splits: list[int] = [ell * d for ell in range(1, k)]
-    if k >= 1:
-        splits.append(i)
-    if m >= 1:
-        splits.append(j)
-        splits.extend(j + ell * d for ell in range(1, m))
+    k = np.searchsorted(lo[1:s], np.arange(n), "right")
+    j_hi = np.where(k >= 1, np.asarray(hi)[s - k], -1)
+    j_hi[0] = hi[s]
+    return j_hi
+
+
+def _complete_partition(f: np.ndarray, s: int, lo: list[int], hi: list[int],
+                        i: int, j: int) -> tuple[int, ...]:
+    """A valid partition having the window [i, j) as a segment.
+
+    The suffix [j, n) takes m segments: all s when i = 0, otherwise the
+    most it can hold up to s - 1. The prefix [0, i) takes k = s - m,
+    cut at lo[1], ..., lo[k-1]. Each suffix segment ends as early as it
+    feasibly can. Without constant runs this cuts at d, 2d, ... and at
+    j, j + d, ..., the last segment on each side absorbing the remainder.
+    """
+    m = s if i == 0 else max(m for m in range(s) if hi[m] >= j)
+    k = s - m
+    splits = lo[1:k] + ([i] if k else [])
+    cut = j
+    for _ in range(m):
+        splits.append(cut)
+        cut = int(f[cut])
     return tuple(splits)
 
 
@@ -238,57 +246,49 @@ def mrp_fast(series: ReturnSeries, s: int, d: int,
              kind: MetricKind = SHARPE) -> MrpResult:
     """MRP_s via the feasible-window search; value-identical to brute force.
 
-    O(n) window evaluations for s = 1, O(n^2) otherwise, each O(1) via
-    prefix sums. If any feasible window has an undefined metric (constant
-    returns), falls back to brute force so that the infeasible-partition
-    semantics match exactly.
+    s = 1 is ``mrp_one_split``, O(n). For s >= 2 every window that can be
+    a segment of a valid partition is scored, O(n^2) windows at O(1) each
+    via prefix sums, on any data: a segment with an undefined metric
+    only makes its partitions infeasible, and feasibility is read off
+    ``defined_ends`` and greedy cuts, so brute force is never needed.
+    Ties go to the lexicographically first window (i, j).
     """
     n = len(series)
     _check_feasible(n, s, d)
+    if s == 1:
+        return mrp_one_split(series, d, kind)
     table = build_prefix_sums(series)
+    f = np.maximum(np.arange(n, dtype=np.int64) + d, defined_ends(table, kind))
+    lo, hi = _reach(f, n, s)
+    if lo[s + 1] > n:
+        raise NoValidPartition("every partition has a segment with an "
+                               "undefined metric")
 
     best = (math.inf, -1, -1)  # (value, i, j), lexicographic tie-break on (i, j)
 
-    def scan(i_arr: np.ndarray, j_arr: np.ndarray) -> bool:
-        """Update ``best`` from candidate windows; False if NaN encountered."""
+    def scan(i_arr: np.ndarray, j_arr: np.ndarray) -> None:
         nonlocal best
         vals = metric_many(table, i_arr, j_arr, kind)
-        if np.any(np.isnan(vals)):
-            return False
         k = int(np.argmin(vals))
         cand = (float(vals[k]), int(i_arr[k]), int(j_arr[k]))
-        if cand[0] < best[0] or (cand[0] == best[0] and cand[1:] < best[1:]):
+        if cand < best:
             best = cand
-        return True
 
-    ok = True
-    if s == 1:
-        js = np.arange(d, n - d + 1, dtype=np.int64)
-        ok = scan(np.zeros_like(js), js)
-        if ok:
-            is_ = np.arange(d, n - d + 1, dtype=np.int64)
-            ok = scan(is_, np.full_like(is_, n))
-    else:
-        for i in range(0, n - d + 1):
-            js = _window_ends(n, s, d, i)
-            if js.size == 0:
-                continue
-            if not scan(np.full_like(js, i), js):
-                ok = False
-                break
-    if not ok:
-        # degenerate (constant sub-window) data: defer to the oracle path
-        return mrp_brute_force(series, s, d, kind)
+    j_hi = _window_ends(n, s, lo, hi)
+    rows = np.flatnonzero(f <= j_hi)
+    for i, j_lo, j_top in zip(rows.tolist(), f[rows].tolist(),
+                              j_hi[rows].tolist()):
+        js = np.arange(j_lo, j_top + 1, dtype=np.int64)
+        scan(np.full_like(js, i), js)
+    # windows [i, n): the prefix [0, i) takes all s splits
+    is_ = np.arange(lo[s], hi[1] + 1, dtype=np.int64)
+    scan(is_, np.full_like(is_, n))
     if not math.isfinite(best[0]):
         raise NoValidPartition("no window with a defined metric")
     _, i, j = best
-    splits = _complete_partition(n, s, d, i, j)
-    spec = PartitionSpec(splits=splits, n=n, d=d)
-    starts = np.array([a for a, _ in spec.segments], dtype=np.int64)
-    ends = np.array([b for _, b in spec.segments], dtype=np.int64)
-    metrics = metric_many(table, starts, ends, kind)
-    if np.any(np.isnan(metrics)):
-        return mrp_brute_force(series, s, d, kind)
+    splits = _complete_partition(f, s, lo, hi, i, j)
+    bounds = np.array((0,) + splits + (n,), dtype=np.int64)
+    metrics = metric_many(table, bounds[:-1], bounds[1:], kind)
     return _result_from_splits(series, splits, d, metrics)
 
 

@@ -13,6 +13,7 @@ import datetime
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -185,8 +186,14 @@ def make_fixture(seed: int, spec: FixtureSpec,
                           frequency=spec.frequency, label=spec.label)
     if path is not None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", spec.label])
-            for day, r in zip(dates, rets):
-                writer.writerow([day.isoformat(), f"{r:.12g}"])
+            write_csv(series, fh)
     return series
+
+
+def write_csv(series: ReturnSeries, fh: TextIO) -> None:
+    """Write one series as a two-column (date, label) CSV, 12 significant
+    digits per return."""
+    writer = csv.writer(fh)
+    writer.writerow(["date", series.label])
+    for day, r in zip(series.dates, series.returns):
+        writer.writerow([day.isoformat(), f"{r:.12g}"])

@@ -191,8 +191,8 @@ def _constant_mask(table: PrefixTable, start: np.ndarray, end: np.ndarray) -> np
 def segment_mean_std(table: PrefixTable, start, end) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized segment mean and sample (n-1) standard deviation.
 
-    ``stdev`` is NaN for length-1 segments and exactly 0.0 for constant
-    segments of length >= 2.
+    ``stdev`` is NaN for length-1 segments; for longer segments it is 0.0
+    exactly when the segment is constant.
     """
     start = np.asarray(start, dtype=np.int64)
     end = np.asarray(end, dtype=np.int64)
@@ -203,7 +203,18 @@ def segment_mean_std(table: PrefixTable, start, end) -> tuple[np.ndarray, np.nda
         mean = total / length
         var = (sq - total * total / length) / (length - 1)
     var = np.where(length > 1, np.maximum(var, 0.0), np.nan)
-    var = np.where(_constant_mask(table, start, end) & (length > 1), 0.0, var)
+    constant = _constant_mask(table, start, end) & (length > 1)
+    var = np.where(constant, 0.0, var)
+    if np.any(var == 0.0):
+        # prefix-sum rounding can cancel the small variance of a segment
+        # that holds distinct values; recompute those directly, so a
+        # segment has zero variance exactly when it is constant
+        lost = np.flatnonzero((var == 0.0) & ~constant)
+        flat = var.reshape(-1)
+        starts, ends = (np.broadcast_to(x, var.shape).reshape(-1)[lost]
+                        for x in (start, end))
+        for k, a, b in zip(lost.tolist(), starts.tolist(), ends.tolist()):
+            flat[k] = np.var(table.returns[a:b], ddof=1)
     return mean, np.sqrt(var)
 
 
@@ -263,6 +274,29 @@ def metric_many(table: PrefixTable, start, end, kind: MetricKind) -> np.ndarray:
             memo[key] = _sortino_one(table, a, b, kind.mar)
         out[i] = memo[key]
     return out
+
+
+def defined_ends(table: PrefixTable, kind: MetricKind) -> np.ndarray:
+    """Per start a, the least end e[a] such that [a, b) has a defined
+    metric exactly when b >= e[a]; e[a] = n + 1 where no end works.
+
+    A defined metric stays defined as its segment grows, so one threshold
+    per start captures the rule. Sharpe needs two distinct values: e[a] is
+    one past the first index after a whose value differs from the one
+    before it. Sortino needs a return below ``mar``: e[a] is one past the
+    first such index at or after a. Both need at least 2 observations.
+    """
+    r = table.returns
+    n = table.n
+    starts = np.arange(n, dtype=np.int64)
+    if kind.name == "sortino":
+        # a shortfall so small that its square underflows counts as none
+        shortfall = np.minimum(r - kind.mar, 0.0)
+        hits, side = np.flatnonzero(shortfall * shortfall > 0.0), "left"
+    else:
+        hits, side = np.flatnonzero(r[1:] != r[:-1]) + 1, "right"
+    hits = np.append(hits, n)
+    return np.maximum(hits[np.searchsorted(hits, starts, side)] + 1, starts + 2)
 
 
 def segment_metric(table: PrefixTable, start: int, end_exclusive: int,

@@ -86,6 +86,19 @@ class TestReport:
             main(["report", "--nonsense"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("duration", ["2", "y", "twop"])
+    def test_bad_min_segment_exit_2(self, factors_csv, duration):
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--input", str(factors_csv),
+                  "--min-segment", duration])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, factors_csv, jobs):
+        with pytest.raises(SystemExit) as info:
+            main(["sensitivity", "--input", str(factors_csv), "--jobs", jobs])
+        assert info.value.code == 2
+
 
 class TestSensitivity:
     def test_infeasible_markers(self, factors_csv, tmp_path):
@@ -179,3 +192,11 @@ class TestOthers:
         assert code == 0
         assert main(["report", "--input", str(out), "--lookback", "1y",
                      "--min-segment", "10p"]) == 0
+
+    def test_fixture_without_out_writes_stdout(self, tmp_path, capsys):
+        out = tmp_path / "fix.csv"
+        argv = ["fixture", "--seed", "4", "--n-pre", "30", "--n-post", "30"]
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_bytes().decode()

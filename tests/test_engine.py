@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minregime import (
+    SHARPE,
     Infeasible,
     NoValidPartition,
     count_valid_partitions,
@@ -13,8 +16,11 @@ from minregime import (
     mrp_brute_force,
     mrp_fast,
     mrp_one_split,
+    sortino,
 )
+from minregime import engine
 from minregime.engine import PartitionSpec
+from minregime.series import build_prefix_sums, metric_many
 
 from conftest import make_series, series_from
 
@@ -202,6 +208,115 @@ class TestMrpFast:
         a = mrp_fast(x, 2, 3)
         b = mrp_fast(x, 2, 3)
         assert a == b
+
+
+ALPHABET = (0.0, 0.01, -0.01, 0.02, -0.03)
+
+
+@st.composite
+def degenerate_cases(draw):
+    """Short series over a small alphabet, so values tie, with injected
+    constant runs (zero runs among them)."""
+    s = draw(st.sampled_from([1, 2, 3]))
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers((s + 1) * d, 30))
+    values = draw(st.lists(st.sampled_from(ALPHABET), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n - 1))
+        stop = min(n, start + draw(st.integers(2, 12)))
+        values[start:stop] = [draw(st.sampled_from(ALPHABET))] * (stop - start)
+    kind = draw(st.sampled_from([SHARPE, sortino(0.0)]))
+    return series_from(values), s, d, kind
+
+
+def worst_windows(series, s, d, kind, value):
+    """Every segment that scores ``value`` in a feasible partition whose
+    minimum is ``value``, by enumeration."""
+    n = len(series)
+    bounds = np.array([(0,) + t + (n,) for t in enumerate_partitions(n, s, d)])
+    metrics = metric_many(build_prefix_sums(series), bounds[:, :-1].ravel(),
+                          bounds[:, 1:].ravel(), kind).reshape(-1, s + 1)
+    optimal = ~np.isnan(metrics).any(axis=1) & (metrics.min(axis=1) == value)
+    rows, segs = np.nonzero(metrics[optimal] == value)
+    found = bounds[optimal]
+    return {(int(found[r, q]), int(found[r, q + 1])) for r, q in zip(rows, segs)}
+
+
+def two_pass_metric(returns, kind, periods_per_year):
+    """Segment metric recomputed directly with compensated sums."""
+    seg = list(returns)
+    mean = math.fsum(seg) / len(seg)
+    if kind.name == "sortino":
+        down = math.fsum(min(x - kind.mar, 0.0) ** 2 for x in seg) / len(seg)
+        return (mean - kind.mar) / math.sqrt(down) * math.sqrt(periods_per_year)
+    var = math.fsum((x - mean) ** 2 for x in seg) / (len(seg) - 1)
+    return mean / math.sqrt(var) * math.sqrt(periods_per_year)
+
+
+def assert_valid_result(series, s, d, kind, res):
+    spec = PartitionSpec(splits=res.optimal_splits.splits, n=len(series), d=d)
+    assert spec.s == s
+    assert res.value == min(res.segment_metrics)
+    assert res.segment_metrics[res.argmin_segment] == res.value
+    for (a, b), got in zip(spec.segments, res.segment_metrics):
+        assert math.isfinite(got)
+        want = two_pass_metric(series.returns[a:b], kind,
+                               series.periods_per_year)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+class TestDegenerateData:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(degenerate_cases())
+    def test_fast_equals_brute_force(self, case):
+        series, s, d, kind = case
+        try:
+            oracle = mrp_brute_force(series, s, d, kind)
+        except NoValidPartition:
+            with pytest.raises(NoValidPartition):
+                mrp_fast(series, s, d, kind)
+            return
+        res = mrp_fast(series, s, d, kind)
+        assert abs(res.value - oracle.value) <= 1e-12
+        assert_valid_result(series, s, d, kind, res)
+        # on an exact tie the engines may report different worst segments
+        worst = worst_windows(series, s, d, kind, oracle.value)
+        if len(worst) == 1:
+            assert worst == {res.optimal_splits.segments[res.argmin_segment]}
+
+    @pytest.fixture
+    def no_brute_force(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mrp_fast fell back to brute force")
+        monkeypatch.setattr(engine, "mrp_brute_force", refuse)
+
+    @pytest.mark.parametrize("s_count", [1, 2, 3])
+    @pytest.mark.parametrize("values", [
+        [0.01] * 6 + [0.02, -0.01, 0.03, -0.02, 0.015, -0.005, 0.01, -0.01],
+        [0.0] * 5 + [0.02, -0.01, 0.0, 0.0, 0.0, 0.03, -0.02, 0.015, -0.005,
+                      -0.01, 0.005, -0.01],
+        # prefix sums cancel the variance of [3, 6), which is not constant
+        [-3.1, 3.1, 5.7, 0.1, 0.1, 0.1 + 2 ** -55, 0.1, -0.05, 0.2, -0.03,
+         0.07, -0.02],
+    ])
+    @pytest.mark.parametrize("kind", [SHARPE, sortino(0.0)])
+    def test_constant_runs_without_fallback(self, values, s_count, kind,
+                                            no_brute_force):
+        series = series_from(values)
+        # the test module's name still binds the unpatched oracle
+        oracle = mrp_brute_force(series, s_count, 2, kind)
+        res = mrp_fast(series, s_count, 2, kind)
+        assert res.value == oracle.value
+        assert_valid_result(series, s_count, 2, kind, res)
+
+    def test_padded_ten_years_without_fallback(self, no_brute_force):
+        rng = np.random.default_rng(11)
+        values = np.concatenate([np.zeros(252), rng.normal(0.0003, 0.01, 2268)])
+        series = series_from(values)
+        assert count_valid_partitions(2520, 3, 252) > 5e8
+        res = mrp_fast(series, 3, 252)
+        assert_valid_result(series, 3, 252, SHARPE, res)
+        assert res.optimal_splits.splits[0] > 252
 
 
 class TestPartitionSpec:

@@ -115,6 +115,17 @@ class TestSegmentMetric:
         assert not math.isnan(vals[1])
         assert math.isnan(vals[2])       # length 1
 
+    def test_cancelled_variance_of_distinct_values_recomputed(self):
+        # after large returns the prefix sums cancel the tiny variance of
+        # [3, 6); it holds two distinct values, so its Sharpe is defined
+        values = [3.1, 3.1, 5.7, 0.1, 0.1, 0.1 + 2 ** -55, 0.1, -0.05]
+        table = build_prefix_sums(series_from(values))
+        got = metric_many(table, np.array([3, 0]), np.array([6, 3]), SHARPE)
+        assert got[0] == pytest.approx(two_pass_sharpe(values[3:6], 252),
+                                       rel=1e-6)
+        assert got[1] == pytest.approx(two_pass_sharpe(values[0:3], 252),
+                                       rel=1e-12)
+
 
 class TestMaxDrawdown:
     def test_monotone_wealth_zero(self):
