@@ -24,7 +24,6 @@ from .errors import (
     ZeroVariance,
 )
 from .series import (
-    INFORMATION_RATIO,
     SHARPE,
     Frequency,
     MetricKind,

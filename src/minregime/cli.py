@@ -5,6 +5,10 @@ bias, simulate, fixture. All outputs are deterministic given flags and
 seed; numbers are serialized with 6 decimal places in CSV, and the JSON
 encoding carries the same values. Exit codes: 0 success, 1 data/compute
 error (diagnostic on stderr), 2 usage error.
+
+Each subcommand accepts only the flags it reads, so a flag without an
+effect is a usage error. The exceptions are kept for compatibility:
+report accepts --seed and --jobs, and sensitivity --seed, unused.
 """
 
 from __future__ import annotations
@@ -57,6 +61,13 @@ def parse_duration(text: str, frequency: Frequency) -> int:
             f"duration {text!r} is not a number") from None
     raise argparse.ArgumentTypeError(
         f"duration {text!r} needs a 'y' or 'p' suffix")
+
+
+def duration(text: str) -> str:
+    """argparse type of a duration flag: the syntax is checked at parse
+    time, the period count once ``--frequency`` is known."""
+    parse_duration(text, Frequency.DAILY)
+    return text
 
 
 def positive_int(text: str) -> int:
@@ -121,11 +132,15 @@ def _load(args) -> list[ReturnSeries]:
     return ingest.load_csv(config)
 
 
+def _min_segment(args) -> int:
+    return parse_duration(args.min_segment, Frequency(args.frequency))
+
+
 def _reports(series_list, args) -> list[analytics.FactorReport]:
     kind = _metric_kind(args)
     freq = Frequency(args.frequency)
     lookback = parse_years(args.lookback)
-    d_years = args.min_segment / freq.periods_per_year
+    d_years = _min_segment(args) / freq.periods_per_year
     return [analytics.factor_report(s, lookback, d_years, kind)
             for s in series_list]
 
@@ -212,7 +227,7 @@ def cmd_portfolio(args) -> None:
         strategies.append(by_label[name])
         weights.append(float(w))
     spec = analytics.PortfolioSpec(tuple(weights), tuple(strategies))
-    res = analytics.portfolio_mrp(spec, args.splits, args.min_segment,
+    res = analytics.portfolio_mrp(spec, args.splits, _min_segment(args),
                                   _metric_kind(args))
     rows = [{
         "mrp": _fmt(res.value),
@@ -268,25 +283,41 @@ def cmd_fixture(args) -> None:
         ingest.write_csv(ingest.make_fixture(args.seed, spec), sys.stdout)
 
 
-def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-    if needs_input:
-        p.add_argument("--input", required=True, help="input CSV path")
-    p.add_argument("--start-date", default="1980-01-01",
-                   type=datetime.date.fromisoformat, dest="start_date")
-    p.add_argument("--frequency", choices=["daily", "monthly"], default="daily")
-    p.add_argument("--metric", choices=["sharpe", "sortino"], default="sharpe")
-    p.add_argument("--mar", type=float, default=0.0,
-                   help="minimum acceptable per-period return (sortino)")
-    p.add_argument("--splits", type=int, default=1, dest="splits")
-    p.add_argument("--min-segment", default="2y", dest="min_segment",
-                   help="minimum segment length, e.g. 2y or 504p")
-    p.add_argument("--lookback", default="40y")
-    p.add_argument("--percent", action="store_true",
-                   help="input values are percentages")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=positive_int, default=1)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+#: every shared flag, defined once; each subcommand names those it reads
+FLAGS = {
+    "--input": dict(required=True, help="input CSV path"),
+    "--start-date": dict(default="1980-01-01", type=datetime.date.fromisoformat,
+                         dest="start_date"),
+    "--frequency": dict(choices=["daily", "monthly"], default="daily"),
+    "--percent": dict(action="store_true", help="input values are percentages"),
+    "--metric": dict(choices=["sharpe", "sortino"], default="sharpe"),
+    "--mar": dict(type=float, default=0.0,
+                  help="minimum acceptable per-period return (sortino)"),
+    "--min-segment": dict(default="2y", type=duration, dest="min_segment",
+                          help="minimum segment length, e.g. 2y or 504p"),
+    "--lookback": dict(default="40y"),
+    "--splits": dict(type=int, default=1),
+    "--jobs": dict(type=positive_int, default=1),
+    "--seed": dict(type=int, default=0),
+    "--mu": dict(type=float, default=0.0),
+    "--sigma": dict(type=float, default=1.0),
+    "--out": dict(default=None),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+}
+INPUT = ("--input", "--start-date", "--frequency", "--percent", "--metric",
+         "--mar")
+OUTPUT = ("--out", "--format")
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str,
+               unused: tuple[str, ...] = ()) -> None:
+    """Add the named shared flags; ``unused`` ones are accepted for
+    compatibility and have no effect."""
+    for name in names:
+        p.add_argument(name, **FLAGS[name])
+    for name in unused:
+        p.add_argument(name, **{**FLAGS[name], "help":
+                                "accepted for compatibility; has no effect"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,11 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("report", cmd_report), ("frontier", cmd_frontier),
                      ("correlations", cmd_correlations)):
         p = sub.add_parser(name)
-        _add_common(p)
+        # report has no randomness and no pool; it keeps accepting --seed
+        # and --jobs so invocations that pass them still run
+        _add_flags(p, *INPUT, "--min-segment", "--lookback", *OUTPUT,
+                   unused=("--seed", "--jobs") if name == "report" else ())
         p.set_defaults(func=fn)
 
     p = sub.add_parser("sensitivity")
-    _add_common(p)
+    _add_flags(p, *INPUT, "--splits", "--jobs", *OUTPUT, unused=("--seed",))
     p.add_argument("--lookbacks", default="10:40:5y",
                    help="lookback grid in years, lo:hi:step or comma list")
     p.add_argument("--ds", default="1:5:1y",
@@ -310,31 +344,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("portfolio")
-    _add_common(p)
+    _add_flags(p, *INPUT, "--splits", "--min-segment", *OUTPUT)
     p.add_argument("--weights", required=True,
                    help="comma list of label=weight")
     p.set_defaults(func=cmd_portfolio)
 
     p = sub.add_parser("bias")
-    _add_common(p, needs_input=False)
+    _add_flags(p, "--mu", "--sigma", "--seed", *OUTPUT)
     p.add_argument("--N", type=lambda t: [int(x) for x in t.split(",")],
                    default=[1, 2, 5, 10, 100],
                    help="comma list of order-statistic counts")
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=100_000)
     p.set_defaults(func=cmd_bias)
 
     p = sub.add_parser("simulate")
-    _add_common(p, needs_input=False)
+    _add_flags(p, "--mu", "--sigma", "--seed", *OUTPUT)
     p.add_argument("--N", type=int, default=10_000)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=20_000)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fixture")
-    _add_common(p, needs_input=False)
+    _add_flags(p, "--frequency", "--seed", "--out")
     p.add_argument("--label", default="synthetic")
     p.add_argument("--n-pre", type=int, default=252, dest="n_pre")
     p.add_argument("--n-post", type=int, default=252, dest="n_post")
@@ -348,13 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        args.min_segment = parse_duration(args.min_segment,
-                                          Frequency(args.frequency))
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"argument --min-segment: {exc}")
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except MinRegimeError as exc:

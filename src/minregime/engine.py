@@ -248,7 +248,8 @@ def mrp_fast(series: ReturnSeries, s: int, d: int,
 
     s = 1 is ``mrp_one_split``, O(n). For s >= 2 every window that can be
     a segment of a valid partition is scored, O(n^2) windows at O(1) each
-    via prefix sums, on any data: a segment with an undefined metric
+    via prefix sums, on any data; the windows sharing a start are one
+    slice-indexed ``metric_many`` row. A segment with an undefined metric
     only makes its partitions infeasible, and feasibility is read off
     ``defined_ends`` and greedy cuts, so brute force is never needed.
     Ties go to the lexicographically first window (i, j).
@@ -265,24 +266,18 @@ def mrp_fast(series: ReturnSeries, s: int, d: int,
                                "undefined metric")
 
     best = (math.inf, -1, -1)  # (value, i, j), lexicographic tie-break on (i, j)
-
-    def scan(i_arr: np.ndarray, j_arr: np.ndarray) -> None:
-        nonlocal best
-        vals = metric_many(table, i_arr, j_arr, kind)
-        k = int(np.argmin(vals))
-        cand = (float(vals[k]), int(i_arr[k]), int(j_arr[k]))
-        if cand < best:
-            best = cand
-
     j_hi = _window_ends(n, s, lo, hi)
     rows = np.flatnonzero(f <= j_hi)
     for i, j_lo, j_top in zip(rows.tolist(), f[rows].tolist(),
                               j_hi[rows].tolist()):
-        js = np.arange(j_lo, j_top + 1, dtype=np.int64)
-        scan(np.full_like(js, i), js)
+        vals = metric_many(table, i, range(j_lo, j_top + 1), kind)
+        k = int(np.argmin(vals))
+        best = min(best, (float(vals[k]), i, j_lo + k))
     # windows [i, n): the prefix [0, i) takes all s splits
     is_ = np.arange(lo[s], hi[1] + 1, dtype=np.int64)
-    scan(is_, np.full_like(is_, n))
+    vals = metric_many(table, is_, np.full_like(is_, n), kind)
+    k = int(np.argmin(vals))
+    best = min(best, (float(vals[k]), int(is_[k]), n))
     if not math.isfinite(best[0]):
         raise NoValidPartition("no window with a defined metric")
     _, i, j = best

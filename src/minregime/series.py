@@ -1,10 +1,10 @@
 """Return-series representation and per-segment risk-adjusted metrics.
 
 Segment statistics are served from prefix sums so that any contiguous
-segment's mean, standard deviation and Sharpe ratio cost O(1) after an
-O(n) build. Downside-deviation metrics (Sortino) are computed by a direct
-pass over the segment because the threshold-dependent sum does not fold
-into a single prefix table.
+segment's Sharpe or Sortino ratio costs O(1) after an O(n) build. The
+Sortino threshold ``mar`` is fixed per metric, so its downside sum of
+squares and its count of returns below ``mar`` fold into prefix arrays
+too, built on first use for each ``mar``.
 """
 
 from __future__ import annotations
@@ -43,20 +43,18 @@ class MetricKind:
     """Risk-adjusted metric selector.
 
     ``mar`` is the minimum acceptable per-period return and is only used
-    by the Sortino variant. The information ratio is the Sharpe formula
-    applied to a pre-differenced (strategy minus benchmark) series.
+    by the Sortino variant.
     """
 
-    name: str  # "sharpe" | "sortino" | "information_ratio"
+    name: str  # "sharpe" | "sortino"
     mar: float = 0.0
 
     def __post_init__(self):
-        if self.name not in ("sharpe", "sortino", "information_ratio"):
+        if self.name not in ("sharpe", "sortino"):
             raise ValueError(f"unknown metric kind {self.name!r}")
 
 
 SHARPE = MetricKind("sharpe")
-INFORMATION_RATIO = MetricKind("information_ratio")
 
 
 def sortino(mar: float = 0.0) -> MetricKind:
@@ -144,6 +142,11 @@ class PrefixTable:
     squared returns. ``run_eq[k]`` counts adjacent equal pairs among the
     first k observations, which lets constant (zero-variance) segments be
     detected exactly, independent of floating-point cancellation.
+
+    ``downside(mar)`` adds two prefix arrays for the Sortino ratio: the
+    sums of squared shortfalls min(r - mar, 0)^2 and the counts of returns
+    whose squared shortfall is > 0. They are built on first use and cached
+    per ``mar``, so Sharpe-only work never pays for them.
     """
 
     sum1: np.ndarray
@@ -153,6 +156,22 @@ class PrefixTable:
     periods_per_year: int
     n: int
     dates: tuple[datetime.date, ...] = field(repr=False, default=())
+    _downside: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+
+    def downside(self, mar: float) -> tuple[np.ndarray, np.ndarray]:
+        """Prefix sums of squared shortfalls below ``mar`` and prefix
+        counts of returns below it."""
+        if mar not in self._downside:
+            shortfall = np.minimum(self.returns - mar, 0.0)
+            square = shortfall * shortfall
+            down2 = np.zeros(self.n + 1)
+            below = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(square, out=down2[1:])
+            # a shortfall so small that its square underflows counts as none
+            np.cumsum(square > 0.0, out=below[1:])
+            self._downside[mar] = (down2, below)
+        return self._downside[mar]
 
 
 def build_prefix_sums(series: ReturnSeries) -> PrefixTable:
@@ -188,20 +207,54 @@ def _constant_mask(table: PrefixTable, start: np.ndarray, end: np.ndarray) -> np
     return pairs == (end - start - 1)
 
 
-def segment_mean_std(table: PrefixTable, start, end) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized segment mean and sample (n-1) standard deviation.
+def _parts(table: PrefixTable, start, end, kind: MetricKind):
+    """Length, excess mean and mean-square spread of segments [start, end)
+    from prefix differences. Sharpe's spread is the sample variance,
+    Sortino's the mean squared shortfall below ``mar``.
 
-    ``stdev`` is NaN for length-1 segments; for longer segments it is 0.0
-    exactly when the segment is constant.
+    ``start`` and ``end`` are int arrays (gathered), or a scalar ``start``
+    with a ``range`` of ends, read as one slice of each prefix array.
     """
-    start = np.asarray(start, dtype=np.int64)
-    end = np.asarray(end, dtype=np.int64)
-    length = end - start
-    total = table.sum1[end] - table.sum1[start]
-    sq = table.sum2[end] - table.sum2[start]
+    if isinstance(end, range):
+        length = np.arange(end.start - start, end.stop - start)
+
+        def diff(prefix):
+            return prefix[end.start:end.stop] - prefix[start]
+    else:
+        length = end - start
+
+        def diff(prefix):
+            return prefix[end] - prefix[start]
+    total = diff(table.sum1)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = total / length
-        var = (sq - total * total / length) / (length - 1)
+        if kind.name == "sortino":
+            down2, _ = table.downside(kind.mar)
+            return length, mean - kind.mar, diff(down2) / length
+        sq = diff(table.sum2)
+        return length, mean, (sq - total * total / length) / (length - 1)
+
+
+def _ratio(excess, spread, periods_per_year: int) -> np.ndarray:
+    """Annualized ratio of an excess mean to the root of its spread."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return excess / np.sqrt(spread) * math.sqrt(periods_per_year)
+
+
+def _flagged(mask: np.ndarray, start, end):
+    """(flat index, start, end) of every segment where ``mask`` holds."""
+    idx = np.flatnonzero(mask)
+    starts, ends = (np.broadcast_to(x, mask.shape).reshape(-1)[idx]
+                    for x in (start, end))
+    return zip(idx.tolist(), starts.tolist(), ends.tolist())
+
+
+def _sharpe_parts(table: PrefixTable, start, end) -> tuple[np.ndarray, np.ndarray]:
+    """Segment mean and sample variance; NaN variance for length-1
+    segments, 0.0 exactly for constant ones."""
+    start = np.asarray(start, dtype=np.int64)
+    end = np.asarray(end, dtype=np.int64)
+    length, mean, var = _parts(table, start, end, SHARPE)
     var = np.where(length > 1, np.maximum(var, 0.0), np.nan)
     constant = _constant_mask(table, start, end) & (length > 1)
     var = np.where(constant, 0.0, var)
@@ -209,21 +262,18 @@ def segment_mean_std(table: PrefixTable, start, end) -> tuple[np.ndarray, np.nda
         # prefix-sum rounding can cancel the small variance of a segment
         # that holds distinct values; recompute those directly, so a
         # segment has zero variance exactly when it is constant
-        lost = np.flatnonzero((var == 0.0) & ~constant)
         flat = var.reshape(-1)
-        starts, ends = (np.broadcast_to(x, var.shape).reshape(-1)[lost]
-                        for x in (start, end))
-        for k, a, b in zip(lost.tolist(), starts.tolist(), ends.tolist()):
+        for k, a, b in _flagged((var == 0.0) & ~constant, start, end):
             flat[k] = np.var(table.returns[a:b], ddof=1)
-    return mean, np.sqrt(var)
+    return mean, var
 
 
 def segment_stats(table: PrefixTable, start: int, end_exclusive: int) -> SegmentStats:
     """O(1) statistics of a single segment."""
     if not (0 <= start < end_exclusive <= table.n):
         raise SegmentTooShort(f"invalid segment [{start}, {end_exclusive})")
-    mean, stdev = segment_mean_std(table, np.array([start]), np.array([end_exclusive]))
-    mean, stdev = float(mean[0]), float(stdev[0])
+    mean, var = _sharpe_parts(table, np.array([start]), np.array([end_exclusive]))
+    mean, stdev = float(mean[0]), math.sqrt(var[0])
     if stdev and not math.isnan(stdev):
         sharpe = mean / stdev * math.sqrt(table.periods_per_year)
     else:
@@ -236,10 +286,8 @@ def sharpe_many(table: PrefixTable, start, end) -> np.ndarray:
 
     NaN marks either a too-short (n < 2) or a zero-variance segment.
     """
-    mean, stdev = segment_mean_std(table, start, end)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = mean / stdev * math.sqrt(table.periods_per_year)
-    return np.where(stdev > 0, out, np.nan)
+    mean, var = _sharpe_parts(table, start, end)
+    return np.where(var > 0, _ratio(mean, var, table.periods_per_year), np.nan)
 
 
 def _sortino_one(table: PrefixTable, start: int, end: int, mar: float) -> float:
@@ -253,27 +301,66 @@ def _sortino_one(table: PrefixTable, start: int, end: int, mar: float) -> float:
     return (mean - mar) / dd * math.sqrt(table.periods_per_year)
 
 
+def _sortino_many(table: PrefixTable, start, end, kind: MetricKind) -> np.ndarray:
+    """Annualized Sortino of many segments; NaN where a segment has fewer
+    than 2 observations or none below ``kind.mar``."""
+    start = np.asarray(start, dtype=np.int64)
+    end = np.asarray(end, dtype=np.int64)
+    length, excess, spread = _parts(table, start, end, kind)
+    _, below = table.downside(kind.mar)
+    defined = (length > 1) & (below[end] > below[start])
+    out = np.where(defined, _ratio(excess, spread, table.periods_per_year),
+                   np.nan)
+    # a tiny shortfall after large ones is absorbed by the prefix sum; such
+    # a segment is recomputed directly rather than left NaN
+    flat = out.reshape(-1)
+    for k, a, b in _flagged(defined & ~(spread > 0), start, end):
+        flat[k] = _sortino_one(table, a, b, kind.mar)
+    return out
+
+
+def _first_defined(table: PrefixTable, i: int, j: int, kind: MetricKind) -> bool:
+    """Whether [i, j) has a defined metric, read from the prefix table:
+    a return below ``mar`` for Sortino; for Sharpe, fewer adjacent equal
+    pairs inside the segment than it has pairs (see ``_constant_mask``)."""
+    if j - i < 2:
+        return False
+    if kind.name == "sortino":
+        _, below = table.downside(kind.mar)
+        return bool(below[j] > below[i])
+    return bool(table.run_eq[j] - table.run_eq[i + 1] < j - i - 1)
+
+
 def metric_many(table: PrefixTable, start, end, kind: MetricKind) -> np.ndarray:
     """Vectorized segment metric; NaN for infeasible segments.
 
     A segment is infeasible when it is shorter than 2 observations or its
-    dispersion denominator is zero.
+    dispersion denominator is zero: a constant segment for Sharpe, one
+    with no return below ``mar`` for Sortino. Every segment costs O(1)
+    from the prefix table. Where prefix rounding cancels the denominator
+    of a feasible segment to 0 (a small variance after large returns, a
+    tiny shortfall after large ones), that segment is recomputed by a
+    direct pass.
+
+    ``start`` and ``end`` are arrays of segment bounds, or a scalar
+    ``start`` with a ``range`` of ends: one row of windows [start, j),
+    scored from contiguous slices of the prefix arrays. A row holding an
+    infeasible or cancelled window goes through the array path, so both
+    forms give the same values, bit for bit.
     """
-    if kind.name in ("sharpe", "information_ratio"):
-        return sharpe_many(table, start, end)
-    start = np.asarray(start, dtype=np.int64).ravel()
-    end = np.asarray(end, dtype=np.int64).ravel()
-    out = np.empty(start.shape[0])
-    memo: dict[tuple[int, int], float] = {}
-    for i, (a, b) in enumerate(zip(start.tolist(), end.tolist())):
-        if b - a < 2:
-            out[i] = math.nan
-            continue
-        key = (a, b)
-        if key not in memo:
-            memo[key] = _sortino_one(table, a, b, kind.mar)
-        out[i] = memo[key]
-    return out
+    if isinstance(end, range):
+        i = int(start)
+        # a defined metric stays defined as its window grows, so the
+        # first window decides whether every window of the row is defined
+        if end.step == 1 and end and _first_defined(table, i, end.start, kind):
+            _, excess, spread = _parts(table, i, end, kind)
+            if spread.min() > 0:  # False on NaN
+                return _ratio(excess, spread, table.periods_per_year)
+        start = np.full(len(end), i, dtype=np.int64)
+        end = np.arange(end.start, end.stop, end.step, dtype=np.int64)
+    if kind.name == "sortino":
+        return _sortino_many(table, start, end, kind)
+    return sharpe_many(table, start, end)
 
 
 def defined_ends(table: PrefixTable, kind: MetricKind) -> np.ndarray:
@@ -284,28 +371,27 @@ def defined_ends(table: PrefixTable, kind: MetricKind) -> np.ndarray:
     per start captures the rule. Sharpe needs two distinct values: e[a] is
     one past the first index after a whose value differs from the one
     before it. Sortino needs a return below ``mar``: e[a] is one past the
-    first such index at or after a. Both need at least 2 observations.
+    first such index at or after a, read from the prefix counts the
+    kernel uses. Both need at least 2 observations.
     """
     r = table.returns
     n = table.n
     starts = np.arange(n, dtype=np.int64)
     if kind.name == "sortino":
-        # a shortfall so small that its square underflows counts as none
-        shortfall = np.minimum(r - kind.mar, 0.0)
-        hits, side = np.flatnonzero(shortfall * shortfall > 0.0), "left"
+        _, below = table.downside(kind.mar)
+        hits, side = np.flatnonzero(below[1:] > below[:-1]), "left"
     else:
         hits, side = np.flatnonzero(r[1:] != r[:-1]) + 1, "right"
     hits = np.append(hits, n)
     return np.maximum(hits[np.searchsorted(hits, starts, side)] + 1, starts + 2)
-
 
 def segment_metric(table: PrefixTable, start: int, end_exclusive: int,
                    kind: MetricKind = SHARPE) -> float:
     """Annualized metric of one segment.
 
     sharpe = (mean / stdev) * sqrt(periods_per_year); sortino replaces the
-    denominator by downside deviation below ``kind.mar``; the information
-    ratio is sharpe on an already-differenced series.
+    numerator by mean - ``kind.mar`` and the denominator by the downside
+    deviation below ``kind.mar``.
 
     Raises SegmentTooShort for segments of fewer than 2 observations and
     ZeroVariance when the dispersion denominator is zero.

@@ -93,6 +93,31 @@ class TestReport:
                   "--min-segment", duration])
         assert info.value.code == 2
 
+    def test_bad_min_segment_names_subcommand(self, factors_csv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["portfolio", "--input", str(factors_csv),
+                  "--weights", "alpha=1", "--min-segment", "2"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: minregime portfolio")
+        assert "--min-segment" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bias", "--min-segment", "2"],
+        ["bias", "--metric", "sortino"],
+        ["simulate", "--lookback", "10y"],
+        ["fixture", "--jobs", "2"],
+        ["fixture", "--format", "json"],
+        ["frontier", "--splits", "3"],
+        ["sensitivity", "--min-segment", "2y"],
+    ])
+    def test_flag_without_effect_exit_2(self, factors_csv, argv):
+        if argv[0] in ("frontier", "sensitivity"):
+            argv = argv + ["--input", str(factors_csv)]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2(self, factors_csv, jobs):
         with pytest.raises(SystemExit) as info:
@@ -133,6 +158,14 @@ class TestBias:
             1.0 / math.sqrt(math.pi), abs=1e-6)
         assert float(row["simulated_mean"]) == pytest.approx(
             -1.0 / math.sqrt(math.pi), abs=3 * float(row["se"]))
+
+    def test_model_flags(self, tmp_path):
+        for argv in (["bias", "--N", "2", "--trials", "500"],
+                     ["simulate", "--N", "50", "--trials", "200"]):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert main(argv + ["--mu", "0.1", "--sigma", "2", "--seed", "3",
+                                "--format", "json", "--out", str(out)]) == 0
+            assert json.loads(out.read_text())
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

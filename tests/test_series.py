@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minregime import (
     EmptySeries,
@@ -18,7 +21,7 @@ from minregime import (
     segment_stats,
     sortino,
 )
-from minregime.series import SHARPE, metric_many
+from minregime.series import SHARPE, _sortino_one, metric_many
 
 from conftest import make_series, series_from
 
@@ -125,6 +128,98 @@ class TestSegmentMetric:
                                        rel=1e-6)
         assert got[1] == pytest.approx(two_pass_sharpe(values[0:3], 252),
                                        rel=1e-12)
+
+
+class TestSortinoPrefix:
+    def test_absorbed_shortfall_recomputed(self):
+        # the prefix sum of squared shortfalls absorbs the two 1e-26 terms
+        # after 0.25, so [2, 5) reads a zero downside there; it holds
+        # returns below mar, so it is recomputed directly, not NaN
+        values = [0.01, -0.5, -1e-13, 0.0, -1e-13, 0.02, 0.03]
+        table = build_prefix_sums(series_from(values))
+        kind = sortino(0.0)
+        got = metric_many(table, np.array([2]), np.array([5]), kind)[0]
+        assert got == _sortino_one(table, 2, 5, 0.0)
+        assert got == pytest.approx(-12.9615, abs=1e-4)
+        row = metric_many(table, 2, range(4, 8), kind)
+        assert row[1] == got
+
+    def test_no_return_below_mar_is_nan(self):
+        table = build_prefix_sums(series_from([-0.02, 0.01, 0.0, 0.03, -0.01]))
+        got = metric_many(table, np.array([1, 1, 0]), np.array([4, 5, 1]),
+                          sortino(0.0))
+        assert math.isnan(got[0])        # no return below 0
+        assert got[1] == pytest.approx(_sortino_one(table, 1, 5, 0.0),
+                                       rel=1e-12)
+        assert math.isnan(got[2])        # length 1
+
+    def test_downside_built_once_per_mar(self):
+        table = build_prefix_sums(make_series(50))
+        assert table.downside(0.0) is table.downside(0.0)
+        down2, below = table.downside(0.001)
+        shortfall = np.minimum(table.returns - 0.001, 0.0)
+        assert np.allclose(down2, np.concatenate(([0.0],
+                                                  np.cumsum(shortfall ** 2))))
+        assert below[-1] == np.count_nonzero(shortfall)
+
+
+SMALL_ALPHABET = (0.0, 0.01, -0.01, 0.02, -0.03)
+LARGE_LOSS, TINY_LOSS = -0.5, -1e-13
+
+
+@st.composite
+def kernel_cases(draw):
+    """A short series over a small alphabet with injected constant runs
+    (zero runs among them) and runs of tiny losses and zeros after a
+    large loss, a Sortino threshold, and segment bounds."""
+    n = draw(st.integers(2, 40))
+    values = draw(st.lists(st.sampled_from(SMALL_ALPHABET),
+                           min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n - 1))
+        stop = min(n, start + draw(st.integers(2, 12)))
+        values[start:stop] = [draw(st.sampled_from(SMALL_ALPHABET))] * (stop - start)
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(0, n - 1))
+        tail = draw(st.lists(st.sampled_from([TINY_LOSS, 0.0]), max_size=6))
+        chunk = [LARGE_LOSS] + tail
+        values[start:start + len(chunk)] = chunk[:n - start]
+    mar = draw(st.sampled_from([0.0, 0.001, -0.001]))
+    bound = st.integers(0, n)
+    segments = draw(st.lists(st.tuples(bound, bound), min_size=1, max_size=20))
+    # rows of windows [i, j), j0 <= j <= j1: one anywhere, one whose first
+    # windows are short, as those are the ones prefix rounding can cancel
+    rows = [(draw(bound), *sorted(draw(st.tuples(bound, bound))))]
+    i = draw(bound)
+    j0 = draw(st.integers(i, min(n, i + 4)))
+    rows.append((i, j0, draw(st.integers(j0, n))))
+    return values, mar, [tuple(sorted(ab)) for ab in segments], rows
+
+
+class TestKernelProperties:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(kernel_cases())
+    def test_sortino_matches_direct_pass(self, case):
+        values, mar, segments, _ = case
+        table = build_prefix_sums(series_from(values))
+        starts, ends = (np.array(x) for x in zip(*segments))
+        got = metric_many(table, starts, ends, sortino(mar))
+        for (a, b), value in zip(segments, got.tolist()):
+            want = _sortino_one(table, a, b, mar) if b - a > 1 else math.nan
+            assert math.isnan(value) == math.isnan(want), (a, b)
+            if not math.isnan(want):
+                assert math.isclose(value, want, rel_tol=1e-9, abs_tol=1e-9)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(kernel_cases())
+    def test_slice_row_equals_gather(self, case):
+        values, mar, _, rows = case
+        table = build_prefix_sums(series_from(values))
+        for (i, j0, j1), kind in itertools.product(rows, (SHARPE, sortino(mar))):
+            row = metric_many(table, i, range(j0, j1 + 1), kind)
+            want = metric_many(table, np.full(j1 - j0 + 1, i),
+                               np.arange(j0, j1 + 1), kind)
+            assert np.array_equal(row, want, equal_nan=True)
 
 
 class TestMaxDrawdown:
