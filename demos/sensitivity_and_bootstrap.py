@@ -15,8 +15,6 @@ import numpy as np
 from minregime import (
     ReturnSeries,
     block_bootstrap_mrp,
-    sensitivity_by_d,
-    sensitivity_by_lookback,
     sensitivity_grid,
 )
 
@@ -32,7 +30,7 @@ def main():
 
     lookbacks = [2.0, 4.0, 8.0]
     ds = [0.25, 0.5, 1.0, 2.0]
-    grid = sensitivity_grid(series, lookbacks, ds, jobs=2)
+    grid = sensitivity_grid(series, lookbacks, ds)
 
     print("worst-regime metric minus full-sample metric")
     header = "lookback\\d " + " ".join(f"{d:>8.2f}" for d in ds)
@@ -46,14 +44,15 @@ def main():
     print()
 
     print("pooled marginals:")
-    for lb, v in sensitivity_by_lookback([grid]).items():
+    # mean over the feasible cells of each row (lookback) and column (d)
+    for lb, v in zip(lookbacks, np.nanmean(grid.cells, axis=1)):
         print(f"  lookback {lb:.1f}y : {v:+.3f}")
-    for d, v in sensitivity_by_d([grid]).items():
+    for d, v in zip(ds, np.nanmean(grid.cells, axis=0)):
         print(f"  d {d:.2f}y       : {v:+.3f}")
     print()
 
     boot = block_bootstrap_mrp(series, block_len=63, replicates=200,
-                               d=126, seed=9, jobs=2)
+                               d=126, seed=9)
     q = boot.quantiles
     print(f"block bootstrap of the 1-split statistic ({len(boot.values)} "
           f"replicates, block 63):")

@@ -29,22 +29,18 @@ from .series import (
     MetricKind,
     PrefixTable,
     ReturnSeries,
-    SegmentStats,
     build_prefix_sums,
     max_drawdown,
     rolling_sharpe_volatility,
     segment_metric,
-    segment_stats,
     series_metric,
     sortino,
 )
 from .engine import (
-    LeftRightReport,
     MrpResult,
     PartitionSpec,
     count_valid_partitions,
     enumerate_partitions,
-    left_right_report,
     mrp_brute_force,
     mrp_fast,
     mrp_one_split,
@@ -71,8 +67,6 @@ from .analytics import (
     frontier,
     portfolio_mrp,
     robustness_correlations,
-    sensitivity_by_d,
-    sensitivity_by_lookback,
     sensitivity_grid,
 )
 from .ingest import FixtureSpec, IngestConfig, load_csv, make_fixture

@@ -3,16 +3,14 @@
 Per-factor reports, the decay-risk frontier, sensitivity grids over
 (lookback, minimum-segment-length), cross-metric robustness correlations,
 portfolio-level minimum regime performance, and block-bootstrap stability
-checks. Grid cells and bootstrap replicates may be evaluated with worker
-processes; seeding and assembly order make results independent of the
-worker count.
+checks. Grid cells and bootstrap replicates are milliseconds of numpy
+work each and run in process, in grid and replicate order.
 """
 
 from __future__ import annotations
 
 import datetime
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -119,8 +117,8 @@ class SensitivityGrid:
         return ~np.isnan(self.cells)
 
 
-def _grid_cell(args) -> float:
-    series, lookback, d_years, s, kind = args
+def _grid_cell(series: ReturnSeries, lookback: float, d_years: float, s: int,
+               kind: MetricKind) -> float:
     win = _trailing_window(series, lookback)
     d = _periods(d_years, series)
     if d < 2 or len(win) < (s + 1) * d:
@@ -136,46 +134,21 @@ def sensitivity_grid(series: ReturnSeries,
                      jobs: int = 1) -> SensitivityGrid:
     """(MRP - metric) for every lookback/d combination.
 
-    Cells are independent; with jobs > 1 they are farmed out to worker
-    processes and reassembled in grid order, so the result is identical
-    for any worker count.
+    ``jobs`` is accepted for compatibility and has no effect: the cells
+    are computed in process, in grid order.
     """
     if not lookbacks_years or not d_years:
         raise ValueError("lookback and d grids must be non-empty")
-    tasks = [(series, lb, dy, s, kind)
-             for lb in lookbacks_years for dy in d_years]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(_grid_cell, tasks, chunksize=8))
-    else:
-        values = [_grid_cell(t) for t in tasks]
-    cells = np.array(values).reshape(len(lookbacks_years), len(d_years))
+    cells = np.array([
+        [_grid_cell(series, lookback=lb, d_years=dy, s=s, kind=kind)
+         for dy in d_years]
+        for lb in lookbacks_years])
     return SensitivityGrid(
         label=series.label,
         lookbacks_years=tuple(float(v) for v in lookbacks_years),
         d_years=tuple(float(v) for v in d_years),
         cells=cells,
     )
-
-
-def sensitivity_by_lookback(grids: Sequence[SensitivityGrid]) -> dict[float, float]:
-    """Average cell value per lookback, pooled over d and over grids."""
-    out: dict[float, float] = {}
-    lookbacks = grids[0].lookbacks_years
-    for i, lb in enumerate(lookbacks):
-        vals = np.concatenate([g.cells[i, :] for g in grids])
-        out[lb] = float(np.nanmean(vals)) if np.any(~np.isnan(vals)) else math.nan
-    return out
-
-
-def sensitivity_by_d(grids: Sequence[SensitivityGrid]) -> dict[float, float]:
-    """Average cell value per d, pooled over lookbacks and over grids."""
-    out: dict[float, float] = {}
-    ds = grids[0].d_years
-    for j, dy in enumerate(ds):
-        vals = np.concatenate([g.cells[:, j] for g in grids])
-        out[dy] = float(np.nanmean(vals)) if np.any(~np.isnan(vals)) else math.nan
-    return out
 
 
 def robustness_correlations(labels: Sequence[str],
@@ -260,8 +233,9 @@ class BootstrapSummary:
     values: np.ndarray
 
 
-def _bootstrap_replicate(args) -> float:
-    series, starts, block_len, s, d, kind = args
+def _bootstrap_replicate(series: ReturnSeries, starts: np.ndarray,
+                         block_len: int, s: int, d: int,
+                         kind: MetricKind) -> float:
     n = len(series)
     idx = (starts[:, None] + np.arange(block_len)[None, :]).ravel()[:n] % n
     resampled = ReturnSeries(
@@ -281,7 +255,8 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     Blocks of ``block_len`` consecutive returns (wrapping at the end) are
     concatenated to the original length, and the MRP is recomputed per
     replicate. All block starts are drawn up front from a counter-based
-    generator, so the result depends only on the seed, not on ``jobs``.
+    generator, so the result depends only on the seed. ``jobs`` is
+    accepted for compatibility and has no effect.
     """
     n = len(series)
     if not (1 <= block_len <= n):
@@ -291,13 +266,10 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     rng = np.random.Generator(np.random.Philox(seed))
     nblocks = -(-n // block_len)
     starts = rng.integers(0, n, size=(replicates, nblocks))
-    tasks = [(series, starts[r], block_len, s, d, kind)
-             for r in range(replicates)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            values = np.array(list(pool.map(_bootstrap_replicate, tasks, chunksize=4)))
-    else:
-        values = np.array([_bootstrap_replicate(t) for t in tasks])
+    values = np.array([
+        _bootstrap_replicate(series, starts=row, block_len=block_len, s=s,
+                             d=d, kind=kind)
+        for row in starts])
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     quants = {q: float(np.quantile(values, q)) for q in qs}
     return BootstrapSummary(

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 from scipy.special import log_ndtr
 
 from .errors import InvalidModel, QuadratureFailed
@@ -179,6 +179,10 @@ def gumbel_limit_diagnostic(model: BiasModel, trials: int, seed: int = 0,
     Mean separation needs far fewer trials than the KS statistic, so the
     grid can use a smaller ``drift_trials``.
     """
+    # imported by its only user, so `import minregime` does not pay for
+    # loading scipy.stats
+    from scipy import stats
+
     if drift_trials is None:
         drift_trials = trials
     if model.N < 10:

@@ -8,7 +8,8 @@ error (diagnostic on stderr), 2 usage error.
 
 Each subcommand accepts only the flags it reads, so a flag without an
 effect is a usage error. The exceptions are kept for compatibility:
-report accepts --seed and --jobs, and sensitivity --seed, unused.
+report and sensitivity accept --seed and --jobs, unused (sensitivity
+runs its grid in process).
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def cmd_sensitivity(args) -> None:
     for s in _load(args):
         grid = analytics.sensitivity_grid(
             s, parse_range(args.lookbacks), parse_range(args.ds),
-            s=args.splits, kind=kind, jobs=args.jobs)
+            s=args.splits, kind=kind)
         for i, lb in enumerate(grid.lookbacks_years):
             for j, dy in enumerate(grid.d_years):
                 rows.append({
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
 
     p = sub.add_parser("sensitivity")
-    _add_flags(p, *INPUT, "--splits", "--jobs", *OUTPUT, unused=("--seed",))
+    _add_flags(p, *INPUT, "--splits", *OUTPUT, unused=("--seed", "--jobs"))
     p.add_argument("--lookbacks", default="10:40:5y",
                    help="lookback grid in years, lo:hi:step or comma list")
     p.add_argument("--ds", default="1:5:1y",

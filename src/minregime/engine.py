@@ -285,27 +285,3 @@ def mrp_fast(series: ReturnSeries, s: int, d: int,
     bounds = np.array((0,) + splits + (n,), dtype=np.int64)
     metrics = metric_many(table, bounds[:-1], bounds[1:], kind)
     return _result_from_splits(series, splits, d, metrics)
-
-
-@dataclass(frozen=True)
-class LeftRightReport:
-    """Both segment metrics at the single-split optimum, plus the split date."""
-
-    left_sr: float
-    right_sr: float
-    split_date: datetime.date
-
-
-def left_right_report(series: ReturnSeries, d: int,
-                      kind: MetricKind = SHARPE) -> LeftRightReport:
-    """Segment metrics at the MRP_1 argmin split.
-
-    The split date is the calendar date of the last observation of the
-    left segment.
-    """
-    res = mrp_one_split(series, d, kind)
-    return LeftRightReport(
-        left_sr=res.segment_metrics[0],
-        right_sr=res.segment_metrics[1],
-        split_date=res.split_dates[0],
-    )

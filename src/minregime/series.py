@@ -14,7 +14,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -120,18 +119,6 @@ class ReturnSeries:
             frequency=self.frequency,
             label=self.label,
         )
-
-
-@dataclass(frozen=True)
-class SegmentStats:
-    """Per-segment summary; ``stdev`` is NaN for single-observation segments."""
-
-    start: int
-    end_exclusive: int
-    n: int
-    mean: float
-    stdev: float
-    sharpe_annualized: float
 
 
 @dataclass(frozen=True)
@@ -266,19 +253,6 @@ def _sharpe_parts(table: PrefixTable, start, end) -> tuple[np.ndarray, np.ndarra
         for k, a, b in _flagged((var == 0.0) & ~constant, start, end):
             flat[k] = np.var(table.returns[a:b], ddof=1)
     return mean, var
-
-
-def segment_stats(table: PrefixTable, start: int, end_exclusive: int) -> SegmentStats:
-    """O(1) statistics of a single segment."""
-    if not (0 <= start < end_exclusive <= table.n):
-        raise SegmentTooShort(f"invalid segment [{start}, {end_exclusive})")
-    mean, var = _sharpe_parts(table, np.array([start]), np.array([end_exclusive]))
-    mean, stdev = float(mean[0]), math.sqrt(var[0])
-    if stdev and not math.isnan(stdev):
-        sharpe = mean / stdev * math.sqrt(table.periods_per_year)
-    else:
-        sharpe = math.nan
-    return SegmentStats(start, end_exclusive, end_exclusive - start, mean, stdev, sharpe)
 
 
 def sharpe_many(table: PrefixTable, start, end) -> np.ndarray:

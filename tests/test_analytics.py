@@ -19,8 +19,6 @@ from minregime import (
     mrp_fast,
     portfolio_mrp,
     robustness_correlations,
-    sensitivity_by_d,
-    sensitivity_by_lookback,
     sensitivity_grid,
     series_metric,
 )
@@ -112,14 +110,6 @@ class TestSensitivityGrid:
         g1 = sensitivity_grid(s, [1.0, 1.5], [0.2, 0.3], jobs=1)
         g2 = sensitivity_grid(s, [1.0, 1.5], [0.2, 0.3], jobs=4)
         assert np.array_equal(g1.cells, g2.cells, equal_nan=True)
-
-    def test_marginals(self):
-        s = make_series(600, seed=6)
-        grid = sensitivity_grid(s, [1.0, 2.0], [0.2, 0.4])
-        by_lb = sensitivity_by_lookback([grid])
-        by_d = sensitivity_by_d([grid])
-        assert by_lb[1.0] == pytest.approx(np.nanmean(grid.cells[0, :]))
-        assert by_d[0.4] == pytest.approx(np.nanmean(grid.cells[:, 1]))
 
 
 class TestRobustnessCorrelations:

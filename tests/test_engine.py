@@ -12,7 +12,6 @@ from minregime import (
     NoValidPartition,
     count_valid_partitions,
     enumerate_partitions,
-    left_right_report,
     mrp_brute_force,
     mrp_fast,
     mrp_one_split,
@@ -108,6 +107,19 @@ class TestMrpOneSplit:
         assert res.value < 0
         # brute-force oracle agrees
         assert res.value == mrp_brute_force(s, 1, 10).value
+
+    def test_constructed_break_recovered(self):
+        rng = np.random.default_rng(42)
+        vals = np.concatenate([rng.normal(0.003, 0.01, 80),
+                               rng.normal(-0.003, 0.01, 40)])
+        res = mrp_one_split(series_from(vals), 25)
+        assert abs(res.optimal_splits.splits[0] - 80) <= 25
+
+    def test_split_date_is_last_left_observation(self):
+        s = make_series(20, seed=6)
+        res = mrp_one_split(s, 4)
+        t = res.optimal_splits.splits[0]
+        assert res.split_dates[0] == s.dates[t - 1]
 
     def test_reversal_symmetry(self):
         for seed in range(30):
@@ -327,22 +339,3 @@ class TestPartitionSpec:
     def test_segments(self):
         spec = PartitionSpec(splits=(3, 6), n=10, d=2)
         assert spec.segments == ((0, 3), (3, 6), (6, 10))
-
-
-class TestLeftRightReport:
-    def test_constructed_break_recovered(self):
-        rng = np.random.default_rng(42)
-        vals = np.concatenate([rng.normal(0.003, 0.01, 80),
-                               rng.normal(-0.003, 0.01, 40)])
-        s = series_from(vals)
-        rep = left_right_report(s, 25)
-        res = mrp_one_split(s, 25)
-        assert rep.left_sr == res.segment_metrics[0]
-        assert rep.right_sr == res.segment_metrics[1]
-        assert abs(res.optimal_splits.splits[0] - 80) <= 25
-
-    def test_split_date_is_last_left_observation(self):
-        s = make_series(20, seed=6)
-        rep = left_right_report(s, 4)
-        t = mrp_one_split(s, 4).optimal_splits.splits[0]
-        assert rep.split_date == s.dates[t - 1]

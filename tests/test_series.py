@@ -18,10 +18,9 @@ from minregime import (
     max_drawdown,
     rolling_sharpe_volatility,
     segment_metric,
-    segment_stats,
     sortino,
 )
-from minregime.series import SHARPE, _sortino_one, metric_many
+from minregime.series import SHARPE, _sharpe_parts, _sortino_one, metric_many
 
 from conftest import make_series, series_from
 
@@ -52,14 +51,15 @@ class TestPrefixSums:
         for _ in range(200):
             a = int(rng.integers(0, 298))
             b = int(rng.integers(a + 2, 301))
-            stats = segment_stats(table, a, b)
+            mean, var = _sharpe_parts(table, np.array([a]), np.array([b]))
             seg = s.returns[a:b]
-            assert stats.mean == pytest.approx(seg.mean(), abs=1e-12)
-            assert stats.stdev == pytest.approx(seg.std(ddof=1), abs=1e-12)
+            assert mean[0] == pytest.approx(seg.mean(), abs=1e-12)
+            assert math.sqrt(var[0]) == pytest.approx(seg.std(ddof=1), abs=1e-12)
 
     def test_single_observation_stdev_flagged(self):
         table = build_prefix_sums(make_series(10))
-        assert math.isnan(segment_stats(table, 3, 4).stdev)
+        _, var = _sharpe_parts(table, np.array([3]), np.array([4]))
+        assert math.isnan(var[0])
 
 
 class TestSegmentMetric:
