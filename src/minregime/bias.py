@@ -8,7 +8,8 @@ so the reported minimum Z is the minimum of N normals. This module gives
 * the exact bias E[X] - E[Z] (always >= 0),
 * the extreme-value constants b (location) and a = 1/b (scale) from the
   Mills-ratio tail approximation, and the asymptotic bias sigma * b,
-* seeded Monte Carlo simulation of Z and a Gumbel-limit diagnostic.
+* seeded Monte Carlo draws of Z, one uniform per trial by the inverse
+  CDF, and a Gumbel-limit diagnostic.
 
 All integration happens in log space: [1 - Phi(z)]^(N-1) underflows
 catastrophically in linear space for large N.
@@ -20,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import log_ndtr
 
 from .errors import InvalidModel, QuadratureFailed
 
@@ -86,6 +85,10 @@ def _std_expected_min(N: int) -> float:
     folded into the integrand so the quadrature error estimate applies to
     the expectation itself rather than to an O(1/N) integral.
     """
+    # imported by their only user, so `import minregime` loads no scipy
+    from scipy import integrate
+    from scipy.special import log_ndtr
+
     if N >= 3:
         consts = gumbel_constants(N)
         bound = (consts.b + 12.0 / consts.b) + 2.0
@@ -137,24 +140,23 @@ def bias_asymptotic(model: BiasModel) -> float:
 def simulate_min_model(model: BiasModel, trials: int, seed: int = 0) -> np.ndarray:
     """Monte Carlo draws of Z = min over n_s groups of min over s normals.
 
-    Uses a counter-based (Philox) generator: a given seed produces the
-    same sample regardless of chunking. Returns an array of ``trials``
-    values of Z in metric units.
+    Z is the minimum of N = s * n_s i.i.d. normals, so P(Z > z) =
+    Phi(-z)^N and the inverse-CDF draw Z = -ndtri_exp(log V / N), with V
+    uniform on (0, 1), has the same law exactly (David & Nagaraja, *Order
+    Statistics*, 3rd ed., 2003). One uniform per trial from a Philox
+    generator: O(trials) time and memory whatever N is, and the sample
+    depends on the grouping only through N. Returns an array of
+    ``trials`` values of Z in metric units.
     """
+    from scipy.special import ndtri_exp
+
     if trials < 1:
         raise InvalidModel("trials must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
-    N = model.N
-    out = np.empty(trials)
-    chunk = max(1, int(2e7) // N)
-    done = 0
-    while done < trials:
-        c = min(chunk, trials - done)
-        draws = rng.standard_normal((c, model.n_s, model.s))
-        group_min = draws.min(axis=2)  # per-group minima
-        out[done:done + c] = group_min.min(axis=1)
-        done += c
-    return model.mu + model.sigma * out
+    # V = 1 - U takes the values k * 2^-53, k = 1..2^53; V = 1 would give
+    # ndtri_exp(0) = inf, so it moves to 1 - 2^-54, the middle of its cell
+    log_v = np.minimum(np.log1p(-rng.random(trials)), -2.0 ** -54)
+    return model.mu - model.sigma * ndtri_exp(log_v / model.N)
 
 
 @dataclass(frozen=True)

@@ -71,11 +71,15 @@ def duration(text: str) -> str:
     return text
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not >= 1")
-    return value
+def int_at_least(low: int):
+    """argparse type of an integer flag that must be >= ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not >= {low}")
+        return value
+    parse.__name__ = "int"  # argparse reports a non-number as "invalid int value"
+    return parse
 
 
 def parse_years(text: str) -> float:
@@ -298,7 +302,7 @@ FLAGS = {
                           help="minimum segment length, e.g. 2y or 504p"),
     "--lookback": dict(default="40y"),
     "--splits": dict(type=int, default=1),
-    "--jobs": dict(type=positive_int, default=1),
+    "--jobs": dict(type=int_at_least(1), default=1),
     "--seed": dict(type=int, default=0),
     "--mu": dict(type=float, default=0.0),
     "--sigma": dict(type=float, default=1.0),
@@ -355,13 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=lambda t: [int(x) for x in t.split(",")],
                    default=[1, 2, 5, 10, 100],
                    help="comma list of order-statistic counts")
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=int_at_least(2), default=100_000,
+                   help="Monte Carlo trials per N (>= 2 for a standard error)")
     p.set_defaults(func=cmd_bias)
 
     p = sub.add_parser("simulate")
     _add_flags(p, "--mu", "--sigma", "--seed", *OUTPUT)
     p.add_argument("--N", type=int, default=10_000)
-    p.add_argument("--trials", type=int, default=20_000)
+    p.add_argument("--trials", type=int_at_least(2), default=20_000,
+                   help="Monte Carlo trials per N (>= 2 for a standard error)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fixture")

@@ -18,6 +18,27 @@ from minregime import (
 MIN_OF_TWO = -1.0 / math.sqrt(math.pi)  # analytic E[min of 2 std normals]
 
 
+def direct_min_of_normals(model, trials, seed):
+    """Reference sampler: draw all N normals of each trial and take their
+    minimum over the s normals of each group, then over the n_s groups."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    draws = rng.standard_normal((trials, model.n_s, model.s))
+    return model.mu + model.sigma * draws.min(axis=2).min(axis=1)
+
+
+class ExtremeUniforms:
+    """Stand-in generator whose uniforms include both ends of numpy's grid
+    {k * 2^-53 : k = 0..2^53 - 1}, whatever seed it is given."""
+
+    VALUES = np.array([0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53])
+
+    def __init__(self, bit_generator):
+        pass
+
+    def random(self, size):
+        return np.resize(self.VALUES, size)
+
+
 class TestExpectedMinExact:
     def test_single_normal(self):
         assert expected_min_exact(BiasModel(0, 1, 1, 1)) == pytest.approx(0.0, abs=1e-9)
@@ -120,9 +141,33 @@ class TestSimulateMinModel:
         assert abs(sample.mean() - MIN_OF_TWO) <= 3 * se
 
     def test_grouped_equals_flat_distribution(self):
+        # the law of Z depends on the grouping only through N, and so does
+        # the sampler
         grouped = simulate_min_model(BiasModel(0, 1, 2, 5), 50_000, seed=3)
-        flat = simulate_min_model(BiasModel(0, 1, 1, 10), 50_000, seed=4)
-        assert stats.ks_2samp(grouped, flat).pvalue > 0.01
+        flat = simulate_min_model(BiasModel(0, 1, 1, 10), 50_000, seed=3)
+        assert np.array_equal(grouped, flat)
+
+    @pytest.mark.parametrize("s,n_s", [(1, 1), (2, 5), (1, 100), (3, 40)])
+    def test_matches_direct_draw(self, s, n_s):
+        model = BiasModel(0.2, 1.5, s, n_s)
+        sample = simulate_min_model(model, 50_000, seed=3)
+        direct = direct_min_of_normals(model, 50_000, seed=4)
+        assert stats.ks_2samp(sample, direct).pvalue > 0.01
+
+    @pytest.mark.parametrize("N", [1, 10 ** 9])
+    def test_extreme_uniforms_give_finite_draws(self, monkeypatch, N):
+        monkeypatch.setattr(np.random, "Generator", ExtremeUniforms)
+        z = simulate_min_model(BiasModel(0, 1, 1, N), 4)
+        assert np.isfinite(z).all()
+        # Z falls as V = 1 - U rises, and U = 0 stays the lowest draw
+        assert np.all(np.diff(z) > 0)
+
+    def test_finite_and_unbiased_at_a_billion(self):
+        model = BiasModel(0, 1, 1, 10 ** 9)
+        sample = simulate_min_model(model, 10 ** 5, seed=8)
+        assert np.isfinite(sample).all()
+        se = sample.std(ddof=1) / math.sqrt(sample.size)
+        assert abs(sample.mean() - expected_min_exact(model)) <= 3 * se
 
     def test_reproducible(self):
         a = simulate_min_model(BiasModel(0, 1, 1, 5), 1000, seed=9)

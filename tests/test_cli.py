@@ -167,6 +167,14 @@ class TestBias:
                                 "--format", "json", "--out", str(out)]) == 0
             assert json.loads(out.read_text())
 
+    @pytest.mark.parametrize("command", ["bias", "simulate"])
+    @pytest.mark.parametrize("trials", ["1", "0"])
+    def test_trials_below_two_exit_2(self, command, trials):
+        # one trial has no standard error
+        with pytest.raises(SystemExit) as info:
+            main([command, "--N", "100", "--trials", trials])
+        assert info.value.code == 2
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["bias", "--N", "2,5", "--trials", "5000", "--seed", "3"]

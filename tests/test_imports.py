@@ -5,9 +5,10 @@ from pathlib import Path
 
 import minregime
 
-#: slow to import and needed by no common path: the KS statistic loads
-#: scipy.stats on demand, and no code path starts worker processes
-HEAVY = ("scipy.stats", "concurrent.futures.process", "multiprocessing")
+#: slow to import and needed by no common path: the bias module loads
+#: scipy inside the functions that use it, and no code path starts
+#: worker processes
+HEAVY = ("scipy", "concurrent.futures.process", "multiprocessing")
 
 
 def test_import_leaves_heavy_modules_unloaded():
