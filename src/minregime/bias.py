@@ -120,7 +120,9 @@ def bias_exact(model: BiasModel) -> float:
 
     Non-negative for every N >= 1 and linear in sigma.
     """
-    return -model.sigma * _std_expected_min(model.N)
+    # 0.0 - x rather than -x: at N = 1 the expectation is 0.0, and -x
+    # would give -0.0
+    return 0.0 - model.sigma * _std_expected_min(model.N)
 
 
 def bias_asymptotic(model: BiasModel) -> float:

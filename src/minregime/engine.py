@@ -5,6 +5,7 @@ segments of at least d observations each. The engine provides:
 
 * ``count_valid_partitions`` - closed-form stars-and-bars count,
 * ``enumerate_partitions`` - lexicographic stream of all split tuples,
+  read from one numpy array of rows,
 * ``mrp_brute_force``     - exact minimum by full enumeration (oracle),
 * ``mrp_one_split``       - O(n) scan for the single-split case,
 * ``mrp_fast``            - feasible-window algorithm, value-identical to
@@ -15,11 +16,12 @@ segments of at least d observations each. The engine provides:
 
 Partitions containing a segment with an undefined metric (zero variance,
 or no return below ``mar`` for Sortino) are infeasible rather than scored
-at -inf; a constant sub-window must not hijack the minimum. A defined
+at -inf; a constant sub-window must not hijack the minimum. One rule says
+which segments are defined: [a, b) is exactly when b >= e[a], with e from
+``series.defined_ends``, the array the metric kernel reads too. A defined
 metric stays defined as its segment grows in either direction, so [a, b)
-is feasible exactly when b >= max(a + d, e[a]) with e from
-``defined_ends``, and whether a prefix or suffix can be cut into k
-feasible segments reduces to one threshold per k.
+is feasible exactly when b >= max(a + d, e[a]), and whether a prefix or
+suffix can be cut into k feasible segments reduces to one threshold per k.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Iterator
 
 import numpy as np
@@ -93,28 +94,29 @@ def count_valid_partitions(n: int, s: int, d: int) -> int:
 
 
 def enumerate_partitions(n: int, s: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Yield every valid split tuple exactly once, in lexicographic order.
-
-    Split sets map one-to-one onto nondecreasing slack tuples: with
-    w_i = t_i - i*d, validity is exactly 0 <= w_1 <= ... <= w_s <= n - (s+1)*d.
-    """
-    slack = n - (s + 1) * d
-    if slack < 0:
-        return
-    offsets = tuple(i * d for i in range(1, s + 1))
-    for w in combinations_with_replacement(range(slack + 1), s):
-        yield tuple(map(sum, zip(w, offsets)))
+    """Yield every valid split tuple (s >= 1) exactly once, in
+    lexicographic order."""
+    yield from zip(*_splits_array(n, s, d).T.tolist())
 
 
 def _splits_array(n: int, s: int, d: int) -> np.ndarray:
-    """All valid split sets as a (P, s) int array, lexicographic row order."""
-    count = count_valid_partitions(n, s, d)
-    flat = np.fromiter(
-        (t for splits in enumerate_partitions(n, s, d) for t in splits),
-        dtype=np.int64,
-        count=count * s,
-    )
-    return flat.reshape(count, s)
+    """All valid split sets as a (P, s) int array, lexicographic row order.
+
+    Split sets map one-to-one onto nondecreasing slack tuples: with
+    w_i = t_i - i*d, validity is exactly 0 <= w_1 <= ... <= w_s <= n - (s+1)*d.
+    The tuples grow one column per split: a row whose last entry is v is
+    repeated once for each next entry v, v + 1, ..., slack, in that order.
+    """
+    slack = n - (s + 1) * d
+    w = np.zeros((1 if slack >= 0 else 0, 0), dtype=np.int64)
+    last = np.zeros(w.shape[0], dtype=np.int64)
+    for _ in range(s):
+        reps = slack + 1 - last
+        first = np.repeat(np.cumsum(reps) - reps, reps)
+        w = np.repeat(w, reps, axis=0)
+        last = np.repeat(last, reps) + np.arange(w.shape[0]) - first
+        w = np.column_stack((w, last))
+    return w + d * np.arange(1, s + 1, dtype=np.int64)
 
 
 def _result_from_splits(series: ReturnSeries, splits: tuple[int, ...], d: int,
@@ -259,7 +261,7 @@ def mrp_fast(series: ReturnSeries, s: int, d: int,
     if s == 1:
         return mrp_one_split(series, d, kind)
     table = build_prefix_sums(series)
-    f = np.maximum(np.arange(n, dtype=np.int64) + d, defined_ends(table, kind))
+    f = np.maximum(np.arange(n, dtype=np.int64) + d, defined_ends(table, kind)[:n])
     lo, hi = _reach(f, n, s)
     if lo[s + 1] > n:
         raise NoValidPartition("every partition has a segment with an "

@@ -3,8 +3,9 @@
 Segment statistics are served from prefix sums so that any contiguous
 segment's Sharpe or Sortino ratio costs O(1) after an O(n) build. The
 Sortino threshold ``mar`` is fixed per metric, so its downside sum of
-squares and its count of returns below ``mar`` fold into prefix arrays
-too, built on first use for each ``mar``.
+squares folds into a prefix array too, built on first use for each
+``mar``. One array of least ends per start, ``defined_ends``, says which
+segments have a defined metric, for the kernel and the window scan alike.
 """
 
 from __future__ import annotations
@@ -126,39 +127,30 @@ class PrefixTable:
     """Cumulative sums enabling O(1) segment statistics.
 
     ``sum1[k]`` / ``sum2[k]`` hold the sum of the first k returns and
-    squared returns. ``run_eq[k]`` counts adjacent equal pairs among the
-    first k observations, which lets constant (zero-variance) segments be
-    detected exactly, independent of floating-point cancellation.
-
-    ``downside(mar)`` adds two prefix arrays for the Sortino ratio: the
-    sums of squared shortfalls min(r - mar, 0)^2 and the counts of returns
-    whose squared shortfall is > 0. They are built on first use and cached
-    per ``mar``, so Sharpe-only work never pays for them.
+    squared returns. ``downside(mar)`` adds, for the Sortino ratio, the
+    prefix sums of squared shortfalls min(r - mar, 0)^2. Which segments
+    have a defined metric is one array per metric, ``defined_ends``.
+    Both are built on first use and cached, so Sharpe-only work never
+    pays for the Sortino arrays.
     """
 
     sum1: np.ndarray
     sum2: np.ndarray
-    run_eq: np.ndarray
     returns: np.ndarray
     periods_per_year: int
     n: int
-    dates: tuple[datetime.date, ...] = field(repr=False, default=())
-    _downside: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    # downside prefix per mar (float keys), defined ends per MetricKind
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
-    def downside(self, mar: float) -> tuple[np.ndarray, np.ndarray]:
-        """Prefix sums of squared shortfalls below ``mar`` and prefix
-        counts of returns below it."""
-        if mar not in self._downside:
+    def downside(self, mar: float) -> np.ndarray:
+        """Prefix sums of squared shortfalls below ``mar``."""
+        if mar not in self._cache:
             shortfall = np.minimum(self.returns - mar, 0.0)
-            square = shortfall * shortfall
             down2 = np.zeros(self.n + 1)
-            below = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(square, out=down2[1:])
-            # a shortfall so small that its square underflows counts as none
-            np.cumsum(square > 0.0, out=below[1:])
-            self._downside[mar] = (down2, below)
-        return self._downside[mar]
+            np.cumsum(shortfall * shortfall, out=down2[1:])
+            self._cache[mar] = down2
+        return self._cache[mar]
 
 
 def build_prefix_sums(series: ReturnSeries) -> PrefixTable:
@@ -171,27 +163,35 @@ def build_prefix_sums(series: ReturnSeries) -> PrefixTable:
     sum2 = np.zeros(n + 1)
     np.cumsum(r, out=sum1[1:])
     np.cumsum(r * r, out=sum2[1:])
-    run_eq = np.zeros(n + 1, dtype=np.int64)
-    if n > 1:
-        np.cumsum(r[1:] == r[:-1], out=run_eq[2:])
-    return PrefixTable(
-        sum1=sum1,
-        sum2=sum2,
-        run_eq=run_eq,
-        returns=r,
-        periods_per_year=series.periods_per_year,
-        n=n,
-        dates=series.dates,
-    )
+    return PrefixTable(sum1=sum1, sum2=sum2, returns=r,
+                       periods_per_year=series.periods_per_year, n=n)
 
 
-def _constant_mask(table: PrefixTable, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Exact zero-variance detection: all values in [start, end) equal."""
-    start = np.asarray(start)
-    end = np.asarray(end)
-    # adjacent-equal pairs fully inside the segment: indices start+1 .. end-1
-    pairs = table.run_eq[end] - table.run_eq[np.minimum(start + 1, end)]
-    return pairs == (end - start - 1)
+def defined_ends(table: PrefixTable, kind: MetricKind) -> np.ndarray:
+    """Per start a, the least end e[a] such that [a, b) has a defined
+    metric exactly when b >= e[a]. The array has n + 1 entries; e[n] and
+    every start with no such end read more than n.
+
+    A defined metric stays defined as its segment grows, so one threshold
+    per start states the whole rule. A segment needs 2 observations and
+    a witness: for Sharpe two adjacent distinct values, for Sortino a
+    return whose squared shortfall below ``mar`` is > 0 (one that
+    underflows counts as none). e[a] is the least end past a witness at
+    or after a, a suffix minimum built in O(n) and cached per kind.
+    """
+    if kind not in table._cache:
+        r = table.returns
+        n = table.n
+        witness = np.full(n + 1, n + 1, dtype=np.int64)
+        if kind.name == "sortino":
+            shortfall = np.minimum(r - kind.mar, 0.0)
+            hit, stop = shortfall * shortfall > 0.0, np.arange(1, n + 1)
+        else:  # the pair (k, k + 1) differs, so [k, k + 2) is defined
+            hit, stop = r[1:] != r[:-1], np.arange(2, n + 1)
+        witness[:hit.size] = np.where(hit, stop, n + 1)
+        least = np.minimum.accumulate(witness[::-1])[::-1]
+        table._cache[kind] = np.maximum(least, np.arange(2, n + 3))
+    return table._cache[kind]
 
 
 def _parts(table: PrefixTable, start, end, kind: MetricKind):
@@ -216,8 +216,7 @@ def _parts(table: PrefixTable, start, end, kind: MetricKind):
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = total / length
         if kind.name == "sortino":
-            down2, _ = table.downside(kind.mar)
-            return length, mean - kind.mar, diff(down2) / length
+            return length, mean - kind.mar, diff(table.downside(kind.mar)) / length
         sq = diff(table.sum2)
         return length, mean, (sq - total * total / length) / (length - 1)
 
@@ -228,136 +227,62 @@ def _ratio(excess, spread, periods_per_year: int) -> np.ndarray:
         return excess / np.sqrt(spread) * math.sqrt(periods_per_year)
 
 
-def _flagged(mask: np.ndarray, start, end):
-    """(flat index, start, end) of every segment where ``mask`` holds."""
-    idx = np.flatnonzero(mask)
-    starts, ends = (np.broadcast_to(x, mask.shape).reshape(-1)[idx]
-                    for x in (start, end))
-    return zip(idx.tolist(), starts.tolist(), ends.tolist())
-
-
-def _sharpe_parts(table: PrefixTable, start, end) -> tuple[np.ndarray, np.ndarray]:
-    """Segment mean and sample variance; NaN variance for length-1
-    segments, 0.0 exactly for constant ones."""
-    start = np.asarray(start, dtype=np.int64)
-    end = np.asarray(end, dtype=np.int64)
-    length, mean, var = _parts(table, start, end, SHARPE)
-    var = np.where(length > 1, np.maximum(var, 0.0), np.nan)
-    constant = _constant_mask(table, start, end) & (length > 1)
-    var = np.where(constant, 0.0, var)
-    if np.any(var == 0.0):
-        # prefix-sum rounding can cancel the small variance of a segment
-        # that holds distinct values; recompute those directly, so a
-        # segment has zero variance exactly when it is constant
-        flat = var.reshape(-1)
-        for k, a, b in _flagged((var == 0.0) & ~constant, start, end):
-            flat[k] = np.var(table.returns[a:b], ddof=1)
-    return mean, var
-
-
-def sharpe_many(table: PrefixTable, start, end) -> np.ndarray:
-    """Annualized Sharpe of many segments at once; NaN where undefined.
-
-    NaN marks either a too-short (n < 2) or a zero-variance segment.
-    """
-    mean, var = _sharpe_parts(table, start, end)
-    return np.where(var > 0, _ratio(mean, var, table.periods_per_year), np.nan)
-
-
-def _sortino_one(table: PrefixTable, start: int, end: int, mar: float) -> float:
-    """Direct-pass Sortino on [start, end); NaN if downside deviation is 0."""
+def _direct(table: PrefixTable, start: int, end: int, kind: MetricKind) -> float:
+    """Two-pass metric of one segment of >= 2 observations, read from the
+    returns; NaN if its spread is not > 0."""
     seg = table.returns[start:end]
-    downside = np.minimum(seg - mar, 0.0)
-    dd = math.sqrt(float(np.mean(downside * downside)))
-    if dd == 0.0:
-        return math.nan
     mean = float(np.mean(seg))
-    return (mean - mar) / dd * math.sqrt(table.periods_per_year)
-
-
-def _sortino_many(table: PrefixTable, start, end, kind: MetricKind) -> np.ndarray:
-    """Annualized Sortino of many segments; NaN where a segment has fewer
-    than 2 observations or none below ``kind.mar``."""
-    start = np.asarray(start, dtype=np.int64)
-    end = np.asarray(end, dtype=np.int64)
-    length, excess, spread = _parts(table, start, end, kind)
-    _, below = table.downside(kind.mar)
-    defined = (length > 1) & (below[end] > below[start])
-    out = np.where(defined, _ratio(excess, spread, table.periods_per_year),
-                   np.nan)
-    # a tiny shortfall after large ones is absorbed by the prefix sum; such
-    # a segment is recomputed directly rather than left NaN
-    flat = out.reshape(-1)
-    for k, a, b in _flagged(defined & ~(spread > 0), start, end):
-        flat[k] = _sortino_one(table, a, b, kind.mar)
-    return out
-
-
-def _first_defined(table: PrefixTable, i: int, j: int, kind: MetricKind) -> bool:
-    """Whether [i, j) has a defined metric, read from the prefix table:
-    a return below ``mar`` for Sortino; for Sharpe, fewer adjacent equal
-    pairs inside the segment than it has pairs (see ``_constant_mask``)."""
-    if j - i < 2:
-        return False
     if kind.name == "sortino":
-        _, below = table.downside(kind.mar)
-        return bool(below[j] > below[i])
-    return bool(table.run_eq[j] - table.run_eq[i + 1] < j - i - 1)
+        shortfall = np.minimum(seg - kind.mar, 0.0)
+        excess, spread = mean - kind.mar, float(np.mean(shortfall * shortfall))
+    else:
+        excess, spread = mean, float(np.var(seg, ddof=1))
+    if not spread > 0.0:
+        return math.nan
+    return float(_ratio(excess, spread, table.periods_per_year))
 
 
 def metric_many(table: PrefixTable, start, end, kind: MetricKind) -> np.ndarray:
-    """Vectorized segment metric; NaN for infeasible segments.
+    """Vectorized segment metric; NaN for segments without a defined one.
 
-    A segment is infeasible when it is shorter than 2 observations or its
-    dispersion denominator is zero: a constant segment for Sharpe, one
-    with no return below ``mar`` for Sortino. Every segment costs O(1)
-    from the prefix table. Where prefix rounding cancels the denominator
-    of a feasible segment to 0 (a small variance after large returns, a
-    tiny shortfall after large ones), that segment is recomputed by a
-    direct pass.
+    ``defined_ends`` decides which segments are defined: those of at
+    least 2 observations holding two distinct values (Sharpe) or a return
+    whose squared shortfall below ``mar`` is > 0 (Sortino). Every segment
+    costs O(1) from the prefix table. Where prefix rounding cancels the
+    spread of a defined segment to <= 0 (a small variance after large
+    returns, a tiny shortfall after large ones), that segment is
+    recomputed by ``_direct``.
 
     ``start`` and ``end`` are arrays of segment bounds, or a scalar
     ``start`` with a ``range`` of ends: one row of windows [start, j),
     scored from contiguous slices of the prefix arrays. A row holding an
-    infeasible or cancelled window goes through the array path, so both
+    undefined or cancelled window goes through the array path, so both
     forms give the same values, bit for bit.
     """
     if isinstance(end, range):
         i = int(start)
-        # a defined metric stays defined as its window grows, so the
-        # first window decides whether every window of the row is defined
-        if end.step == 1 and end and _first_defined(table, i, end.start, kind):
+        # the first window is the shortest, so if it is defined, all are
+        if end.step == 1 and end and end.start >= defined_ends(table, kind)[i]:
             _, excess, spread = _parts(table, i, end, kind)
-            if spread.min() > 0:  # False on NaN
+            if spread.min() > 0:
                 return _ratio(excess, spread, table.periods_per_year)
         start = np.full(len(end), i, dtype=np.int64)
         end = np.arange(end.start, end.stop, end.step, dtype=np.int64)
-    if kind.name == "sortino":
-        return _sortino_many(table, start, end, kind)
-    return sharpe_many(table, start, end)
+    start, end = np.broadcast_arrays(np.asarray(start, dtype=np.int64),
+                                     np.asarray(end, dtype=np.int64))
+    defined = end >= defined_ends(table, kind)[start]
+    _, excess, spread = _parts(table, start, end, kind)
+    out = np.where(defined, _ratio(excess, spread, table.periods_per_year),
+                   np.nan)
+    for k in np.flatnonzero(defined & ~(spread > 0)).tolist():
+        out.flat[k] = _direct(table, int(start.flat[k]), int(end.flat[k]), kind)
+    return out
 
 
-def defined_ends(table: PrefixTable, kind: MetricKind) -> np.ndarray:
-    """Per start a, the least end e[a] such that [a, b) has a defined
-    metric exactly when b >= e[a]; e[a] = n + 1 where no end works.
+def sharpe_many(table: PrefixTable, start, end) -> np.ndarray:
+    """Annualized Sharpe of many segments at once; NaN where undefined."""
+    return metric_many(table, start, end, SHARPE)
 
-    A defined metric stays defined as its segment grows, so one threshold
-    per start captures the rule. Sharpe needs two distinct values: e[a] is
-    one past the first index after a whose value differs from the one
-    before it. Sortino needs a return below ``mar``: e[a] is one past the
-    first such index at or after a, read from the prefix counts the
-    kernel uses. Both need at least 2 observations.
-    """
-    r = table.returns
-    n = table.n
-    starts = np.arange(n, dtype=np.int64)
-    if kind.name == "sortino":
-        _, below = table.downside(kind.mar)
-        hits, side = np.flatnonzero(below[1:] > below[:-1]), "left"
-    else:
-        hits, side = np.flatnonzero(r[1:] != r[:-1]) + 1, "right"
-    hits = np.append(hits, n)
-    return np.maximum(hits[np.searchsorted(hits, starts, side)] + 1, starts + 2)
 
 def segment_metric(table: PrefixTable, start: int, end_exclusive: int,
                    kind: MetricKind = SHARPE) -> float:

@@ -68,6 +68,9 @@ class TestBiasExact:
     def test_n1_zero(self):
         assert bias_exact(BiasModel(0, 1, 1, 1)) == pytest.approx(0.0, abs=1e-9)
 
+    def test_n1_positive_zero(self):
+        assert math.copysign(1.0, bias_exact(BiasModel(0, 1, 1, 1))) == 1.0
+
     def test_n2_analytic(self):
         assert bias_exact(BiasModel(0, 1, 1, 2)) == pytest.approx(-MIN_OF_TWO, rel=1e-9)
 

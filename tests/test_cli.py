@@ -159,6 +159,14 @@ class TestBias:
         assert float(row["simulated_mean"]) == pytest.approx(
             -1.0 / math.sqrt(math.pi), abs=3 * float(row["se"]))
 
+    def test_n1_exact_bias_is_positive_zero(self, tmp_path):
+        out = tmp_path / "bias.csv"
+        assert main(["bias", "--N", "1", "--trials", "100",
+                     "--out", str(out)]) == 0
+        (row,) = list(csv.DictReader(out.open()))
+        assert row["exact_bias"] == "0.000000"
+        assert math.copysign(1.0, float(row["exact_bias"])) == 1.0
+
     def test_model_flags(self, tmp_path):
         for argv in (["bias", "--N", "2", "--trials", "500"],
                      ["simulate", "--N", "50", "--trials", "200"]):

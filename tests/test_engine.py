@@ -81,6 +81,17 @@ class TestEnumeratePartitions:
         out = list(enumerate_partitions(12, 2, 2))
         assert out == sorted(out)
 
+    def test_equals_exhaustive_in_order(self):
+        # combinations() yields in lexicographic order, so the valid tuples
+        # it yields are the expected stream itself
+        for n in range(1, 16):
+            for s in range(1, 4):
+                for d in range(1, 5):
+                    want = [t for t in itertools.combinations(range(1, n), s)
+                            if all(b - a >= d
+                                   for a, b in zip((0,) + t, t + (n,)))]
+                    assert list(enumerate_partitions(n, s, d)) == want, (n, s, d)
+
 
 class TestMrpOneSplit:
     def test_forced_single_partition(self):

@@ -20,7 +20,7 @@ from minregime import (
     segment_metric,
     sortino,
 )
-from minregime.series import SHARPE, _sharpe_parts, _sortino_one, metric_many
+from minregime.series import SHARPE, _direct, _parts, defined_ends, metric_many
 
 from conftest import make_series, series_from
 
@@ -51,15 +51,15 @@ class TestPrefixSums:
         for _ in range(200):
             a = int(rng.integers(0, 298))
             b = int(rng.integers(a + 2, 301))
-            mean, var = _sharpe_parts(table, np.array([a]), np.array([b]))
+            _, mean, var = _parts(table, np.array([a]), np.array([b]), SHARPE)
             seg = s.returns[a:b]
             assert mean[0] == pytest.approx(seg.mean(), abs=1e-12)
             assert math.sqrt(var[0]) == pytest.approx(seg.std(ddof=1), abs=1e-12)
 
     def test_single_observation_stdev_flagged(self):
         table = build_prefix_sums(make_series(10))
-        _, var = _sharpe_parts(table, np.array([3]), np.array([4]))
-        assert math.isnan(var[0])
+        assert math.isnan(metric_many(table, np.array([3]), np.array([4]),
+                                      SHARPE)[0])
 
 
 class TestSegmentMetric:
@@ -139,7 +139,7 @@ class TestSortinoPrefix:
         table = build_prefix_sums(series_from(values))
         kind = sortino(0.0)
         got = metric_many(table, np.array([2]), np.array([5]), kind)[0]
-        assert got == _sortino_one(table, 2, 5, 0.0)
+        assert got == _direct(table, 2, 5, kind)
         assert got == pytest.approx(-12.9615, abs=1e-4)
         row = metric_many(table, 2, range(4, 8), kind)
         assert row[1] == got
@@ -149,18 +149,17 @@ class TestSortinoPrefix:
         got = metric_many(table, np.array([1, 1, 0]), np.array([4, 5, 1]),
                           sortino(0.0))
         assert math.isnan(got[0])        # no return below 0
-        assert got[1] == pytest.approx(_sortino_one(table, 1, 5, 0.0),
+        assert got[1] == pytest.approx(_direct(table, 1, 5, sortino(0.0)),
                                        rel=1e-12)
         assert math.isnan(got[2])        # length 1
 
     def test_downside_built_once_per_mar(self):
         table = build_prefix_sums(make_series(50))
         assert table.downside(0.0) is table.downside(0.0)
-        down2, below = table.downside(0.001)
+        down2 = table.downside(0.001)
         shortfall = np.minimum(table.returns - 0.001, 0.0)
         assert np.allclose(down2, np.concatenate(([0.0],
                                                   np.cumsum(shortfall ** 2))))
-        assert below[-1] == np.count_nonzero(shortfall)
 
 
 SMALL_ALPHABET = (0.0, 0.01, -0.01, 0.02, -0.03)
@@ -205,7 +204,7 @@ class TestKernelProperties:
         starts, ends = (np.array(x) for x in zip(*segments))
         got = metric_many(table, starts, ends, sortino(mar))
         for (a, b), value in zip(segments, got.tolist()):
-            want = _sortino_one(table, a, b, mar) if b - a > 1 else math.nan
+            want = _direct(table, a, b, sortino(mar)) if b - a > 1 else math.nan
             assert math.isnan(value) == math.isnan(want), (a, b)
             if not math.isnan(want):
                 assert math.isclose(value, want, rel_tol=1e-9, abs_tol=1e-9)
@@ -220,6 +219,58 @@ class TestKernelProperties:
             want = metric_many(table, np.full(j1 - j0 + 1, i),
                                np.arange(j0, j1 + 1), kind)
             assert np.array_equal(row, want, equal_nan=True)
+
+
+UNDERFLOW_LOSS = -1e-170  # its squared shortfall below 0 underflows to 0.0
+ENDS_ALPHABET = SMALL_ALPHABET + (UNDERFLOW_LOSS,)
+
+
+@st.composite
+def ends_cases(draw):
+    """A short series over a small alphabet holding a loss whose square
+    underflows, with injected constant runs (zero runs among them), and
+    a Sortino threshold."""
+    n = draw(st.integers(1, 30))
+    values = draw(st.lists(st.sampled_from(ENDS_ALPHABET),
+                           min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n - 1))
+        stop = min(n, start + draw(st.integers(2, 12)))
+        values[start:stop] = [draw(st.sampled_from(ENDS_ALPHABET))] * (stop - start)
+    return values, draw(st.sampled_from([0.0, 0.001, -0.001]))
+
+
+def least_defined_end(values, a, kind):
+    """Direct loop: the least b with [a, b) of >= 2 observations holding
+    two distinct values (Sharpe) or a return with a squared shortfall
+    below ``mar`` that is > 0 (Sortino); None if no b <= n works."""
+    for b in range(a + 2, len(values) + 1):
+        seg = values[a:b]
+        if kind.name == "sortino":
+            if any(min(r - kind.mar, 0.0) ** 2 > 0 for r in seg):
+                return b
+        elif len(set(seg)) > 1:
+            return b
+    return None
+
+
+class TestDefinedEnds:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(ends_cases())
+    def test_matches_direct_loop(self, case):
+        values, mar = case
+        n = len(values)
+        table = build_prefix_sums(series_from(values))
+        for kind in (SHARPE, sortino(mar)):
+            ends = defined_ends(table, kind)
+            assert ends is defined_ends(table, kind)
+            assert ends.shape == (n + 1,) and ends[n] > n
+            for a in range(n):
+                want = least_defined_end(values, a, kind)
+                if want is None:
+                    assert ends[a] > n, (kind, a)
+                else:
+                    assert ends[a] == want, (kind, a)
 
 
 class TestMaxDrawdown:
