@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import MrpResult, mrp_fast, mrp_one_split
+from .engine import MrpResult, _first_min, _split_scan, mrp_fast, mrp_one_split
 from .errors import (
     DateMismatch,
     DegenerateVector,
@@ -27,6 +27,8 @@ from .series import (
     SHARPE,
     MetricKind,
     ReturnSeries,
+    build_prefix_sums,
+    segment_metric,
     series_metric,
 )
 
@@ -117,13 +119,36 @@ class SensitivityGrid:
         return ~np.isnan(self.cells)
 
 
-def _grid_cell(series: ReturnSeries, lookback: float, d_years: float, s: int,
-               kind: MetricKind) -> float:
+def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
+              kind: MetricKind) -> list[float]:
+    """One lookback's cells, (MRP - metric) at each d of ``ds``; NaN where
+    no partition fits.
+
+    The trailing window and its prefix table are built once. At s = 1 one
+    split scan at the least fitting d holds every cell: a cell is the
+    first least entry of its slice of that scan, as ``mrp_one_split``
+    would pick it. Cells are computed, and raise, in grid order.
+    """
     win = _trailing_window(series, lookback)
-    d = _periods(d_years, series)
-    if d < 2 or len(win) < (s + 1) * d:
-        return math.nan
-    return mrp_fast(win, s, d, kind).value - series_metric(win, kind)
+    n = len(win)
+    fits = [d >= 2 and n >= (s + 1) * d for d in ds]
+    row = [math.nan] * len(ds)
+    if not any(fits):
+        return row
+    table = build_prefix_sums(win)
+    if s == 1:
+        d0 = min(d for d, ok in zip(ds, fits) if ok)
+        pair = _split_scan(table, d0, kind)[2]
+    for k, d in enumerate(ds):
+        if not fits[k]:
+            continue
+        if s == 1:
+            cut = pair[d - d0:n - d - d0 + 1]
+            value = cut[_first_min(cut)]
+        else:
+            value = mrp_fast(win, s, d, kind).value
+        row[k] = value - segment_metric(table, 0, n, kind)
+    return row
 
 
 def sensitivity_grid(series: ReturnSeries,
@@ -134,15 +159,16 @@ def sensitivity_grid(series: ReturnSeries,
                      jobs: int = 1) -> SensitivityGrid:
     """(MRP - metric) for every lookback/d combination.
 
-    ``jobs`` is accepted for compatibility and has no effect: the cells
-    are computed in process, in grid order.
+    Each lookback's window is scored once: at s = 1 by one split scan
+    shared by all its d cells, O(n) per lookback; at s >= 2 by
+    ``mrp_fast`` per cell. ``jobs`` is accepted for compatibility and has
+    no effect: the cells are computed in process, in grid order.
     """
     if not lookbacks_years or not d_years:
         raise ValueError("lookback and d grids must be non-empty")
-    cells = np.array([
-        [_grid_cell(series, lookback=lb, d_years=dy, s=s, kind=kind)
-         for dy in d_years]
-        for lb in lookbacks_years])
+    ds = [_periods(dy, series) for dy in d_years]
+    cells = np.array([_grid_row(series, lb, ds, s, kind)
+                      for lb in lookbacks_years])
     return SensitivityGrid(
         label=series.label,
         lookbacks_years=tuple(float(v) for v in lookbacks_years),
@@ -191,22 +217,21 @@ class PortfolioSpec:
 
 
 def _inner_join(strategies: Sequence[ReturnSeries]
-                ) -> tuple[tuple[datetime.date, ...], np.ndarray]:
-    """Dates common to all strategies and the aligned return matrix."""
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Dates common to all strategies, in order, and the aligned return
+    matrix."""
     freq = strategies[0].frequency
     if any(s.frequency is not freq for s in strategies):
         raise DateMismatch("strategies have mixed frequencies")
-    common = set(strategies[0].dates)
+    dates = strategies[0].dates
     for s in strategies[1:]:
-        common &= set(s.dates)
-    if not common:
+        dates = np.intersect1d(dates, s.dates, assume_unique=True)
+    if not dates.size:
         raise DateMismatch("no common dates across strategies")
-    dates = tuple(sorted(common))
-    cols = []
-    for s in strategies:
-        idx = {d: i for i, d in enumerate(s.dates)}
-        cols.append(s.returns[[idx[d] for d in dates]])
-    return dates, np.column_stack(cols)
+    # each series' dates are strictly increasing, so a common date's
+    # insertion point is its index
+    return dates, np.column_stack([s.returns[np.searchsorted(s.dates, dates)]
+                                   for s in strategies])
 
 
 def portfolio_mrp(spec: PortfolioSpec, s: int, d: int,

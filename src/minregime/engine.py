@@ -37,6 +37,7 @@ from .errors import Infeasible, NoValidPartition
 from .series import (
     SHARPE,
     MetricKind,
+    PrefixTable,
     ReturnSeries,
     build_prefix_sums,
     defined_ends,
@@ -128,7 +129,7 @@ def _result_from_splits(series: ReturnSeries, splits: tuple[int, ...], d: int,
         optimal_splits=spec,
         segment_metrics=tuple(float(v) for v in metrics),
         argmin_segment=argmin,
-        split_dates=tuple(series.dates[t - 1] for t in splits),
+        split_dates=tuple(series.dates[np.asarray(splits) - 1].tolist()),
     )
 
 
@@ -178,17 +179,30 @@ def mrp_one_split(series: ReturnSeries, d: int,
     """
     n = len(series)
     _check_feasible(n, 1, d)
-    table = build_prefix_sums(series)
+    left, right, pair = _split_scan(build_prefix_sums(series), d, kind)
+    i = _first_min(pair)
+    return _result_from_splits(series, (d + i,), d, np.array([left[i], right[i]]))
+
+
+def _split_scan(table: PrefixTable, d: int, kind: MetricKind):
+    """Left and right segment metrics of every single split t in [d, n-d]
+    (entry t - d), and their minimum: NaN where either side is undefined.
+
+    Each entry depends only on its own split, so the scan at the least d
+    holds the scan at every larger d as the slice [d - d0, n - d - d0].
+    """
+    n = table.n
     ts = np.arange(d, n - d + 1, dtype=np.int64)
     left = metric_many(table, np.zeros_like(ts), ts, kind)
     right = metric_many(table, ts, np.full_like(ts, n), kind)
-    pair_min = np.minimum(left, right)  # NaN where either side undefined
-    if np.all(np.isnan(pair_min)):
+    return left, right, np.minimum(left, right)
+
+
+def _first_min(pair: np.ndarray) -> int:
+    """Index of the first least defined entry of a split scan."""
+    if np.all(np.isnan(pair)):
         raise NoValidPartition("every split yields a zero-variance segment")
-    best_value = np.nanmin(pair_min)
-    i = int(np.flatnonzero(pair_min == best_value)[0])
-    t = int(ts[i])
-    return _result_from_splits(series, (t,), d, np.array([left[i], right[i]]))
+    return int(np.flatnonzero(pair == np.nanmin(pair))[0])
 
 
 def _reach(f: np.ndarray, n: int, s: int) -> tuple[list[int], list[int]]:

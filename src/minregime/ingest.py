@@ -18,7 +18,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import DateOrderError, EmptySeries, ParseError
-from .series import Frequency, ReturnSeries
+from .series import Frequency, ReturnSeries, _as_days
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,23 @@ class IngestConfig:
             raise ValueError(f"unknown missing_policy {self.missing_policy!r}")
 
 
-def _parse_date(text: str, row: int, column: str) -> datetime.date:
+def _parse_date(text: str | None, row: int, column: str) -> datetime.date:
+    if text is None:
+        raise ParseError(row, column, "missing date cell")
     try:
         return datetime.date.fromisoformat(text.strip())
     except ValueError as exc:
         raise ParseError(row, column, f"bad date {text!r}") from exc
 
 
-def _parse_ret(text: str, row: int, column: str, config: IngestConfig) -> float:
+def _parse_ret(text: str | None, row: int, column: str,
+               config: IngestConfig) -> float | None:
+    """One return cell; None for an empty one that ``missing_policy``
+    skips."""
+    if text is None or not text.strip():
+        if config.missing_policy == "error":
+            raise ParseError(row, column, "missing value")
+        return None
     try:
         value = float(text)
     except ValueError as exc:
@@ -67,7 +76,10 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     Dates must be strictly increasing within each series; rows before
     ``start_date`` are dropped before that check. Empty cells follow
     ``missing_policy``. A series left empty after truncation raises
-    EmptySeries.
+    EmptySeries. Errors are those of a row-by-row read: a bad cell raises
+    ParseError with the first failing (row, column) in row order, then
+    series are checked in label order, each for emptiness, then for
+    date order.
     """
     path = Path(config.path)
     with open(path, newline="") as fh:
@@ -77,72 +89,146 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
         if config.long_format:
             per_factor = _read_long(reader, config)
         else:
-            per_factor = _read_wide(reader, config)
+            per_factor = _read_wide(reader.fieldnames, reader.reader, config)
     out = []
-    for label, rows in per_factor.items():
-        if not rows:
+    for label, (dates, returns) in per_factor.items():
+        if not dates.size:
             raise EmptySeries(f"{path}: series {label!r} empty after truncation")
-        prev = None
-        for day, _ in rows:
-            if prev is not None and day <= prev:
-                raise DateOrderError(
-                    f"series {label!r}: date {day} not after {prev}")
-            prev = day
-        out.append(ReturnSeries(
-            dates=tuple(day for day, _ in rows),
-            returns=np.array([v for _, v in rows]),
-            frequency=config.frequency,
-            label=label,
-        ))
+        late = np.flatnonzero(~(np.diff(dates) > np.timedelta64(0, "D")))
+        if late.size:
+            k = late[0]
+            raise DateOrderError(
+                f"series {label!r}: date {dates[k + 1]} not after {dates[k]}")
+        out.append(ReturnSeries(dates=dates, returns=returns,
+                                frequency=config.frequency, label=label))
     if not out:
         raise EmptySeries(f"{path}: no factor columns found")
     return out
 
 
-def _read_wide(reader: csv.DictReader, config: IngestConfig):
-    columns = config.value_columns
-    if columns is None:
-        columns = tuple(c for c in reader.fieldnames if c != config.date_column)
-    if not columns:
+def _read_wide(fieldnames: list[str], rows, config: IngestConfig):
+    """Per label, the dates and returns of its non-empty cells on rows
+    from ``start_date`` on, read column by column.
+
+    Rows stream into one list of cells per column. The date column is
+    parsed once, each value column's non-empty cells in one ``float``
+    pass checked by vectorized code. A step that fails hands its column
+    to a per-cell scan that finds the offending cell, and the first error
+    in row order is raised, as a row-by-row read would raise it.
+    """
+    labels = config.value_columns
+    if labels is None:
+        labels = tuple(c for c in fieldnames if c != config.date_column)
+    if not labels:
         raise EmptySeries("no value columns")
-    per_factor: dict[str, list] = {c: [] for c in columns}
-    for rownum, record in enumerate(reader, start=2):
-        raw_date = record.get(config.date_column)
-        if raw_date is None:
-            raise ParseError(rownum, config.date_column, "missing date cell")
-        day = _parse_date(raw_date, rownum, config.date_column)
-        if day < config.start_date:
-            continue
-        for col in columns:
-            cell = record.get(col)
-            if cell is None or cell.strip() == "":
-                if config.missing_policy == "error":
-                    raise ParseError(rownum, col, "missing value")
-                continue
-            per_factor[col].append((day, _parse_ret(cell, rownum, col, config)))
-    return per_factor
+    width = len(fieldnames)
+    where = {name: k for k, name in enumerate(fieldnames)}  # last one wins
+    di = where.get(config.date_column)
+    cols = [[] for _ in range(width)]
+    nrows = 0
+    for nrows, row in enumerate(filter(None, rows), start=1):  # no blank lines
+        if len(row) != width:
+            # a short row's absent cells read as empty and its absent date
+            # as missing; a long row's extra cells are dropped
+            cut = row[:width] + [""] * (width - len(row))
+            if di is not None and len(row) <= di:
+                cut[di] = None
+            row = cut
+        for col, cell in zip(cols, row):
+            col.append(cell)
+
+    # a row-by-row read stops at a bad date, after the cells of the rows
+    # before it; so rows from a bad date on are not read
+    text = cols[di] if di is not None else [None] * nrows
+    errors = []
+    try:
+        days = [datetime.date.fromisoformat(t.strip()) for t in text]
+    except (AttributeError, ValueError):
+        at, error = _first_error(text, range(2, nrows + 2), lambda t, r:
+                                 _parse_date(t, r, config.date_column))
+        errors.append((at, -1, error))
+        days = [datetime.date.fromisoformat(t.strip()) for t in text[:at - 2]]
+    dates = _as_days(days)
+    live = np.flatnonzero(dates >= np.datetime64(config.start_date, "D"))
+
+    per_factor = {}
+    for pos, label in enumerate(labels):
+        if label in per_factor:
+            continue  # the same cells again; see the repeat below
+        cells = cols[where[label]] if label in where else [""] * nrows
+        if live.size < nrows:
+            cells = [cells[k] for k in live.tolist()]
+        keep = np.flatnonzero(np.fromiter(map(bool, map(str.strip, cells)),
+                                          bool, len(cells)))
+        values = _column_values(cells, keep, config)
+        if values is None:
+            at, error = _first_error(cells, (live + 2).tolist(), lambda t, r:
+                                     _parse_ret(t, r, label, config))
+            errors.append((at, pos, error))
+        per_factor[label] = (dates[live[keep]], values)
+    if errors:
+        raise min(errors, key=lambda e: e[:2])[2]
+    # a label named m times reads each of its cells m times, row by row
+    return {label: (np.repeat(day, labels.count(label)),
+                    np.repeat(ret, labels.count(label)))
+            for label, (day, ret) in per_factor.items()}
+
+
+def _column_values(cells: list, keep: np.ndarray,
+                   config: IngestConfig) -> np.ndarray | None:
+    """Returns of one column's non-empty cells, at indices ``keep``, or
+    None if a cell fails: one ``float`` pass, then vectorized checks."""
+    if config.missing_policy == "error" and keep.size < len(cells):
+        return None
+    if keep.size < len(cells):
+        cells = [cells[k] for k in keep.tolist()]
+    try:
+        values = np.fromiter(map(float, cells), float, keep.size)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    if config.percent:
+        values /= 100.0
+    if config.log_returns:
+        # np.expm1 differs from math.expm1 in the last bit on some inputs
+        try:
+            values = np.fromiter(map(math.expm1, values.tolist()), float,
+                                 keep.size)
+        except OverflowError:
+            return None
+    return values
+
+
+def _first_error(cells: list, rows, parse):
+    """(row, error) of the first cell that ``parse(cell, row)`` rejects:
+    the per-cell scan that locates what a column-wide step found."""
+    for row, cell in zip(rows, cells):
+        try:
+            parse(cell, row)
+        except (ParseError, OverflowError) as exc:
+            return row, exc
+    raise AssertionError("every cell parsed one by one")
 
 
 def _read_long(reader: csv.DictReader, config: IngestConfig):
-    per_factor: dict[str, list] = {}
+    per_factor: dict[str, tuple[list, list]] = {}
     for rownum, record in enumerate(reader, start=2):
-        raw_date = record.get(config.date_column)
-        if raw_date is None:
-            raise ParseError(rownum, config.date_column, "missing date cell")
-        day = _parse_date(raw_date, rownum, config.date_column)
+        day = _parse_date(record.get(config.date_column), rownum,
+                          config.date_column)
         if day < config.start_date:
             continue
         name = (record.get(config.name_column) or "").strip()
         if not name:
             raise ParseError(rownum, config.name_column, "missing series name")
-        cell = record.get(config.return_column)
-        if cell is None or cell.strip() == "":
-            if config.missing_policy == "error":
-                raise ParseError(rownum, config.return_column, "missing value")
-            continue
-        per_factor.setdefault(name, []).append(
-            (day, _parse_ret(cell, rownum, config.return_column, config)))
-    return per_factor
+        value = _parse_ret(record.get(config.return_column), rownum,
+                           config.return_column, config)
+        if value is not None:
+            days, values = per_factor.setdefault(name, ([], []))
+            days.append(day)
+            values.append(value)
+    return {name: (_as_days(days), np.array(values))
+            for name, (days, values) in per_factor.items()}
 
 
 @dataclass(frozen=True)
@@ -181,7 +267,7 @@ def make_fixture(seed: int, spec: FixtureSpec,
     post = spec.drift_post + spec.vol_post * rng.standard_normal(spec.n_post)
     rets = np.concatenate([pre, post])
     n = rets.shape[0]
-    dates = tuple(spec.start + datetime.timedelta(days=i) for i in range(n))
+    dates = np.datetime64(spec.start, "D") + np.arange(n)
     series = ReturnSeries(dates=dates, returns=rets,
                           frequency=spec.frequency, label=spec.label)
     if path is not None:
@@ -195,5 +281,5 @@ def write_csv(series: ReturnSeries, fh: TextIO) -> None:
     digits per return."""
     writer = csv.writer(fh)
     writer.writerow(["date", series.label])
-    for day, r in zip(series.dates, series.returns):
+    for day, r in zip(series.dates.tolist(), series.returns):
         writer.writerow([day.isoformat(), f"{r:.12g}"])

@@ -10,7 +10,6 @@ segments have a defined metric, for the kernel and the window scan alike.
 
 from __future__ import annotations
 
-import datetime
 import enum
 import math
 import warnings
@@ -61,32 +60,62 @@ def sortino(mar: float = 0.0) -> MetricKind:
     return MetricKind("sortino", mar=mar)
 
 
+#: the dtype of ``ReturnSeries.dates``: calendar days
+DAY = np.dtype("datetime64[D]")
+_EPOCH = 719163  # datetime.date(1970, 1, 1).toordinal(), day 0 of DAY
+
+
+def _as_days(dates) -> np.ndarray:
+    """A new ``datetime64[D]`` array of ``dates``. An array is cast; a
+    sequence of dates goes through their day ordinals, about 30x faster
+    than numpy's conversion of each date object, which takes the rest."""
+    if isinstance(dates, np.ndarray):
+        return dates.astype(DAY)
+    dates = list(dates)
+    try:
+        ordinals = np.fromiter((d.toordinal() for d in dates), np.int64,
+                               len(dates))
+    except AttributeError:
+        return np.array(dates, dtype=DAY)
+    return (ordinals - _EPOCH).astype(DAY)
+
+
 @dataclass(frozen=True)
 class ReturnSeries:
     """Dated periodic returns for one strategy.
 
     Returns are decimal fractions per period (0.01 = 1%) and are assumed
     to be already excess of funding (long-short factor convention).
+    ``dates`` is held as one read-only ``datetime64[D]`` array; any
+    sequence of ``datetime.date`` is accepted and converted once, and a
+    read-only ``datetime64[D]`` array (a slice of another series' dates)
+    is kept as it is.
     """
 
-    dates: tuple[datetime.date, ...]
+    dates: np.ndarray
     returns: np.ndarray
     frequency: Frequency = Frequency.DAILY
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
+        dates = self.dates
+        if not (isinstance(dates, np.ndarray) and dates.dtype == DAY
+                and not dates.flags.writeable):
+            dates = _as_days(dates)
+            dates.flags.writeable = False
+            object.__setattr__(self, "dates", dates)
         rets = np.asarray(self.returns, dtype=float)
         object.__setattr__(self, "returns", rets)
-        if len(self.dates) != rets.shape[0]:
+        if len(dates) != rets.shape[0]:
             raise ValueError("dates and returns must have equal length")
         if rets.ndim != 1:
             raise ValueError("returns must be one-dimensional")
         if rets.size and not np.all(np.isfinite(rets)):
             raise ValueError(f"non-finite return in series {self.label!r}")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if b <= a:
-                raise ValueError(f"dates not strictly increasing at {b}")
+        late = np.flatnonzero(~(np.diff(dates) > np.timedelta64(0, "D")))
+        if late.size:
+            raise ValueError(
+                f"dates not strictly increasing at {dates[late[0] + 1]}")
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -229,14 +258,25 @@ def _ratio(excess, spread, periods_per_year: int) -> np.ndarray:
 
 def _direct(table: PrefixTable, start: int, end: int, kind: MetricKind) -> float:
     """Two-pass metric of one segment of >= 2 observations, read from the
-    returns; NaN if its spread is not > 0."""
+    returns; NaN if its spread is not > 0.
+
+    Where the spread of a defined segment underflows (returns, or
+    shortfalls, within about 1e-154 of each other), its excess and
+    deviations are rescaled by a power of two, exactly, and the spread is
+    taken again: the ratio does not depend on scale, so a segment that
+    ``defined_ends`` calls defined never scores NaN.
+    """
     seg = table.returns[start:end]
     mean = float(np.mean(seg))
     if kind.name == "sortino":
-        shortfall = np.minimum(seg - kind.mar, 0.0)
-        excess, spread = mean - kind.mar, float(np.mean(shortfall * shortfall))
+        excess, dev, dof = mean - kind.mar, np.minimum(seg - kind.mar, 0.0), 0
     else:
-        excess, spread = mean, float(np.var(seg, ddof=1))
+        excess, dev, dof = mean, seg - mean, 1
+    spread = float(np.sum(dev * dev)) / (seg.size - dof)
+    if spread < 2.0 ** -1022 and np.any(dev):  # zero or subnormal
+        scale = 2.0 ** -math.frexp(float(np.max(np.abs(dev))))[1]
+        excess, dev = excess * scale, dev * scale
+        spread = float(np.sum(dev * dev)) / (seg.size - dof)
     if not spread > 0.0:
         return math.nan
     return float(_ratio(excess, spread, table.periods_per_year))

@@ -4,14 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minregime import (
+    SHARPE,
     DateMismatch,
     DegenerateVector,
+    Frequency,
     Infeasible,
     InvalidBlock,
+    NoValidPartition,
     PortfolioSpec,
     ReturnSeries,
+    ZeroVariance,
     block_bootstrap_mrp,
     factor_report,
     frontier,
@@ -21,6 +27,7 @@ from minregime import (
     robustness_correlations,
     sensitivity_grid,
     series_metric,
+    sortino,
 )
 from minregime.analytics import FactorReport, _trailing_window
 from minregime.engine import mrp_one_split
@@ -112,6 +119,60 @@ class TestSensitivityGrid:
         assert np.array_equal(g1.cells, g2.cells, equal_nan=True)
 
 
+ALPHABET = (0.0, 0.01, -0.01, 0.02, -0.03)
+#: monthly: windows of 6 to 60 periods, d of 1 (never fits) to 12 periods
+GRID_LOOKBACKS = (0.5, 1.0, 2.0, 3.0, 5.0)
+GRID_DS = (1 / 12, 2 / 12, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def grid_cases(draw):
+    """Monthly series over a small alphabet with injected constant runs
+    (zero runs among them), at s = 1 or 2, Sharpe or Sortino."""
+    n = draw(st.integers(4, 48))
+    values = draw(st.lists(st.sampled_from(ALPHABET), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, n - 1))
+        stop = min(n, start + draw(st.integers(2, 16)))
+        values[start:stop] = [draw(st.sampled_from(ALPHABET))] * (stop - start)
+    kind = draw(st.sampled_from([SHARPE, sortino(0.0), sortino(0.01)]))
+    return (series_from(values, frequency=Frequency.MONTHLY),
+            draw(st.sampled_from([1, 2])), kind)
+
+
+def reference_grid(series, s, kind):
+    """Each cell computed on its own, as (MRP - metric) of its window."""
+    cells = []
+    for lb in GRID_LOOKBACKS:
+        win = _trailing_window(series, lb)
+        row = []
+        for dy in GRID_DS:
+            d = int(round(dy * series.periods_per_year))
+            if d < 2 or len(win) < (s + 1) * d:
+                row.append(math.nan)
+            else:
+                row.append(mrp_fast(win, s, d, kind).value
+                           - series_metric(win, kind))
+        cells.append(row)
+    return np.array(cells)
+
+
+class TestSensitivityGridOracle:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(grid_cases())
+    def test_matches_per_cell_reference(self, case):
+        series, s, kind = case
+        try:
+            want = reference_grid(series, s, kind)
+        except (NoValidPartition, ZeroVariance) as exc:
+            with pytest.raises(type(exc)) as info:
+                sensitivity_grid(series, GRID_LOOKBACKS, GRID_DS, s, kind)
+            assert str(info.value) == str(exc)
+            return
+        got = sensitivity_grid(series, GRID_LOOKBACKS, GRID_DS, s, kind).cells
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestRobustnessCorrelations:
     def test_self_and_negation(self):
         v = [0.1, 0.5, -0.2, 0.3]
@@ -174,8 +235,8 @@ class TestPortfolioMrp:
     def test_alignment_inner_join(self):
         a = make_series(30, seed=13, label="a")
         # b covers a shifted range: only the overlap should be used
-        b = ReturnSeries(dates=a.dates[10:] + tuple(
-            a.dates[-1] + datetime.timedelta(days=i) for i in range(1, 11)),
+        b = ReturnSeries(dates=np.concatenate(
+            [a.dates[10:], a.dates[-1] + np.arange(1, 11)]),
             returns=make_series(30, seed=14).returns, label="b")
         spec = PortfolioSpec((0.5, 0.5), (a, b))
         agg = 0.5 * a.returns[10:] + 0.5 * b.returns[:20]

@@ -332,6 +332,16 @@ class TestDegenerateData:
         assert res.value == oracle.value
         assert_valid_result(series, s_count, 2, kind, res)
 
+    def test_underflowing_spread_keeps_its_row(self):
+        # [5, 7) has distinct returns whose two-pass variance underflows;
+        # it once scored NaN, and the row minimum then dropped its row
+        series = series_from([0.0, 0.01, 0.02, 0.01, -0.03, 1e-170, 2e-170])
+        oracle = mrp_brute_force(series, 2, 2)
+        res = mrp_fast(series, 2, 2)
+        assert res.value == oracle.value
+        assert res.optimal_splits.splits == oracle.optimal_splits.splits == (2, 4)
+        assert_valid_result(series, 2, 2, SHARPE, res)
+
     def test_padded_ten_years_without_fallback(self, no_brute_force):
         rng = np.random.default_rng(11)
         values = np.concatenate([np.zeros(252), rng.normal(0.0003, 0.01, 2268)])

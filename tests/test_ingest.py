@@ -1,12 +1,19 @@
+import csv
 import datetime
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minregime import (
     DateOrderError,
     EmptySeries,
     Frequency,
+    MinRegimeError,
     ParseError,
     ZeroVariance,
     series_metric,
@@ -102,6 +109,23 @@ class TestLoadCsv:
         assert by_label["mom"].returns.tolist() == [0.01, -0.01]
         assert by_label["val"].returns.tolist() == [0.02, 0.005]
 
+    def test_long_format_missing_cells(self, tmp_path):
+        text = ("name,date,ret\n"
+                "mom,1990-01-01,0.01\n"
+                "mom,1990-01-02,\n"
+                "mom,1990-01-03,-0.01\n"
+                "mom\n")
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError) as info:
+            load_csv(IngestConfig(path, long_format=True))
+        assert (info.value.row, info.value.column) == (5, "date")
+        path = write(tmp_path, text.rsplit("mom\n", 1)[0])
+        (s,) = load_csv(IngestConfig(path, long_format=True))
+        assert s.returns.tolist() == [0.01, -0.01]
+        with pytest.raises(ParseError) as info:
+            load_csv(IngestConfig(path, long_format=True, missing_policy="error"))
+        assert (info.value.row, info.value.column) == (3, "ret")
+
     def test_value_columns_subset(self, tmp_path):
         path = write(tmp_path,
                      "date,a,b\n1990-01-01,0.01,0.02\n1990-01-02,0.03,0.04\n")
@@ -115,7 +139,7 @@ class TestMakeFixture:
         spec = FixtureSpec(n_pre=40, n_post=30)
         original = make_fixture(3, spec, path=path)
         (loaded,) = load_csv(IngestConfig(path))
-        assert loaded.dates == original.dates
+        assert np.array_equal(loaded.dates, original.dates)
         assert loaded.returns == pytest.approx(original.returns, rel=1e-11)
 
     def test_identical_seeds_identical_files(self, tmp_path):
@@ -146,3 +170,157 @@ class TestMakeFixture:
         s = make_fixture(0, FixtureSpec(n_pre=5, n_post=5,
                                         frequency=Frequency.MONTHLY))
         assert s.periods_per_year == 12
+
+
+# ------------------------------------------------- row-by-row reference
+
+
+def reference_load_wide(config):
+    """The wide-layout reader as it was before the column-wise one: a
+    ``csv.DictReader`` read one cell at a time, then a per-series check.
+    Returns (label, ISO dates, returns) per series, or raises."""
+    path = Path(config.path)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise EmptySeries(f"{path}: no header row")
+        columns = config.value_columns
+        if columns is None:
+            columns = tuple(c for c in reader.fieldnames
+                            if c != config.date_column)
+        if not columns:
+            raise EmptySeries("no value columns")
+        per_factor = {c: [] for c in columns}
+        for rownum, record in enumerate(reader, start=2):
+            raw_date = record.get(config.date_column)
+            if raw_date is None:
+                raise ParseError(rownum, config.date_column, "missing date cell")
+            try:
+                day = datetime.date.fromisoformat(raw_date.strip())
+            except ValueError as exc:
+                raise ParseError(rownum, config.date_column,
+                                 f"bad date {raw_date!r}") from exc
+            if day < config.start_date:
+                continue
+            for col in columns:
+                cell = record.get(col)
+                if cell is None or cell.strip() == "":
+                    if config.missing_policy == "error":
+                        raise ParseError(rownum, col, "missing value")
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError as exc:
+                    raise ParseError(rownum, col, f"bad number {cell!r}") from exc
+                if not math.isfinite(value):
+                    raise ParseError(rownum, col, f"non-finite return {cell!r}")
+                if config.percent:
+                    value /= 100.0
+                if config.log_returns:
+                    value = math.expm1(value)
+                per_factor[col].append((day, value))
+    out = []
+    for label, rows in per_factor.items():
+        if not rows:
+            raise EmptySeries(f"{path}: series {label!r} empty after truncation")
+        prev = None
+        for day, _ in rows:
+            if prev is not None and day <= prev:
+                raise DateOrderError(
+                    f"series {label!r}: date {day} not after {prev}")
+            prev = day
+        out.append((label, [day.isoformat() for day, _ in rows],
+                    np.array([v for _, v in rows])))
+    return out
+
+
+GOOD_CELLS = ("0.01", "-0.02", " 0.003 ", "1e-3", "-0.5", "0", "2.5", "-7",
+              "0.07", "-1e-9", "250", "", "", "  ")
+# "800" and "1e308" are numbers whose expm1 overflows
+BAD_CELLS = ("nan", "inf", "-Infinity", "abc", "1_0", "0x1", "1e999", "800",
+             "1e308")
+LABELS = ("a", "b", "c")
+
+
+@st.composite
+def wide_csvs(draw):
+    """A wide CSV's text and the IngestConfig options to read it with.
+
+    Half the cases are clean apart from empty cells. The others may have
+    blank, short, long or out-of-order rows, whitespace cells, a missing
+    date column, and, in a third of all cases, bad or non-finite numbers
+    and bad dates. Rows may fall before ``start_date``, and labels repeat.
+    """
+    messy, junk = draw(st.sampled_from(((False, False), (False, False),
+                                        (True, False), (True, True))))
+    names = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3))
+    header = list(names)
+    if not messy or draw(st.sampled_from((True,) * 5 + (False,))):
+        header.insert(draw(st.integers(0, len(names))), "date")
+    cells = st.sampled_from(GOOD_CELLS + (BAD_CELLS if junk else ()))
+    kinds = ("row",) * 8 + (("blank", "short", "long", "back", "empty_back")
+                            if messy else ())
+    day = datetime.date(1979, 12, 28)
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0 if messy else 3, 14))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+            continue
+        day += datetime.timedelta(days=draw(st.integers(1, 2)))
+        shown = day - datetime.timedelta(days=3) if "back" in kind else day
+        date_text = draw(st.sampled_from(
+            (shown.isoformat(),) * 8 + ((f" {shown.isoformat()} ",) if messy else ())
+            + (("1980-13-01", "x", "") if junk else ())))
+        row = [date_text if h == "date" else
+               ("" if kind == "empty_back" else draw(cells)) for h in header]
+        if kind == "short":
+            row = row[:draw(st.integers(1, len(row)))]
+        elif kind == "long":
+            row.append(draw(cells))
+        lines.append(",".join(row))
+    value_columns = draw(st.sampled_from(
+        (None,) * 8 + (("b",), ("c", "a"), ("a", "a"))
+        + ((("a", "zzz"), ("date",)) if messy else ())))
+    options = dict(
+        value_columns=value_columns,
+        start_date=draw(st.sampled_from((datetime.date(1979, 12, 1),
+                                         datetime.date(1979, 12, 31),
+                                         datetime.date(1980, 1, 2)))),
+        missing_policy=draw(st.sampled_from(("skip", "skip", "error"))),
+        percent=draw(st.booleans()),
+        log_returns=draw(st.booleans()),
+    )
+    return "\n".join(lines) + "\n", options
+
+
+def outcome(load, config):
+    """Per series (label, ISO dates, return bits), or the error raised."""
+    try:
+        result = load(config)
+    except (MinRegimeError, OverflowError) as exc:
+        where = (exc.row, exc.column) if isinstance(exc, ParseError) else None
+        return type(exc), where, str(exc)
+    return result
+
+
+class TestColumnWiseReader:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(wide_csvs())
+    def test_matches_row_by_row_reference(self, case):
+        text, options = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "wide.csv"
+            path.write_text(text)
+            config = IngestConfig(path, **options)
+            want = outcome(reference_load_wide, config)
+            got = outcome(lambda c: [
+                (s.label, np.datetime_as_string(s.dates).tolist(), s.returns)
+                for s in load_csv(c)], config)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert [g[0] for g in got] == [w[0] for w in want]
+        for (_, got_dates, got_rets), (_, want_dates, want_rets) in zip(got, want):
+            assert got_dates == want_dates
+            assert got_rets.tobytes() == want_rets.tobytes()

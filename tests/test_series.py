@@ -1,3 +1,4 @@
+import datetime
 import itertools
 import math
 
@@ -272,6 +273,22 @@ class TestDefinedEnds:
                 else:
                     assert ends[a] == want, (kind, a)
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(ends_cases())
+    def test_defined_segments_score_finite(self, case):
+        # a two-pass spread of returns within 1e-154 of each other
+        # underflows; the metric must not read NaN where the rule says
+        # defined
+        values, mar = case
+        n = len(values)
+        table = build_prefix_sums(series_from(values))
+        starts, ends = np.triu_indices(n + 1, k=1)
+        for kind in (SHARPE, sortino(mar)):
+            got = metric_many(table, starts, ends, kind)
+            defined = ends >= defined_ends(table, kind)[starts]
+            assert np.isfinite(got[defined]).all()
+            assert np.isnan(got[~defined]).all()
+
 
 class TestMaxDrawdown:
     def test_monotone_wealth_zero(self):
@@ -339,3 +356,26 @@ class TestReturnSeries:
     def test_frequency_periods(self):
         assert Frequency.DAILY.periods_per_year == 252
         assert Frequency.MONTHLY.periods_per_year == 12
+
+    def test_dates_one_read_only_day_array(self):
+        days = [datetime.date(1999, 12, 30), datetime.date(2000, 1, 3),
+                datetime.date(2000, 1, 4)]
+        s = ReturnSeries(dates=tuple(days), returns=[0.01, -0.02, 0.03])
+        assert s.dates.dtype == np.dtype("datetime64[D]")
+        assert not s.dates.flags.writeable
+        assert s.dates.tolist() == days
+        # numpy scalars and strings take numpy's own conversion
+        same = ReturnSeries(dates=["1999-12-30", s.dates[1], s.dates[2]],
+                            returns=s.returns)
+        assert np.array_equal(same.dates, s.dates)
+
+    def test_derived_series_share_the_date_array(self):
+        s = series_from([0.01, -0.02, 0.03, 0.0])
+        assert np.shares_memory(s.window(1, 3).dates, s.dates)
+        assert s.reversed().dates is s.dates
+        assert s.scaled(2.0).dates is s.dates
+
+    def test_unordered_dates_rejected(self):
+        s = series_from([0.01, 0.02, 0.03])
+        with pytest.raises(ValueError, match="2000-01-02"):
+            ReturnSeries(dates=s.dates[[0, 2, 1]], returns=s.returns)
