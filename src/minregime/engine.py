@@ -11,8 +11,12 @@ segments of at least d observations each. The engine provides:
 * ``mrp_fast``            - feasible-window algorithm, value-identical to
   brute force: the worst segment of the optimal partition is itself a
   contiguous window whose prefix and suffix can each be cut into feasible
-  segments, so minimizing over such windows suffices. O(n) at s = 1 and
-  O(n^2) windows at s >= 2, on any data.
+  segments, so minimizing over such windows suffices. O(n) at s = 1. At
+  s >= 2 a tile certificate first skips every block of windows whose
+  lower bound lies above an incumbent, and the rest are scored: on
+  clean data with a negative minimum a few thousand of the O(n^2)
+  windows; where nothing can be skipped (a positive minimum on
+  large-offset data) all of them, as a full scan would.
 
 Partitions containing a segment with an undefined metric (zero variance,
 or no return below ``mar`` for Sortino) are infeasible rather than scored
@@ -258,17 +262,147 @@ def _complete_partition(f: np.ndarray, s: int, lo: list[int], hi: list[int],
     return tuple(splits)
 
 
+#: unit roundoff of float64
+_U = 2.0 ** -53
+
+
+def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
+                    f: np.ndarray, j_hi: np.ndarray, incumbent: float):
+    """The rows still to score and, per row, the first and last end of
+    the windows that no tile certificate rules out.
+
+    Row i holds the windows [i, j) for f[i] <= j <= j_hi[i]. A tile is a
+    block of starts I0..I1 by a block of ends J0..J1; it is skipped when
+    every window in it provably scores above ``incumbent``, the value of
+    a window already scored, so the optimum and all its ties lie in the
+    kept tiles. The (start, end) plane is cut into B x B tiles first;
+    each kept tile is then cut into its rows, 1 x B tiles of the same
+    bound. A row keeps the span from its first kept end to its last one,
+    so it costs one slice as before, or none.
+
+    The bound. Write a window's metric as S = N g(L) / sqrt(Q) sqrt(ppy),
+    with N = sum(r - mar) its excess sum, L its length, g(L) = sqrt(L -
+    dof) / L, and Q its spread sum: the sum of squared deviations from
+    the window mean (Sharpe, dof = 1) or of squared shortfalls below mar
+    (Sortino, dof = 0). For every window [i, j) of a tile:
+
+    * N = P[j] - P[i], with P the prefix sum of r - mar, so N >= N_lo =
+      min(P over the end block) - max(P over the start block).
+    * [i, j) contains the core [I1, J0) and lies in the hull [I0, J1).
+      (J0 is raised to f[I0] and J1 lowered to the block's greatest
+      j_hi, which bound the rows' ends; f is nondecreasing.)
+    * Q only grows with the window: a squared shortfall is >= 0, and the
+      least sum of squares about any centre of a set is at most that of
+      a superset about its own mean. So Q_core <= Q <= Q_hull.
+    * g falls with L for L >= 2 (g^2 = (L - 1) / L^2 has derivative
+      (2 - L) / L^3; 1 / sqrt(L) falls), so g(L_hull) <= g(L) <= g(L_core).
+
+    If N_lo < 0, S >= N g(L) / sqrt(Q) >= N_lo g(L_core) / sqrt(Q_core)
+    when N < 0, and S >= 0 above that otherwise. If N_lo >= 0, S >= N_lo
+    g(L_hull) / sqrt(Q_hull). Neither needs a window to split into
+    better parts, so the rule holds for both metrics and either sign.
+
+    The margin bounds the kernel's computed values, not exact ones. The
+    kernel's excess sum differs from P[j] - P[i] by a few ulps of the
+    largest |P|, so N_lo is lowered by 32 u max|P| (u the unit
+    roundoff), an absolute amount: an excess that cancels to rounding
+    noise keeps its tile. The Sortino spread sums are differences of a
+    nondecreasing stored prefix, monotone as stored, and get a relative
+    4 u. The Sharpe spread sums come from sum2 - sum1^2 / L, and only
+    the exact ones are monotone. The stored prefixes drift from the
+    exact sums by up to n u times their magnitude, so a computed Q is
+    within E = (2n + 10) u sum2[n] + 2 max|r| e + e^2, e = 2 n u sum|r|,
+    of the exact one; the window's Q and the core's (or hull's) each
+    carry E, and Q_core and Q_hull move by 4 E, in the safe direction.
+    The finished bound is lowered by 64 u of itself. Where the lowered
+    Q_core is not > 0 (a cancelled or constant core) the tile is kept,
+    and so is every window the kernel would recompute directly.
+    """
+    n = table.n
+    sharpe = kind.name == "sharpe"
+    dof = 1 if sharpe else 0
+    s1, sum2, r = table.sum1, table.sum2, table.returns
+    p = s1 if sharpe else s1 - kind.mar * np.arange(n + 1)
+    n_margin = 32 * _U * float(np.max(np.abs(p)))
+    e_t = 2 * n * _U * float(np.sum(np.abs(r)))
+    q_margin = 4 * ((2 * n + 10) * _U * float(sum2[n])
+                    + 2 * float(np.max(np.abs(r))) * e_t + e_t * e_t)
+    down = None if sharpe else table.downside(kind.mar)
+
+    def may_beat(i0, i1, j0, j1, n_lo):
+        """Whether a window [i, j), i0 <= i <= i1, j0 <= j <= j1, whose
+        excess sum is >= n_lo can score <= ``incumbent``."""
+        n_lo = n_lo - n_margin
+        neg = n_lo < 0
+        a = np.where(neg, i1, i0)  # the core or the hull
+        b = np.where(neg, j0, j1)
+        length = b - a
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if sharpe:
+                t = s1[b] - s1[a]
+                q = sum2[b] - sum2[a] - t * t / length
+                q = q + np.where(neg, -q_margin, q_margin)
+            else:
+                q = (down[b] - down[a]) * np.where(neg, 1 - 4 * _U, 1 + 4 * _U)
+            bound = (n_lo * np.sqrt(length - dof) / length / np.sqrt(q)
+                     * math.sqrt(table.periods_per_year))
+            bound -= 64 * _U * np.abs(bound)
+        return ~((length >= 2) & (q > 0) & (bound > incumbent))
+
+    # a quarter of d, so that tiles next to the diagonal keep a core,
+    # within n/128 .. n/64, so that there are at most 128 x 128 tiles
+    size = max(-(-n // 128), min(-(-d // 4), -(-n // 64)))
+    first = np.arange(0, n, size, dtype=np.int64)
+    last = np.minimum(first + size, n) - 1
+    p_end = np.minimum.reduceat(p[:n], first)
+    # B x B tiles (a, b) that hold a window
+    j0 = np.maximum(first[None, :], f[first][:, None])
+    j1 = np.minimum(last[None, :], np.maximum.reduceat(j_hi, first)[:, None])
+    a, b = np.nonzero(j0 <= j1)
+    j0, j1 = j0[a, b], j1[a, b]
+    keep = may_beat(first[a], last[a], j0, j1,
+                    p_end[b] - np.maximum.reduceat(p[:n], first)[a])
+    a, b = a[keep], b[keep]
+    # their rows: 1 x B tiles
+    count = last[a] - first[a] + 1
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    i = np.repeat(first[a], count) + offset
+    b = np.repeat(b, count)
+    j0 = np.maximum(first[b], f[i])
+    j1 = np.minimum(last[b], j_hi[i])
+    keep = j0 <= j1
+    i, b, j0, j1 = i[keep], b[keep], j0[keep], j1[keep]
+    keep = may_beat(i, i, j0, j1, p_end[b] - p[i])
+    j_first = np.full(n, n + 1, dtype=np.int64)
+    j_last = np.full(n, -1, dtype=np.int64)
+    np.minimum.at(j_first, i[keep], j0[keep])
+    np.maximum.at(j_last, i[keep], j1[keep])
+    rows = np.flatnonzero(j_first <= j_last)
+    return rows, j_first[rows], j_last[rows]
+
+
 def mrp_fast(series: ReturnSeries, s: int, d: int,
              kind: MetricKind = SHARPE) -> MrpResult:
     """MRP_s via the feasible-window search; value-identical to brute force.
 
-    s = 1 is ``mrp_one_split``, O(n). For s >= 2 every window that can be
-    a segment of a valid partition is scored, O(n^2) windows at O(1) each
-    via prefix sums, on any data; the windows sharing a start are one
-    slice-indexed ``metric_many`` row. A segment with an undefined metric
-    only makes its partitions infeasible, and feasibility is read off
-    ``defined_ends`` and greedy cuts, so brute force is never needed.
-    Ties go to the lexicographically first window (i, j).
+    s = 1 is ``mrp_one_split``, O(n). For s >= 2 the answer is the least
+    window that can be a segment of a valid partition; windows cost O(1)
+    each via prefix sums, and those sharing a start are one
+    slice-indexed ``metric_many`` row. A tile certificate
+    (``_certified_ends``) first skips every block of windows that
+    provably scores above an incumbent, the least window of least
+    length per start or of the windows ending at n; only the rest are
+    scored. It prunes mostly where the minimum is negative: on the
+    benchmark's clean two-regime series it scores under 0.1% of the
+    windows. Where nothing can be pruned (a positive minimum on
+    large-offset data) all O(n^2) windows are scored, one slice per row
+    as before, plus an O(n) incumbent pass and a pass over at most about
+    16,000 tiles and their rows.
+
+    A segment with an undefined metric only makes its partitions
+    infeasible, and feasibility is read off ``defined_ends`` and greedy
+    cuts, so brute force is never needed. Ties go to the
+    lexicographically first window (i, j).
     """
     n = len(series)
     _check_feasible(n, s, d)
@@ -281,19 +415,19 @@ def mrp_fast(series: ReturnSeries, s: int, d: int,
         raise NoValidPartition("every partition has a segment with an "
                                "undefined metric")
 
-    best = (math.inf, -1, -1)  # (value, i, j), lexicographic tie-break on (i, j)
-    j_hi = _window_ends(n, s, lo, hi)
-    rows = np.flatnonzero(f <= j_hi)
-    for i, j_lo, j_top in zip(rows.tolist(), f[rows].tolist(),
-                              j_hi[rows].tolist()):
-        vals = metric_many(table, i, range(j_lo, j_top + 1), kind)
-        k = int(np.argmin(vals))
-        best = min(best, (float(vals[k]), i, j_lo + k))
     # windows [i, n): the prefix [0, i) takes all s splits
     is_ = np.arange(lo[s], hi[1] + 1, dtype=np.int64)
     vals = metric_many(table, is_, np.full_like(is_, n), kind)
     k = int(np.argmin(vals))
-    best = min(best, (float(vals[k]), int(is_[k]), n))
+    best = (float(vals[k]), int(is_[k]), n)  # (value, i, j): ties go to (i, j)
+    j_hi = _window_ends(n, s, lo, hi)
+    rows = np.flatnonzero(f <= j_hi)
+    incumbent = min(best[0], float(np.min(metric_many(table, rows, f[rows], kind))))
+    for i, j_lo, j_top in zip(*(a.tolist() for a in _certified_ends(
+            table, kind, d, f, j_hi, incumbent))):
+        vals = metric_many(table, i, range(j_lo, j_top + 1), kind)
+        k = int(np.argmin(vals))
+        best = min(best, (float(vals[k]), i, j_lo + k))
     if not math.isfinite(best[0]):
         raise NoValidPartition("no window with a defined metric")
     _, i, j = best

@@ -19,7 +19,7 @@ from minregime import (
 )
 from minregime import engine
 from minregime.engine import PartitionSpec
-from minregime.series import build_prefix_sums, metric_many
+from minregime.series import build_prefix_sums, defined_ends, metric_many
 
 from conftest import make_series, series_from
 
@@ -350,6 +350,178 @@ class TestDegenerateData:
         res = mrp_fast(series, 3, 252)
         assert_valid_result(series, 3, 252, SHARPE, res)
         assert res.optimal_splits.splits[0] > 252
+
+
+def reference_window_scan(series, s, d, kind=SHARPE):
+    """The window scan without a certificate: every feasible window of
+    every row is scored, one ``metric_many`` slice per row, then the
+    windows [i, n). The oracle for ``mrp_fast`` at s >= 2."""
+    n = len(series)
+    engine._check_feasible(n, s, d)
+    table = build_prefix_sums(series)
+    f = np.maximum(np.arange(n, dtype=np.int64) + d,
+                   defined_ends(table, kind)[:n])
+    lo, hi = engine._reach(f, n, s)
+    if lo[s + 1] > n:
+        raise NoValidPartition("every partition has an undefined segment")
+    best = (math.inf, -1, -1)
+    j_hi = engine._window_ends(n, s, lo, hi)
+    rows = np.flatnonzero(f <= j_hi)
+    for i, j_lo, j_top in zip(rows.tolist(), f[rows].tolist(),
+                              j_hi[rows].tolist()):
+        vals = metric_many(table, i, range(j_lo, j_top + 1), kind)
+        k = int(np.argmin(vals))
+        best = min(best, (float(vals[k]), i, j_lo + k))
+    is_ = np.arange(lo[s], hi[1] + 1, dtype=np.int64)
+    vals = metric_many(table, is_, np.full_like(is_, n), kind)
+    k = int(np.argmin(vals))
+    best = min(best, (float(vals[k]), int(is_[k]), n))
+    _, i, j = best
+    splits = engine._complete_partition(f, s, lo, hi, i, j)
+    bounds = np.array((0,) + splits + (n,), dtype=np.int64)
+    metrics = metric_many(table, bounds[:-1], bounds[1:], kind)
+    return engine._result_from_splits(series, splits, d, metrics)
+
+
+def feasible_window_count(series, s, d, kind):
+    """Windows the uncertified scan scores: its rows and the windows [i, n)."""
+    n = len(series)
+    table = build_prefix_sums(series)
+    f = np.maximum(np.arange(n) + d, defined_ends(table, kind)[:n])
+    lo, hi = engine._reach(f, n, s)
+    j_hi = engine._window_ends(n, s, lo, hi)
+    return int(np.maximum(j_hi - f + 1, 0).sum()) + hi[1] - lo[s] + 1
+
+
+def assert_same_as_reference(series, s, d, kind):
+    try:
+        want = reference_window_scan(series, s, d, kind)
+    except NoValidPartition:
+        with pytest.raises(NoValidPartition):
+            mrp_fast(series, s, d, kind)
+        return
+    got = mrp_fast(series, s, d, kind)
+    assert got.value == want.value
+    assert got.optimal_splits == want.optimal_splits
+    assert got.segment_metrics == want.segment_metrics
+    assert got == want
+
+
+@st.composite
+def certificate_cases(draw):
+    """Series for s = 2, 3 and d = 2..8 of up to 120 observations: a small
+    alphabet with ties, periodic data, or a large offset at vol 1e-3,
+    with injected constant runs (zero runs among them)."""
+    s = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers((s + 1) * d, 120))
+    shape = draw(st.sampled_from(["alphabet", "periodic", "offset"]))
+    if shape == "alphabet":
+        values = draw(st.lists(st.sampled_from(ALPHABET), min_size=n,
+                               max_size=n))
+    elif shape == "periodic":
+        period = draw(st.lists(st.sampled_from(ALPHABET), min_size=1,
+                               max_size=5))
+        values = (period * n)[:n]
+    else:
+        offset = draw(st.floats(1.0, 1e3)) * draw(st.sampled_from([1, -1]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        values = (offset + 1e-3 * rng.standard_normal(n)).tolist()
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(0, n - 1))
+        stop = min(n, start + draw(st.integers(2, 15)))
+        values[start:stop] = [draw(st.sampled_from(ALPHABET))] * (stop - start)
+    kind = draw(st.sampled_from([SHARPE, sortino(0.0), sortino(0.005),
+                                 sortino(-0.005)]))
+    return series_from(values), s, d, kind
+
+
+def two_regime_series(n, seed):
+    rng = np.random.default_rng(seed)
+    brk = n * 3 // 5
+    return np.concatenate([rng.normal(0.0006, 0.01, brk),
+                           rng.normal(-0.0005, 0.013, n - brk)])
+
+
+class TestWindowCertificate:
+    """``mrp_fast`` at s >= 2 skips tiles of windows that provably score
+    above an incumbent; it must return what the full scan returns."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(certificate_cases())
+    def test_equals_full_scan(self, case):
+        assert_same_as_reference(*case)
+
+    @pytest.mark.parametrize("kind", [SHARPE, sortino(0.0)])
+    @pytest.mark.parametrize("shape", ["clean", "padded", "offset1",
+                                       "offset10"])
+    def test_ten_years_equal_full_scan(self, shape, kind):
+        rng = np.random.default_rng(21)
+        if shape == "clean":
+            values = two_regime_series(2520, 21)
+        elif shape == "padded":
+            values = two_regime_series(2520, 22)
+            values[:252] = 0.0
+            values[rng.choice(np.arange(252, 2520), 45, replace=False)] = 0.0
+        else:
+            offset = 1.0 if shape == "offset1" else 10.0
+            values = offset + 1e-3 * rng.standard_normal(2520)
+        assert_same_as_reference(series_from(values), 2, 252, kind)
+
+    def test_sharpe_long_window_below_its_parts(self):
+        # the sample variance lets [6, 11) score below every feasible
+        # split of it, so a scan of short windows alone misses it
+        series = series_from([-0.01, 0.01, -0.02, 0.01, -0.02, 0.01, -0.01,
+                              0, 0, 0, -0.01])
+        res = mrp_fast(series, 3, 2)
+        assert res.value == -11.593101396951552
+        assert res.optimal_splits.segments[res.argmin_segment] == (6, 11)
+        assert_same_as_reference(series, 3, 2, SHARPE)
+
+    def test_excess_cancelling_to_rounding_noise(self):
+        # every window of even length has an exact excess of 0 over mar;
+        # the kernel scores them at +-1e-14, and a margin relative to the
+        # incumbent once skipped the least of them
+        series = series_from([0.02, 0.0, 0.01] * 25)
+        res = mrp_fast(series, 2, 2, sortino(0.005))
+        assert res.value == -1.168333363421782e-14
+        assert res.optimal_splits.splits == (10, 12)
+        assert_same_as_reference(series, 2, 2, sortino(0.005))
+
+    def test_cancelled_spread_sums(self):
+        # at offset -100 and vol 1e-5 the prefix sums of squares keep few
+        # digits of a window's variance; without a margin on the spread
+        # sums the certificate skips the least window
+        rng = np.random.default_rng(8)
+        series = series_from(-100.0 + 1e-5 * rng.standard_normal(120))
+        assert_same_as_reference(series, 2, 10, SHARPE)
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        """The number of windows passed to ``engine.metric_many``."""
+        count = [0]
+        kernel = engine.metric_many
+
+        def counting(table, start, end, kind):
+            count[0] += len(end) if isinstance(end, range) else np.size(end)
+            return kernel(table, start, end, kind)
+        monkeypatch.setattr(engine, "metric_many", counting)
+        return count
+
+    def test_prunes_clean_two_regime(self, scored):
+        series = series_from(two_regime_series(2520, 5))
+        res = mrp_fast(series, 2, 252)
+        assert scored[0] < 0.1 * feasible_window_count(series, 2, 252, SHARPE)
+        assert res.value < 0
+        assert res == reference_window_scan(series, 2, 252)
+
+    def test_positive_minimum_on_offset_series(self):
+        # a positive minimum leaves only the loose hull bound
+        rng = np.random.default_rng(8)
+        series = series_from(10.0 + 1e-3 * rng.standard_normal(1000))
+        res = mrp_fast(series, 2, 100)
+        assert res.value > 0
+        assert res == reference_window_scan(series, 2, 100)
 
 
 class TestPartitionSpec:
