@@ -83,26 +83,35 @@ def int_at_least(low: int):
 
 
 def parse_years(text: str) -> float:
-    """Parse '40y' (or a bare number) into years."""
-    text = text.strip()
-    if text.endswith("y"):
-        text = text[:-1]
-    return float(text)
+    """Parse '40y' (or a bare number) into a finite number of years; the
+    argparse type of ``--lookback``."""
+    text = text.strip().removesuffix("y")
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
 
 
 def parse_range(text: str) -> list[float]:
-    """Parse 'lo:hi:step[y]' or a comma list into a list of year values."""
-    text = text.strip()
-    if text.endswith("y"):
-        text = text[:-1]
+    """Parse 'lo:hi:step[y]' or a comma list into a list of year values;
+    the argparse type of ``--lookbacks`` and ``--ds``. The step must be
+    > 0, so the grid ends, and the grid must not be empty."""
+    text = text.strip().removesuffix("y")
     if ":" in text:
-        lo, hi, step = (float(p) for p in text.split(":"))
+        lo, hi, step = (parse_years(p) for p in text.split(":"))
+        if step <= 0:
+            raise argparse.ArgumentTypeError(f"step {step:g} is not > 0")
         out, v = [], lo
         while v <= hi + 1e-9:
             out.append(v)
             v += step
+        if not out:
+            raise argparse.ArgumentTypeError(f"grid {text!r} is empty")
         return out
-    return [float(p) for p in text.split(",")]
+    return [parse_years(p) for p in text.split(",")]
 
 
 def _emit(rows: list[dict], fieldnames: list[str], out: str | None,
@@ -144,9 +153,8 @@ def _min_segment(args) -> int:
 def _reports(series_list, args) -> list[analytics.FactorReport]:
     kind = _metric_kind(args)
     freq = Frequency(args.frequency)
-    lookback = parse_years(args.lookback)
     d_years = _min_segment(args) / freq.periods_per_year
-    return [analytics.factor_report(s, lookback, d_years, kind)
+    return [analytics.factor_report(s, args.lookback, d_years, kind)
             for s in series_list]
 
 
@@ -177,7 +185,7 @@ def cmd_sensitivity(args) -> None:
     rows = []
     for s in _load(args):
         grid = analytics.sensitivity_grid(
-            s, parse_range(args.lookbacks), parse_range(args.ds),
+            s, args.lookbacks, args.ds,
             s=args.splits, kind=kind)
         for i, lb in enumerate(grid.lookbacks_years):
             for j, dy in enumerate(grid.d_years):
@@ -199,7 +207,7 @@ def cmd_correlations(args) -> None:
     labels, mrp_v, sr_v, rv_v, dd_v = [], [], [], [], []
     for r in reports:
         s = windows[r.label]
-        win = analytics._trailing_window(s, parse_years(args.lookback))
+        win = analytics._trailing_window(s, args.lookback)
         labels.append(r.label)
         mrp_v.append(r.mrp1)
         sr_v.append(r.full_sharpe)
@@ -300,7 +308,7 @@ FLAGS = {
                   help="minimum acceptable per-period return (sortino)"),
     "--min-segment": dict(default="2y", type=duration, dest="min_segment",
                           help="minimum segment length, e.g. 2y or 504p"),
-    "--lookback": dict(default="40y"),
+    "--lookback": dict(default="40y", type=parse_years),
     "--splits": dict(type=int, default=1),
     "--jobs": dict(type=int_at_least(1), default=1),
     "--seed": dict(type=int, default=0),
@@ -342,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensitivity")
     _add_flags(p, *INPUT, "--splits", *OUTPUT, unused=("--seed", "--jobs"))
-    p.add_argument("--lookbacks", default="10:40:5y",
+    p.add_argument("--lookbacks", default="10:40:5y", type=parse_range,
                    help="lookback grid in years, lo:hi:step or comma list")
-    p.add_argument("--ds", default="1:5:1y",
+    p.add_argument("--ds", default="1:5:1y", type=parse_range,
                    help="minimum-segment grid in years")
     p.set_defaults(func=cmd_sensitivity)
 

@@ -13,9 +13,9 @@ segments of at least d observations each. The engine provides:
   contiguous window whose prefix and suffix can each be cut into feasible
   segments, so minimizing over such windows suffices. O(n) at s = 1. At
   s >= 2 a tile certificate first skips every block of windows whose
-  lower bound lies above an incumbent, and the rest are scored: on
-  clean data with a negative minimum a few thousand of the O(n^2)
-  windows; where nothing can be skipped (a positive minimum on
+  lower bound lies above an incumbent, and the rest are scored in flat
+  chunks: on clean data with a negative minimum a few thousand of the
+  O(n^2) windows; where nothing can be skipped (a positive minimum on
   large-offset data) all of them, as a full scan would.
 
 Partitions containing a segment with an undefined metric (zero variance,
@@ -268,8 +268,8 @@ _U = 2.0 ** -53
 
 def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
                     f: np.ndarray, j_hi: np.ndarray, incumbent: float):
-    """The rows still to score and, per row, the first and last end of
-    the windows that no tile certificate rules out.
+    """The windows still to score: the tiles [i, j) for j0 <= j <= j1
+    that no certificate rules out, as arrays (i, j0, j1) in (i, j) order.
 
     Row i holds the windows [i, j) for f[i] <= j <= j_hi[i]. A tile is a
     block of starts I0..I1 by a block of ends J0..J1; it is skipped when
@@ -277,8 +277,7 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
     a window already scored, so the optimum and all its ties lie in the
     kept tiles. The (start, end) plane is cut into B x B tiles first;
     each kept tile is then cut into its rows, 1 x B tiles of the same
-    bound. A row keeps the span from its first kept end to its last one,
-    so it costs one slice as before, or none.
+    bound, and the kept row tiles are returned.
 
     The bound. Write a window's metric as S = N g(L) / sqrt(Q) sqrt(ppy),
     with N = sum(r - mar) its excess sum, L its length, g(L) = sqrt(L -
@@ -373,12 +372,14 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
     keep = j0 <= j1
     i, b, j0, j1 = i[keep], b[keep], j0[keep], j1[keep]
     keep = may_beat(i, i, j0, j1, p_end[b] - p[i])
-    j_first = np.full(n, n + 1, dtype=np.int64)
-    j_last = np.full(n, -1, dtype=np.int64)
-    np.minimum.at(j_first, i[keep], j0[keep])
-    np.maximum.at(j_last, i[keep], j1[keep])
-    rows = np.flatnonzero(j_first <= j_last)
-    return rows, j_first[rows], j_last[rows]
+    i, j0, j1 = i[keep], j0[keep], j1[keep]
+    order = np.lexsort((j0, i))
+    return i[order], j0[order], j1[order]
+
+
+#: windows per ``metric_many`` call of the window scan; a larger chunk
+#: raises the scan's peak memory with little gain in speed
+_CHUNK = 2 ** 14
 
 
 def mrp_fast(series: ReturnSeries, s: int, d: int,
@@ -387,17 +388,17 @@ def mrp_fast(series: ReturnSeries, s: int, d: int,
 
     s = 1 is ``mrp_one_split``, O(n). For s >= 2 the answer is the least
     window that can be a segment of a valid partition; windows cost O(1)
-    each via prefix sums, and those sharing a start are one
-    slice-indexed ``metric_many`` row. A tile certificate
-    (``_certified_ends``) first skips every block of windows that
-    provably scores above an incumbent, the least window of least
-    length per start or of the windows ending at n; only the rest are
-    scored. It prunes mostly where the minimum is negative: on the
-    benchmark's clean two-regime series it scores under 0.1% of the
+    each via prefix sums. A tile certificate (``_certified_ends``)
+    first skips every block of windows that provably scores above an
+    incumbent, the least window of least length per start or of the
+    windows ending at n; the windows of the kept tiles are scored in
+    (i, j) order, ``_CHUNK`` at a time, one gathered ``metric_many``
+    call per chunk. It prunes mostly where the minimum is negative: on
+    the benchmark's clean two-regime series it scores under 0.1% of the
     windows. Where nothing can be pruned (a positive minimum on
-    large-offset data) all O(n^2) windows are scored, one slice per row
-    as before, plus an O(n) incumbent pass and a pass over at most about
-    16,000 tiles and their rows.
+    large-offset data) all O(n^2) windows are scored, plus an O(n)
+    incumbent pass and a pass over at most about 16,000 tiles and their
+    rows.
 
     A segment with an undefined metric only makes its partitions
     infeasible, and feasibility is read off ``defined_ends`` and greedy
@@ -423,11 +424,19 @@ def mrp_fast(series: ReturnSeries, s: int, d: int,
     j_hi = _window_ends(n, s, lo, hi)
     rows = np.flatnonzero(f <= j_hi)
     incumbent = min(best[0], float(np.min(metric_many(table, rows, f[rows], kind))))
-    for i, j_lo, j_top in zip(*(a.tolist() for a in _certified_ends(
-            table, kind, d, f, j_hi, incumbent))):
-        vals = metric_many(table, i, range(j_lo, j_top + 1), kind)
+    i, j0, j1 = _certified_ends(table, kind, d, f, j_hi, incumbent)
+    # number the tiles' windows 0, 1, ... in (i, j) order; a window's end
+    # is its number plus its tile's shift
+    stop = np.cumsum(j1 - j0 + 1)
+    shift = j1 + 1 - stop
+    total = int(stop[-1]) if stop.size else 0
+    for c in range(0, total, _CHUNK):
+        flat = np.arange(c, min(c + _CHUNK, total))
+        t = np.searchsorted(stop, flat, "right")
+        start, end = i[t], flat + shift[t]
+        vals = metric_many(table, start, end, kind)
         k = int(np.argmin(vals))
-        best = min(best, (float(vals[k]), i, j_lo + k))
+        best = min(best, (float(vals[k]), int(start[k]), int(end[k])))
     if not math.isfinite(best[0]):
         raise NoValidPartition("no window with a defined metric")
     _, i, j = best

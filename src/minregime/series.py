@@ -223,30 +223,20 @@ def defined_ends(table: PrefixTable, kind: MetricKind) -> np.ndarray:
     return table._cache[kind]
 
 
-def _parts(table: PrefixTable, start, end, kind: MetricKind):
-    """Length, excess mean and mean-square spread of segments [start, end)
-    from prefix differences. Sharpe's spread is the sample variance,
-    Sortino's the mean squared shortfall below ``mar``.
-
-    ``start`` and ``end`` are int arrays (gathered), or a scalar ``start``
-    with a ``range`` of ends, read as one slice of each prefix array.
+def _parts(table: PrefixTable, start: np.ndarray, end: np.ndarray,
+           kind: MetricKind):
+    """Length, excess mean and mean-square spread of segments [start, end),
+    int arrays of bounds, from prefix differences. Sharpe's spread is the
+    sample variance, Sortino's the mean squared shortfall below ``mar``.
     """
-    if isinstance(end, range):
-        length = np.arange(end.start - start, end.stop - start)
-
-        def diff(prefix):
-            return prefix[end.start:end.stop] - prefix[start]
-    else:
-        length = end - start
-
-        def diff(prefix):
-            return prefix[end] - prefix[start]
-    total = diff(table.sum1)
+    length = end - start
+    total = table.sum1[end] - table.sum1[start]
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = total / length
         if kind.name == "sortino":
-            return length, mean - kind.mar, diff(table.downside(kind.mar)) / length
-        sq = diff(table.sum2)
+            down = table.downside(kind.mar)
+            return length, mean - kind.mar, (down[end] - down[start]) / length
+        sq = table.sum2[end] - table.sum2[start]
         return length, mean, (sq - total * total / length) / (length - 1)
 
 
@@ -293,21 +283,8 @@ def metric_many(table: PrefixTable, start, end, kind: MetricKind) -> np.ndarray:
     returns, a tiny shortfall after large ones), that segment is
     recomputed by ``_direct``.
 
-    ``start`` and ``end`` are arrays of segment bounds, or a scalar
-    ``start`` with a ``range`` of ends: one row of windows [start, j),
-    scored from contiguous slices of the prefix arrays. A row holding an
-    undefined or cancelled window goes through the array path, so both
-    forms give the same values, bit for bit.
+    ``start`` and ``end`` are int arrays of segment bounds.
     """
-    if isinstance(end, range):
-        i = int(start)
-        # the first window is the shortest, so if it is defined, all are
-        if end.step == 1 and end and end.start >= defined_ends(table, kind)[i]:
-            _, excess, spread = _parts(table, i, end, kind)
-            if spread.min() > 0:
-                return _ratio(excess, spread, table.periods_per_year)
-        start = np.full(len(end), i, dtype=np.int64)
-        end = np.arange(end.start, end.stop, end.step, dtype=np.int64)
     start, end = np.broadcast_arrays(np.asarray(start, dtype=np.int64),
                                      np.asarray(end, dtype=np.int64))
     defined = end >= defined_ends(table, kind)[start]

@@ -124,6 +124,24 @@ class TestReport:
             main(["sensitivity", "--input", str(factors_csv), "--jobs", jobs])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sensitivity", "--lookbacks", "1:2:0"],
+        ["sensitivity", "--lookbacks", "1:2:-0.5y"],
+        ["sensitivity", "--lookbacks", "1:inf:1y"],
+        ["sensitivity", "--lookbacks", "1:2:half"],
+        ["sensitivity", "--lookbacks", "5:1:1y"],
+        ["sensitivity", "--ds", "0.25:1:0y"],
+        ["sensitivity", "--ds", "one,two"],
+        ["report", "--lookback", "forty"],
+        ["correlations", "--lookback", "nany"],
+    ])
+    def test_bad_year_flags_exit_2(self, factors_csv, argv):
+        # a step <= 0 once looped without end, and a non-number or an
+        # empty grid raised a traceback (exit 1) once the data had been read
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--input", str(factors_csv)])
+        assert info.value.code == 2
+
 
 class TestSensitivity:
     def test_infeasible_markers(self, factors_csv, tmp_path):

@@ -354,7 +354,7 @@ class TestDegenerateData:
 
 def reference_window_scan(series, s, d, kind=SHARPE):
     """The window scan without a certificate: every feasible window of
-    every row is scored, one ``metric_many`` slice per row, then the
+    every row is scored, one ``metric_many`` call per row, then the
     windows [i, n). The oracle for ``mrp_fast`` at s >= 2."""
     n = len(series)
     engine._check_feasible(n, s, d)
@@ -369,7 +369,8 @@ def reference_window_scan(series, s, d, kind=SHARPE):
     rows = np.flatnonzero(f <= j_hi)
     for i, j_lo, j_top in zip(rows.tolist(), f[rows].tolist(),
                               j_hi[rows].tolist()):
-        vals = metric_many(table, i, range(j_lo, j_top + 1), kind)
+        vals = metric_many(table, np.full(j_top - j_lo + 1, i),
+                           np.arange(j_lo, j_top + 1), kind)
         k = int(np.argmin(vals))
         best = min(best, (float(vals[k]), i, j_lo + k))
     is_ = np.arange(lo[s], hi[1] + 1, dtype=np.int64)
@@ -498,22 +499,35 @@ class TestWindowCertificate:
 
     @pytest.fixture
     def scored(self, monkeypatch):
-        """The number of windows passed to ``engine.metric_many``."""
-        count = [0]
+        """The number of windows of each call to ``engine.metric_many``."""
+        sizes = []
         kernel = engine.metric_many
 
         def counting(table, start, end, kind):
-            count[0] += len(end) if isinstance(end, range) else np.size(end)
+            sizes.append(np.size(end))
             return kernel(table, start, end, kind)
         monkeypatch.setattr(engine, "metric_many", counting)
-        return count
+        return sizes
 
     def test_prunes_clean_two_regime(self, scored):
         series = series_from(two_regime_series(2520, 5))
         res = mrp_fast(series, 2, 252)
-        assert scored[0] < 0.1 * feasible_window_count(series, 2, 252, SHARPE)
+        assert sum(scored) < 0.1 * feasible_window_count(series, 2, 252, SHARPE)
         assert res.value < 0
         assert res == reference_window_scan(series, 2, 252)
+
+    @pytest.mark.parametrize("kind", [SHARPE, sortino(2 ** -4)])
+    def test_ties_across_chunks_go_to_first_window(self, kind, scored):
+        # exact binary fractions: windows of one phase and length score
+        # bit-equal, so the least value recurs every 4 starts, across the
+        # chunks of the scan, and only the first of its windows may win
+        values = np.tile([2 ** -6, -2 ** -7, 2 ** -5, -2 ** -8], 150) + 2 ** -4
+        series = series_from(values)
+        res = mrp_fast(series, 2, 20, kind)
+        # calls: the windows [i, n), the incumbent, the chunks, the result
+        chunks = scored[2:-1]
+        assert len(chunks) >= 2 and chunks[0] == engine._CHUNK
+        assert res == reference_window_scan(series, 2, 20, kind)
 
     def test_positive_minimum_on_offset_series(self):
         # a positive minimum leaves only the loose hull bound
