@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -113,10 +113,6 @@ class SensitivityGrid:
     lookbacks_years: tuple[float, ...]
     d_years: tuple[float, ...]
     cells: np.ndarray
-
-    @property
-    def feasible(self) -> np.ndarray:
-        return ~np.isnan(self.cells)
 
 
 def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
@@ -258,20 +254,6 @@ class BootstrapSummary:
     values: np.ndarray
 
 
-def _bootstrap_replicate(series: ReturnSeries, starts: np.ndarray,
-                         block_len: int, s: int, d: int,
-                         kind: MetricKind) -> float:
-    n = len(series)
-    idx = (starts[:, None] + np.arange(block_len)[None, :]).ravel()[:n] % n
-    resampled = ReturnSeries(
-        dates=series.dates,
-        returns=series.returns[idx],
-        frequency=series.frequency,
-        label=series.label,
-    )
-    return mrp_fast(resampled, s, d, kind).value
-
-
 def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
                         s: int = 1, d: int = 2, kind: MetricKind = SHARPE,
                         seed: int = 0, jobs: int = 1) -> BootstrapSummary:
@@ -291,10 +273,11 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     rng = np.random.Generator(np.random.Philox(seed))
     nblocks = -(-n // block_len)
     starts = rng.integers(0, n, size=(replicates, nblocks))
-    values = np.array([
-        _bootstrap_replicate(series, starts=row, block_len=block_len, s=s,
-                             d=d, kind=kind)
-        for row in starts])
+    values = np.empty(replicates)
+    for k, row in enumerate(starts):
+        idx = (row[:, None] + np.arange(block_len)).ravel()[:n] % n
+        values[k] = mrp_fast(replace(series, returns=series.returns[idx]),
+                             s, d, kind).value
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     quants = {q: float(np.quantile(values, q)) for q in qs}
     return BootstrapSummary(

@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, bias as bias_mod, ingest
-from .engine import mrp_fast
 from .errors import MinRegimeError
 from .series import (
     SHARPE,
@@ -82,10 +81,8 @@ def int_at_least(low: int):
     return parse
 
 
-def parse_years(text: str) -> float:
-    """Parse '40y' (or a bare number) into a finite number of years; the
-    argparse type of ``--lookback``."""
-    text = text.strip().removesuffix("y")
+def finite(text: str) -> float:
+    """argparse type of a number flag that must be finite."""
     try:
         value = float(text)
     except ValueError:
@@ -95,15 +92,23 @@ def parse_years(text: str) -> float:
     return value
 
 
+def parse_years(text: str) -> float:
+    """Parse '40y' (or a bare number) into a finite number of years > 0;
+    the argparse type of ``--lookback`` and of each ``--lookbacks`` and
+    ``--ds`` value and step."""
+    value = finite(text.strip().removesuffix("y"))
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not > 0")
+    return value
+
+
 def parse_range(text: str) -> list[float]:
     """Parse 'lo:hi:step[y]' or a comma list into a list of year values;
-    the argparse type of ``--lookbacks`` and ``--ds``. The step must be
-    > 0, so the grid ends, and the grid must not be empty."""
+    the argparse type of ``--lookbacks`` and ``--ds``. The grid must not
+    be empty."""
     text = text.strip().removesuffix("y")
     if ":" in text:
         lo, hi, step = (parse_years(p) for p in text.split(":"))
-        if step <= 0:
-            raise argparse.ArgumentTypeError(f"step {step:g} is not > 0")
         out, v = [], lo
         while v <= hi + 1e-9:
             out.append(v)
@@ -114,11 +119,11 @@ def parse_range(text: str) -> list[float]:
     return [parse_years(p) for p in text.split(",")]
 
 
-def _emit(rows: list[dict], fieldnames: list[str], out: str | None,
-          fmt: str) -> None:
+def _emit(rows: list[dict], out: str | None, fmt: str) -> None:
+    """Write non-empty ``rows``; the CSV header is the first row's keys."""
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
@@ -169,15 +174,14 @@ def cmd_report(args) -> None:
             "right_sr": _fmt(r.right_sr),
             "split_date": _mmddyy(r.split_date),
         })
-    _emit(rows, ["label", "sharpe", "mrp1", "left_sr", "right_sr", "split_date"],
-          args.out, args.format)
+    _emit(rows, args.out, args.format)
 
 
 def cmd_frontier(args) -> None:
     points = analytics.frontier(_reports(_load(args), args))
     rows = [{"label": p.label, "sharpe": _fmt(p.x), "mrp": _fmt(p.y),
              "dominated": str(p.dominated).lower()} for p in points]
-    _emit(rows, ["label", "sharpe", "mrp", "dominated"], args.out, args.format)
+    _emit(rows, args.out, args.format)
 
 
 def cmd_sensitivity(args) -> None:
@@ -195,18 +199,15 @@ def cmd_sensitivity(args) -> None:
                     "d_years": f"{dy:g}",
                     "mrp_minus_sharpe": _fmt(float(grid.cells[i, j])),
                 })
-    _emit(rows, ["label", "lookback_years", "d_years", "mrp_minus_sharpe"],
-          args.out, args.format)
+    _emit(rows, args.out, args.format)
 
 
 def cmd_correlations(args) -> None:
     series_list = _load(args)
     reports = _reports(series_list, args)
-    windows = {s.label: s for s in series_list}
     roll_w = analytics.DEFAULT_ROLLING_WINDOW[args.frequency]
     labels, mrp_v, sr_v, rv_v, dd_v = [], [], [], [], []
-    for r in reports:
-        s = windows[r.label]
+    for s, r in zip(series_list, reports):
         win = analytics._trailing_window(s, args.lookback)
         labels.append(r.label)
         mrp_v.append(r.mrp1)
@@ -225,7 +226,7 @@ def cmd_correlations(args) -> None:
         for j, other in enumerate(names):
             row[other] = _fmt(float(corr[i, j]))
         rows.append(row)
-    _emit(rows, ["metric"] + names, args.out, args.format)
+    _emit(rows, args.out, args.format)
 
 
 def cmd_portfolio(args) -> None:
@@ -248,8 +249,7 @@ def cmd_portfolio(args) -> None:
         "split_dates": " ".join(day.isoformat() for day in res.split_dates),
         "argmin_segment": str(res.argmin_segment),
     }]
-    _emit(rows, ["mrp", "splits", "split_dates", "argmin_segment"],
-          args.out, args.format)
+    _emit(rows, args.out, args.format)
 
 
 def cmd_bias(args) -> None:
@@ -268,8 +268,7 @@ def cmd_bias(args) -> None:
             "simulated_mean": _fmt(float(np.mean(sample))),
             "se": _fmt(se),
         })
-    _emit(rows, ["N", "exact_bias", "asymptotic_bias", "simulated_mean", "se"],
-          args.out, args.format)
+    _emit(rows, args.out, args.format)
 
 
 def cmd_simulate(args) -> None:
@@ -279,8 +278,7 @@ def cmd_simulate(args) -> None:
              "ks_distance": ""} for n, mean, se in diag.drift]
     rows.append({"N": str(model.N), "simulated_mean": "", "se": "",
                  "ks_distance": _fmt(diag.ks_distance)})
-    _emit(rows, ["N", "simulated_mean", "se", "ks_distance"],
-          args.out, args.format)
+    _emit(rows, args.out, args.format)
 
 
 def cmd_fixture(args) -> None:
@@ -304,12 +302,12 @@ FLAGS = {
     "--frequency": dict(choices=["daily", "monthly"], default="daily"),
     "--percent": dict(action="store_true", help="input values are percentages"),
     "--metric": dict(choices=["sharpe", "sortino"], default="sharpe"),
-    "--mar": dict(type=float, default=0.0,
+    "--mar": dict(type=finite, default=0.0,
                   help="minimum acceptable per-period return (sortino)"),
     "--min-segment": dict(default="2y", type=duration, dest="min_segment",
                           help="minimum segment length, e.g. 2y or 504p"),
     "--lookback": dict(default="40y", type=parse_years),
-    "--splits": dict(type=int, default=1),
+    "--splits": dict(type=int_at_least(1), default=1),
     "--jobs": dict(type=int_at_least(1), default=1),
     "--seed": dict(type=int, default=0),
     "--mu": dict(type=float, default=0.0),
@@ -364,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bias")
     _add_flags(p, "--mu", "--sigma", "--seed", *OUTPUT)
-    p.add_argument("--N", type=lambda t: [int(x) for x in t.split(",")],
-                   default=[1, 2, 5, 10, 100],
+    p.add_argument("--N", default=[1, 2, 5, 10, 100],
+                   type=lambda t: [int_at_least(1)(x) for x in t.split(",")],
                    help="comma list of order-statistic counts")
     p.add_argument("--trials", type=int_at_least(2), default=100_000,
                    help="Monte Carlo trials per N (>= 2 for a standard error)")

@@ -43,6 +43,8 @@ from .series import (
     MetricKind,
     PrefixTable,
     ReturnSeries,
+    _parts,
+    _ratio,
     build_prefix_sums,
     defined_ends,
     metric_many,
@@ -165,12 +167,8 @@ def mrp_brute_force(series: ReturnSeries, s: int, d: int,
     metrics = metric_many(
         table, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(), kind
     ).reshape(p, s + 1)
-    row_min = np.min(metrics, axis=1)  # NaN propagates: invalid partitions -> NaN
-    valid = ~np.isnan(row_min)
-    if not np.any(valid):
-        raise NoValidPartition("every partition contains a zero-variance segment")
-    best_value = np.nanmin(row_min)
-    best_row = int(np.flatnonzero(valid & (row_min == best_value))[0])
+    # NaN propagates: a partition with an undefined segment is never picked
+    best_row = _first_min(np.min(metrics, axis=1))
     return _result_from_splits(series, tuple(splits[best_row].tolist()), d,
                                metrics[best_row])
 
@@ -203,9 +201,11 @@ def _split_scan(table: PrefixTable, d: int, kind: MetricKind):
 
 
 def _first_min(pair: np.ndarray) -> int:
-    """Index of the first least defined entry of a split scan."""
+    """Index of the first least non-NaN entry: the tie rule of the split
+    scan and of brute force."""
     if np.all(np.isnan(pair)):
-        raise NoValidPartition("every split yields a zero-variance segment")
+        raise NoValidPartition("every partition has a segment with an "
+                               "undefined metric")
     return int(np.flatnonzero(pair == np.nanmin(pair))[0])
 
 
@@ -301,52 +301,50 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
     g(L_hull) / sqrt(Q_hull). Neither needs a window to split into
     better parts, so the rule holds for both metrics and either sign.
 
-    The margin bounds the kernel's computed values, not exact ones. The
-    kernel's excess sum differs from P[j] - P[i] by a few ulps of the
-    largest |P|, so N_lo is lowered by 32 u max|P| (u the unit
-    roundoff), an absolute amount: an excess that cancels to rounding
-    noise keeps its tile. The Sortino spread sums are differences of a
-    nondecreasing stored prefix, monotone as stored, and get a relative
-    4 u. The Sharpe spread sums come from sum2 - sum1^2 / L, and only
-    the exact ones are monotone. The stored prefixes drift from the
-    exact sums by up to n u times their magnitude, so a computed Q is
-    within E = (2n + 10) u sum2[n] + 2 max|r| e + e^2, e = 2 n u sum|r|,
-    of the exact one; the window's Q and the core's (or hull's) each
-    carry E, and Q_core and Q_hull move by 4 E, in the safe direction.
-    The finished bound is lowered by 64 u of itself. Where the lowered
-    Q_core is not > 0 (a cancelled or constant core) the tile is kept,
-    and so is every window the kernel would recompute directly.
+    The bound is computed as the kernel scores a window, by ``_ratio`` of
+    N_lo / L and the spread Q / (L - dof) from ``_parts``, with margins
+    for the kernel's computed values, not exact ones. The kernel's excess
+    sum differs from P[j] - P[i] by a few ulps of the largest |P|, so
+    N_lo is lowered by 32 u max|P| (u the unit roundoff), an absolute
+    amount: an excess that cancels to rounding noise keeps its tile. The
+    Sortino spread sums are differences of a nondecreasing stored prefix,
+    monotone as stored, and the spread gets a relative 4 u. The Sharpe
+    spread sums come from sum2 - sum1^2 / L, and only the exact ones are
+    monotone. The stored prefixes drift from the exact sums by up to n u
+    times their magnitude, so a computed Q is within E = (2n + 10) u
+    sum2[n] + 2 max|r| e + e^2, e = 2 n u sum|r|, of the exact one; the
+    window's Q and the core's (or hull's) each carry E, and the spread
+    moves by 4 E / (L - 1), which also covers the division's rounding
+    (2 u Q <= 2 u sum2[n]). Both move in the safe direction, and the
+    finished bound is lowered by 64 u of itself. Where the lowered spread
+    is not > 0 (a cancelled or constant core) the tile is kept, and so
+    is every window the kernel would recompute directly.
     """
     n = table.n
     sharpe = kind.name == "sharpe"
-    dof = 1 if sharpe else 0
-    s1, sum2, r = table.sum1, table.sum2, table.returns
-    p = s1 if sharpe else s1 - kind.mar * np.arange(n + 1)
+    r = table.returns
+    p = table.sum1 if sharpe else table.sum1 - kind.mar * np.arange(n + 1)
     n_margin = 32 * _U * float(np.max(np.abs(p)))
     e_t = 2 * n * _U * float(np.sum(np.abs(r)))
-    q_margin = 4 * ((2 * n + 10) * _U * float(sum2[n])
+    q_margin = 4 * ((2 * n + 10) * _U * float(table.sum2[n])
                     + 2 * float(np.max(np.abs(r))) * e_t + e_t * e_t)
-    down = None if sharpe else table.downside(kind.mar)
 
     def may_beat(i0, i1, j0, j1, n_lo):
         """Whether a window [i, j), i0 <= i <= i1, j0 <= j <= j1, whose
         excess sum is >= n_lo can score <= ``incumbent``."""
         n_lo = n_lo - n_margin
         neg = n_lo < 0
-        a = np.where(neg, i1, i0)  # the core or the hull
-        b = np.where(neg, j0, j1)
-        length = b - a
+        # the core or the hull
+        length, _, spread = _parts(table, np.where(neg, i1, i0),
+                                   np.where(neg, j0, j1), kind)
         with np.errstate(invalid="ignore", divide="ignore"):
             if sharpe:
-                t = s1[b] - s1[a]
-                q = sum2[b] - sum2[a] - t * t / length
-                q = q + np.where(neg, -q_margin, q_margin)
+                spread += np.where(neg, -q_margin, q_margin) / (length - 1)
             else:
-                q = (down[b] - down[a]) * np.where(neg, 1 - 4 * _U, 1 + 4 * _U)
-            bound = (n_lo * np.sqrt(length - dof) / length / np.sqrt(q)
-                     * math.sqrt(table.periods_per_year))
+                spread *= np.where(neg, 1 - 4 * _U, 1 + 4 * _U)
+            bound = _ratio(n_lo / length, spread, table.periods_per_year)
             bound -= 64 * _U * np.abs(bound)
-        return ~((length >= 2) & (q > 0) & (bound > incumbent))
+        return ~((length >= 2) & (spread > 0) & (bound > incumbent))
 
     # a quarter of d, so that tiles next to the diagonal keep a core,
     # within n/128 .. n/64, so that there are at most 128 x 128 tiles

@@ -34,7 +34,7 @@ class Infeasible(MinRegimeError):
 
 
 class NoValidPartition(MinRegimeError):
-    """Every partition contains at least one zero-variance segment."""
+    """Every partition contains a segment with an undefined metric."""
 
 
 # --- bias / extreme-value analytics ---
@@ -75,5 +75,5 @@ class ParseError(MinRegimeError):
         self.column = column
 
 
-class DateOrderError(MinRegimeError):
-    """Dates in the input are not strictly increasing."""
+class DateOrderError(MinRegimeError, ValueError):
+    """Dates of a series are not strictly increasing."""

@@ -17,7 +17,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import DateOrderError, EmptySeries, ParseError
+from .errors import EmptySeries, ParseError
 from .series import Frequency, ReturnSeries, _as_days
 
 
@@ -79,7 +79,7 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     EmptySeries. Errors are those of a row-by-row read: a bad cell raises
     ParseError with the first failing (row, column) in row order, then
     series are checked in label order, each for emptiness, then for
-    date order.
+    date order (``ReturnSeries`` raises DateOrderError).
     """
     path = Path(config.path)
     with open(path, newline="") as fh:
@@ -94,11 +94,6 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     for label, (dates, returns) in per_factor.items():
         if not dates.size:
             raise EmptySeries(f"{path}: series {label!r} empty after truncation")
-        late = np.flatnonzero(~(np.diff(dates) > np.timedelta64(0, "D")))
-        if late.size:
-            k = late[0]
-            raise DateOrderError(
-                f"series {label!r}: date {dates[k + 1]} not after {dates[k]}")
         out.append(ReturnSeries(dates=dates, returns=returns,
                                 frequency=config.frequency, label=label))
     if not out:

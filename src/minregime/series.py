@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DateOrderError,
     EmptySeries,
     SegmentTooShort,
     SeriesTooShort,
@@ -89,7 +90,7 @@ class ReturnSeries:
     ``dates`` is held as one read-only ``datetime64[D]`` array; any
     sequence of ``datetime.date`` is accepted and converted once, and a
     read-only ``datetime64[D]`` array (a slice of another series' dates)
-    is kept as it is.
+    is kept as it is. Dates must strictly increase, else DateOrderError.
     """
 
     dates: np.ndarray
@@ -114,8 +115,8 @@ class ReturnSeries:
             raise ValueError(f"non-finite return in series {self.label!r}")
         late = np.flatnonzero(~(np.diff(dates) > np.timedelta64(0, "D")))
         if late.size:
-            raise ValueError(
-                f"dates not strictly increasing at {dates[late[0] + 1]}")
+            raise DateOrderError(f"series {self.label!r}: date "
+                                 f"{dates[late[0] + 1]} not after {dates[late[0]]}")
 
     def __len__(self) -> int:
         return len(self.dates)

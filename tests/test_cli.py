@@ -134,13 +134,31 @@ class TestReport:
         ["sensitivity", "--ds", "one,two"],
         ["report", "--lookback", "forty"],
         ["correlations", "--lookback", "nany"],
+        ["sensitivity", "--lookbacks", "-2"],
+        ["sensitivity", "--lookbacks", "0,10"],
+        ["sensitivity", "--lookbacks", "0:2:1y"],
+        ["sensitivity", "--ds", "0"],
+        ["report", "--lookback", "0y"],
+        ["correlations", "--lookback", "-5"],
+        ["sensitivity", "--splits", "0"],
+        ["portfolio", "--splits", "0", "--weights", "alpha=1"],
+        ["report", "--mar", "inf"],
+        ["sensitivity", "--mar", "nan"],
+        ["bias", "--N", "0"],
+        ["bias", "--N", "2,0"],
     ])
-    def test_bad_year_flags_exit_2(self, factors_csv, argv):
-        # a step <= 0 once looped without end, and a non-number or an
-        # empty grid raised a traceback (exit 1) once the data had been read
+    def test_bad_year_flags_exit_2(self, factors_csv, argv, capsys):
+        # a step <= 0 once looped without end, a non-number or an empty
+        # grid raised a traceback (exit 1) once the data had been read, a
+        # year <= 0 printed rows of Infeasible cells (exit 0), and
+        # --splits 0, a count N of 0 or an infinite --mar failed only in
+        # the computation (exit 1)
+        if argv[0] != "bias":
+            argv = argv + ["--input", str(factors_csv)]
         with pytest.raises(SystemExit) as info:
-            main(argv + ["--input", str(factors_csv)])
+            main(argv)
         assert info.value.code == 2
+        assert f"argument {argv[1]}:" in capsys.readouterr().err
 
 
 class TestSensitivity:

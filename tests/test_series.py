@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minregime import (
+    DateOrderError,
     EmptySeries,
     Frequency,
     ReturnSeries,
@@ -327,9 +328,10 @@ class TestRollingSharpeVolatility:
 class TestReturnSeries:
     def test_duplicate_dates_rejected(self):
         s = series_from([0.01, 0.02])
-        with pytest.raises(ValueError):
+        with pytest.raises(DateOrderError,
+                           match="'test': date 2000-01-01 not after 2000-01-01"):
             ReturnSeries(dates=(s.dates[0], s.dates[0]),
-                         returns=np.array([0.1, 0.2]))
+                         returns=np.array([0.1, 0.2]), label="test")
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -359,5 +361,7 @@ class TestReturnSeries:
 
     def test_unordered_dates_rejected(self):
         s = series_from([0.01, 0.02, 0.03])
-        with pytest.raises(ValueError, match="2000-01-02"):
+        with pytest.raises(DateOrderError, match="2000-01-02") as info:
             ReturnSeries(dates=s.dates[[0, 2, 1]], returns=s.returns)
+        # callers that catch ValueError still catch it
+        assert isinstance(info.value, ValueError)
