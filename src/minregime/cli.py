@@ -102,6 +102,20 @@ def parse_years(text: str) -> float:
     return value
 
 
+def parse_weights(text: str) -> list[tuple[str, float]]:
+    """Parse 'label=weight,...' into (label, weight) pairs; the argparse
+    type of ``--weights``. Each weight is finite and not all are 0."""
+    pairs = []
+    for part in text.split(","):
+        label, eq, weight = part.partition("=")
+        if not eq:
+            raise argparse.ArgumentTypeError(f"{part!r} is not label=weight")
+        pairs.append((label.strip(), finite(weight)))
+    if not any(w for _, w in pairs):
+        raise argparse.ArgumentTypeError("every weight is 0")
+    return pairs
+
+
 def parse_range(text: str) -> list[float]:
     """Parse 'lo:hi:step[y]' or a comma list into a list of year values;
     the argparse type of ``--lookbacks`` and ``--ds``. The grid must not
@@ -232,15 +246,11 @@ def cmd_correlations(args) -> None:
 def cmd_portfolio(args) -> None:
     series_list = _load(args)
     by_label = {s.label: s for s in series_list}
-    weights, strategies = [], []
-    for part in args.weights.split(","):
-        name, _, w = part.partition("=")
-        name = name.strip()
+    for name, _ in args.weights:
         if name not in by_label:
             raise MinRegimeError(f"unknown strategy {name!r} in --weights")
-        strategies.append(by_label[name])
-        weights.append(float(w))
-    spec = analytics.PortfolioSpec(tuple(weights), tuple(strategies))
+    spec = analytics.PortfolioSpec(tuple(w for _, w in args.weights),
+                                   tuple(by_label[name] for name, _ in args.weights))
     res = analytics.portfolio_mrp(spec, args.splits, _min_segment(args),
                                   _metric_kind(args))
     rows = [{
@@ -310,8 +320,8 @@ FLAGS = {
     "--splits": dict(type=int_at_least(1), default=1),
     "--jobs": dict(type=int_at_least(1), default=1),
     "--seed": dict(type=int, default=0),
-    "--mu": dict(type=float, default=0.0),
-    "--sigma": dict(type=float, default=1.0),
+    "--mu": dict(type=finite, default=0.0),
+    "--sigma": dict(type=finite, default=1.0),
     "--out": dict(default=None),
     "--format": dict(choices=["csv", "json"], default="csv"),
 }
@@ -356,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("portfolio")
     _add_flags(p, *INPUT, "--splits", "--min-segment", *OUTPUT)
-    p.add_argument("--weights", required=True,
+    p.add_argument("--weights", required=True, type=parse_weights,
                    help="comma list of label=weight")
     p.set_defaults(func=cmd_portfolio)
 
@@ -371,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate")
     _add_flags(p, "--mu", "--sigma", "--seed", *OUTPUT)
-    p.add_argument("--N", type=int, default=10_000)
+    p.add_argument("--N", type=int_at_least(1), default=10_000)
     p.add_argument("--trials", type=int_at_least(2), default=20_000,
                    help="Monte Carlo trials per N (>= 2 for a standard error)")
     p.set_defaults(func=cmd_simulate)
@@ -379,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixture")
     _add_flags(p, "--frequency", "--seed", "--out")
     p.add_argument("--label", default="synthetic")
-    p.add_argument("--n-pre", type=int, default=252, dest="n_pre")
-    p.add_argument("--n-post", type=int, default=252, dest="n_post")
-    p.add_argument("--drift-pre", type=float, default=0.0008, dest="drift_pre")
-    p.add_argument("--drift-post", type=float, default=-0.0008, dest="drift_post")
-    p.add_argument("--vol-pre", type=float, default=0.01, dest="vol_pre")
-    p.add_argument("--vol-post", type=float, default=0.01, dest="vol_post")
+    p.add_argument("--n-pre", type=int_at_least(1), default=252, dest="n_pre")
+    p.add_argument("--n-post", type=int_at_least(1), default=252, dest="n_post")
+    p.add_argument("--drift-pre", type=finite, default=0.0008, dest="drift_pre")
+    p.add_argument("--drift-post", type=finite, default=-0.0008, dest="drift_post")
+    p.add_argument("--vol-pre", type=finite, default=0.01, dest="vol_pre")
+    p.add_argument("--vol-post", type=finite, default=0.01, dest="vol_post")
     p.set_defaults(func=cmd_fixture)
 
     return parser

@@ -1,8 +1,9 @@
 """CSV ingestion of factor returns and synthetic fixture generation.
 
 Default schema is wide: one date column plus one decimal-return column
-per factor, ISO-8601 dates, header row. A long format (name, date, ret)
-is supported via the config. Rows before ``start_date`` are dropped
+per factor, ISO-8601 dates, header row. The long format (name, date,
+ret) is read the same way, as one value column split by name. A leading
+byte-order mark is dropped. Rows before ``start_date`` are dropped
 (factor histories are truncated so every factor is live at the start).
 """
 
@@ -41,6 +42,7 @@ class IngestConfig:
 
 
 def _parse_date(text: str | None, row: int, column: str) -> datetime.date:
+    """One date cell, parsed alone only to locate a column's first error."""
     if text is None:
         raise ParseError(row, column, "missing date cell")
     try:
@@ -51,8 +53,8 @@ def _parse_date(text: str | None, row: int, column: str) -> datetime.date:
 
 def _parse_ret(text: str | None, row: int, column: str,
                config: IngestConfig) -> float | None:
-    """One return cell; None for an empty one that ``missing_policy``
-    skips."""
+    """One return cell, parsed alone only to locate a column's first
+    error; None for an empty one that ``missing_policy`` skips."""
     if text is None or not text.strip():
         if config.missing_policy == "error":
             raise ParseError(row, column, "missing value")
@@ -73,69 +75,38 @@ def _parse_ret(text: str | None, row: int, column: str,
 def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     """Load one ReturnSeries per factor column (or long-format name).
 
-    Dates must be strictly increasing within each series; rows before
-    ``start_date`` are dropped before that check. Empty cells follow
-    ``missing_policy``. A series left empty after truncation raises
-    EmptySeries. Errors are those of a row-by-row read: a bad cell raises
-    ParseError with the first failing (row, column) in row order, then
-    series are checked in label order, each for emptiness, then for
-    date order (``ReturnSeries`` raises DateOrderError).
+    Both layouts are read column by column, with the result and errors
+    of a row-by-row read. Blank lines are skipped; a short row's absent
+    cells read as empty and its absent date as missing; a long row's
+    extra cells are dropped; a repeated header name means its last
+    column. Rows before ``start_date`` are dropped. In the long layout a
+    name column splits the rows of one value column, and series come in
+    order of each name's first appearance. A failing column is scanned
+    cell by cell to locate its first error, and the least (row,
+    position) is raised: a row's date, then its name, then its values.
+    Rows from a bad date on are not read. Then series are checked in
+    label order for emptiness (EmptySeries), then for date order
+    (``ReturnSeries`` raises DateOrderError).
     """
     path = Path(config.path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+    # "utf-8-sig": a byte-order mark is not part of the first header name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
             raise EmptySeries(f"{path}: no header row")
-        if config.long_format:
-            per_factor = _read_long(reader, config)
-        else:
-            per_factor = _read_wide(reader.fieldnames, reader.reader, config)
-    out = []
-    for label, (dates, returns) in per_factor.items():
-        if not dates.size:
-            raise EmptySeries(f"{path}: series {label!r} empty after truncation")
-        out.append(ReturnSeries(dates=dates, returns=returns,
-                                frequency=config.frequency, label=label))
-    if not out:
-        raise EmptySeries(f"{path}: no factor columns found")
-    return out
+        labels = config.value_columns
+        if labels is None:
+            labels = tuple(c for c in header if c != config.date_column)
+        if not labels and not config.long_format:
+            raise EmptySeries("no value columns")
+        table, nrows = _columns(rows, header, config.date_column)
 
+    def column(name: str, absent: str | None = "") -> tuple:
+        return table.get(name, (absent,) * nrows)
 
-def _read_wide(fieldnames: list[str], rows, config: IngestConfig):
-    """Per label, the dates and returns of its non-empty cells on rows
-    from ``start_date`` on, read column by column.
-
-    Rows stream into one list of cells per column. The date column is
-    parsed once, each value column's non-empty cells in one ``float``
-    pass checked by vectorized code. A step that fails hands its column
-    to a per-cell scan that finds the offending cell, and the first error
-    in row order is raised, as a row-by-row read would raise it.
-    """
-    labels = config.value_columns
-    if labels is None:
-        labels = tuple(c for c in fieldnames if c != config.date_column)
-    if not labels:
-        raise EmptySeries("no value columns")
-    width = len(fieldnames)
-    where = {name: k for k, name in enumerate(fieldnames)}  # last one wins
-    di = where.get(config.date_column)
-    cols = [[] for _ in range(width)]
-    nrows = 0
-    for nrows, row in enumerate(filter(None, rows), start=1):  # no blank lines
-        if len(row) != width:
-            # a short row's absent cells read as empty and its absent date
-            # as missing; a long row's extra cells are dropped
-            cut = row[:width] + [""] * (width - len(row))
-            if di is not None and len(row) <= di:
-                cut[di] = None
-            row = cut
-        for col, cell in zip(cols, row):
-            col.append(cell)
-
-    # a row-by-row read stops at a bad date, after the cells of the rows
-    # before it; so rows from a bad date on are not read
-    text = cols[di] if di is not None else [None] * nrows
-    errors = []
+    text = column(config.date_column, None)
+    errors = []  # (row, position in the row, error); the least is raised
     try:
         days = [datetime.date.fromisoformat(t.strip()) for t in text]
     except (AttributeError, ValueError):
@@ -146,37 +117,85 @@ def _read_wide(fieldnames: list[str], rows, config: IngestConfig):
     dates = _as_days(days)
     live = np.flatnonzero(dates >= np.datetime64(config.start_date, "D"))
 
-    per_factor = {}
-    for pos, label in enumerate(labels):
-        if label in per_factor:
-            continue  # the same cells again; see the repeat below
-        cells = cols[where[label]] if label in where else [""] * nrows
-        if live.size < nrows:
-            cells = [cells[k] for k in live.tolist()]
+    def read(name: str, pos: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Indices into ``live`` of non-empty cells, and their returns."""
+        cells = _take(column(name), live)
         keep = np.flatnonzero(np.fromiter(map(bool, map(str.strip, cells)),
                                           bool, len(cells)))
         values = _column_values(cells, keep, config)
         if values is None:
             at, error = _first_error(cells, (live + 2).tolist(), lambda t, r:
-                                     _parse_ret(t, r, label, config))
+                                     _parse_ret(t, r, name, config))
             errors.append((at, pos, error))
-        per_factor[label] = (dates[live[keep]], values)
+        return keep, values
+
+    if config.long_format:
+        names = list(map(str.strip, _take(column(config.name_column), live)))
+        if "" in names:
+            at = int(live[names.index("")]) + 2
+            errors.append((at, 0, ParseError(at, config.name_column,
+                                             "missing series name")))
+        keep, values = read(config.return_column, 1)
+    else:  # a repeated label is read once, and repeated below
+        read_once = {label: read(label, labels.index(label))
+                     for label in dict.fromkeys(labels)}
     if errors:
         raise min(errors, key=lambda e: e[:2])[2]
-    # a label named m times reads each of its cells m times, row by row
-    return {label: (np.repeat(day, labels.count(label)),
-                    np.repeat(ret, labels.count(label)))
-            for label, (day, ret) in per_factor.items()}
+
+    if config.long_format:
+        names = _take(names, keep)
+        labels = list(dict.fromkeys(names))  # order of first appearance
+        code = np.fromiter(map(dict(zip(labels, range(len(labels)))).get,
+                               names), np.intp, len(names))
+        order = np.argsort(code, kind="stable")
+        cuts = np.cumsum(np.bincount(code))[:-1]
+        per_factor = zip(labels, np.split(dates[live[keep]][order], cuts),
+                         np.split(values[order], cuts))
+    else:
+        # a label named m times reads each of its cells m times, row by row
+        per_factor = [(label, np.repeat(dates[live[keep]], labels.count(label)),
+                       np.repeat(values, labels.count(label)))
+                      for label, (keep, values) in read_once.items()]
+    out = []
+    for label, day, ret in per_factor:
+        if not day.size:
+            raise EmptySeries(f"{path}: series {label!r} empty after truncation")
+        out.append(ReturnSeries(dates=day, returns=ret,
+                                frequency=config.frequency, label=label))
+    if not out:
+        raise EmptySeries(f"{path}: no factor columns found")
+    return out
 
 
-def _column_values(cells: list, keep: np.ndarray,
+def _columns(rows, header: list[str], date_column: str) -> tuple[dict, int]:
+    """Cells by header name (a repeated name: its last column), and the
+    count, of the non-blank rows, each cut or padded to the header's
+    width: a short row's absent cells read as empty, its absent date as
+    None."""
+    width = len(header)
+    di = {name: k for k, name in enumerate(header)}.get(date_column)
+
+    def pad(row: list[str]) -> list:
+        cut = row[:width] + [""] * (width - len(row))
+        if di is not None and len(row) <= di:
+            cut[di] = None
+        return cut
+    rows = [row if len(row) == width else pad(row) for row in rows if row]
+    return dict(zip(header, zip(*rows))), len(rows)
+
+
+def _take(cells, at: np.ndarray):
+    """The cells at indices ``at``; ``cells`` itself when that is all."""
+    return cells if at.size == len(cells) else [cells[k] for k in at.tolist()]
+
+
+def _column_values(cells, keep: np.ndarray,
                    config: IngestConfig) -> np.ndarray | None:
     """Returns of one column's non-empty cells, at indices ``keep``, or
     None if a cell fails: one ``float`` pass, then vectorized checks."""
     if config.missing_policy == "error" and keep.size < len(cells):
         return None
-    if keep.size < len(cells):
-        cells = [cells[k] for k in keep.tolist()]
+    cells = _take(cells, keep)
     try:
         values = np.fromiter(map(float, cells), float, keep.size)
     except ValueError:
@@ -195,7 +214,7 @@ def _column_values(cells: list, keep: np.ndarray,
     return values
 
 
-def _first_error(cells: list, rows, parse):
+def _first_error(cells, rows, parse):
     """(row, error) of the first cell that ``parse(cell, row)`` rejects:
     the per-cell scan that locates what a column-wide step found."""
     for row, cell in zip(rows, cells):
@@ -204,26 +223,6 @@ def _first_error(cells: list, rows, parse):
         except (ParseError, OverflowError) as exc:
             return row, exc
     raise AssertionError("every cell parsed one by one")
-
-
-def _read_long(reader: csv.DictReader, config: IngestConfig):
-    per_factor: dict[str, tuple[list, list]] = {}
-    for rownum, record in enumerate(reader, start=2):
-        day = _parse_date(record.get(config.date_column), rownum,
-                          config.date_column)
-        if day < config.start_date:
-            continue
-        name = (record.get(config.name_column) or "").strip()
-        if not name:
-            raise ParseError(rownum, config.name_column, "missing series name")
-        value = _parse_ret(record.get(config.return_column), rownum,
-                           config.return_column, config)
-        if value is not None:
-            days, values = per_factor.setdefault(name, ([], []))
-            days.append(day)
-            values.append(value)
-    return {name: (_as_days(days), np.array(values))
-            for name, (days, values) in per_factor.items()}
 
 
 @dataclass(frozen=True)

@@ -146,14 +146,27 @@ class TestReport:
         ["sensitivity", "--mar", "nan"],
         ["bias", "--N", "0"],
         ["bias", "--N", "2,0"],
+        ["portfolio", "--weights", "alpha=abc"],
+        ["portfolio", "--weights", "alpha"],
+        ["portfolio", "--weights", "alpha=inf"],
+        ["portfolio", "--weights", "alpha=0"],
+        ["portfolio", "--weights", "alpha=0,beta=0.0"],
+        ["fixture", "--n-pre", "0"],
+        ["fixture", "--n-post", "0"],
+        ["fixture", "--vol-pre", "inf"],
+        ["bias", "--mu", "inf"],
+        ["simulate", "--sigma", "nan"],
+        ["simulate", "--N", "0"],
     ])
     def test_bad_year_flags_exit_2(self, factors_csv, argv, capsys):
         # a step <= 0 once looped without end, a non-number or an empty
         # grid raised a traceback (exit 1) once the data had been read, a
         # year <= 0 printed rows of Infeasible cells (exit 0), and
         # --splits 0, a count N of 0 or an infinite --mar failed only in
-        # the computation (exit 1)
-        if argv[0] != "bias":
+        # the computation (exit 1); a bad --weights entry, a regime length
+        # of 0 or an infinite volatility ended in a traceback, and an
+        # infinite --mu exited 0
+        if argv[0] not in ("bias", "simulate", "fixture"):
             argv = argv + ["--input", str(factors_csv)]
         with pytest.raises(SystemExit) as info:
             main(argv)

@@ -126,6 +126,17 @@ class TestLoadCsv:
             load_csv(IngestConfig(path, long_format=True, missing_policy="error"))
         assert (info.value.row, info.value.column) == (3, "ret")
 
+    def test_byte_order_mark(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_text("date,f1\n1990-01-01,0.01\n", encoding="utf-8-sig")
+        (s,) = load_csv(IngestConfig(path))
+        assert (s.label, s.returns.tolist()) == ("f1", [0.01])
+        path.write_text("name,date,ret\nmom,1990-01-01,0.01\n",
+                        encoding="utf-8-sig")
+        (s,) = load_csv(IngestConfig(path, long_format=True))
+        assert (s.label, s.returns.tolist()) == ("mom", [0.01])
+
     def test_value_columns_subset(self, tmp_path):
         path = write(tmp_path,
                      "date,a,b\n1990-01-01,0.01,0.02\n1990-01-02,0.03,0.04\n")
@@ -321,6 +332,146 @@ class TestColumnWiseReader:
             assert got == want
             return
         assert [g[0] for g in got] == [w[0] for w in want]
+        for (_, got_dates, got_rets), (_, want_dates, want_rets) in zip(got, want):
+            assert got_dates == want_dates
+            assert got_rets.tobytes() == want_rets.tobytes()
+
+
+def reference_load_long(config):
+    """The long-layout reader as it was before the column-wise one: a
+    ``csv.DictReader`` read one row at a time, then a per-series check.
+    Returns (label, ISO dates, returns) per series, or raises."""
+    path = Path(config.path)
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise EmptySeries(f"{path}: no header row")
+        per_factor = {}
+        for rownum, record in enumerate(reader, start=2):
+            raw_date = record.get(config.date_column)
+            if raw_date is None:
+                raise ParseError(rownum, config.date_column, "missing date cell")
+            try:
+                day = datetime.date.fromisoformat(raw_date.strip())
+            except ValueError as exc:
+                raise ParseError(rownum, config.date_column,
+                                 f"bad date {raw_date!r}") from exc
+            if day < config.start_date:
+                continue
+            name = (record.get(config.name_column) or "").strip()
+            if not name:
+                raise ParseError(rownum, config.name_column, "missing series name")
+            col = config.return_column
+            cell = record.get(col)
+            if cell is None or cell.strip() == "":
+                if config.missing_policy == "error":
+                    raise ParseError(rownum, col, "missing value")
+                continue
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise ParseError(rownum, col, f"bad number {cell!r}") from exc
+            if not math.isfinite(value):
+                raise ParseError(rownum, col, f"non-finite return {cell!r}")
+            if config.percent:
+                value /= 100.0
+            if config.log_returns:
+                value = math.expm1(value)
+            per_factor.setdefault(name, []).append((day, value))
+    out = []
+    for label, rows in per_factor.items():
+        prev = None
+        for day, _ in rows:
+            if prev is not None and day <= prev:
+                raise DateOrderError(
+                    f"series {label!r}: date {day} not after {prev}")
+            prev = day
+        out.append((label, [day.isoformat() for day, _ in rows],
+                    np.array([v for _, v in rows])))
+    if not out:
+        raise EmptySeries(f"{path}: no factor columns found")
+    return out
+
+
+# bad numbers, non-finite literals and (with log_returns, without percent)
+# numbers whose expm1 overflows, the last two weighted up
+LONG_BAD_CELLS = ("abc", "0x1", "nan", "-inf", "800", "1e308", "1e308")
+
+
+@st.composite
+def long_csvs(draw):
+    """A long CSV's text and the IngestConfig options to read it with.
+
+    Half the cases are clean apart from empty cells, with the names
+    interleaved. The others may have blank, short, long or out-of-order
+    rows, whitespace cells, several rows of a name on one date, and a
+    missing or repeated column; in a third of all cases bad or non-finite
+    numbers, and in half of those blank names or bad dates. Rows may fall
+    before ``start_date``. The rows come from one seeded ``Random``, which
+    keeps generation cheap.
+    """
+    rnd = draw(st.randoms(use_true_random=True))
+    messy, junk = rnd.choice(((False, False), (False, False),
+                              (True, False), (True, True)))
+    blank_names, bad_dates = (junk and rnd.random() < 0.5 for _ in range(2))
+    header = rnd.sample(("name", "date", "ret"), 3)
+    if messy and rnd.random() < 0.5:
+        if rnd.random() < 0.5:
+            header.remove(rnd.choice(header))
+        else:
+            header.insert(rnd.randint(0, 3), rnd.choice(header))
+    names = ("a", "b", " c ", "a") * 3 + (("", "  ") if blank_names else ())
+    cells = GOOD_CELLS + (LONG_BAD_CELLS if junk else ())
+    kinds = ("row",) * 8 + (("blank", "short", "long", "back") if messy else ())
+    day = datetime.date(1979, 12, 28)
+    lines = [",".join(header)]
+    for _ in range(rnd.randint(0 if messy else 3, 16)):
+        kind = rnd.choice(kinds)
+        if kind == "blank":
+            lines.append("")
+            continue
+        day += datetime.timedelta(days=rnd.randint(0 if messy else 1, 2))
+        shown = day - datetime.timedelta(days=3) if kind == "back" else day
+        date_text = rnd.choice(
+            (shown.isoformat(),) * 8 + ((f" {shown.isoformat()} ",) if messy else ())
+            + (("1980-13-01", "x", "") if bad_dates else ()))
+        row = [date_text if h == "date" else rnd.choice(names if h == "name" else cells)
+               for h in header]
+        if kind == "short":
+            row = row[:rnd.randint(1, len(row))]
+        elif kind == "long":
+            row.append(rnd.choice(cells))
+        lines.append(",".join(row))
+    options = dict(
+        long_format=True,
+        start_date=draw(st.sampled_from((datetime.date(1979, 12, 1),
+                                         datetime.date(1979, 12, 31),
+                                         datetime.date(1980, 1, 2)))),
+        missing_policy=draw(st.sampled_from(("skip", "skip", "error"))),
+        percent=draw(st.booleans()),
+        log_returns=draw(st.booleans()),
+    )
+    return "\n".join(lines) + "\n", options
+
+
+class TestLongLayoutReader:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(long_csvs())
+    def test_matches_row_by_row_reference(self, case):
+        text, options = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "long.csv"
+            path.write_text(text)
+            config = IngestConfig(path, **options)
+            want = outcome(reference_load_long, config)
+            got = outcome(lambda c: [
+                (s.label, np.datetime_as_string(s.dates).tolist(), s.returns)
+                for s in load_csv(c)], config)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert [g[0] for g in got] == [w[0] for w in want]
+        assert all(type(g[0]) is str for g in got)
         for (_, got_dates, got_rets), (_, want_dates, want_rets) in zip(got, want):
             assert got_dates == want_dates
             assert got_rets.tobytes() == want_rets.tobytes()
