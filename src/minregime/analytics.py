@@ -3,8 +3,10 @@
 Per-factor reports, the decay-risk frontier, sensitivity grids over
 (lookback, minimum-segment-length), cross-metric robustness correlations,
 portfolio-level minimum regime performance, and block-bootstrap stability
-checks. Grid cells and bootstrap replicates are milliseconds of numpy
-work each and run in process, in grid and replicate order.
+checks. Grid cells are milliseconds of numpy work each and run in
+process, in grid order. Bootstrap replicates are drawn as rows of a
+return matrix, a few rows at a time; at s = 1 one 2-D split scan scores
+each chunk of rows, with no series or prefix table per replicate.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import MrpResult, _first_min, _split_scan, mrp_fast, mrp_one_split
+from .engine import (_CHUNK, MrpResult, _check_feasible, _first_min, _split_scan,
+                     mrp_fast, mrp_one_split)
 from .errors import (
     DateMismatch,
     DegenerateVector,
     Infeasible,
     InvalidBlock,
+    MinRegimeError,
 )
 from .series import (
     SHARPE,
@@ -134,7 +138,8 @@ def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
     table = build_prefix_sums(win)
     if s == 1:
         d0 = min(d for d, ok in zip(ds, fits) if ok)
-        pair = _split_scan(table, d0, kind)[2]
+        pair = np.minimum(*_split_scan(win.returns[None], d0, kind,
+                                       win.periods_per_year))[0]
     for k, d in enumerate(ds):
         if not fits[k]:
             continue
@@ -232,9 +237,16 @@ def _inner_join(strategies: Sequence[ReturnSeries]
 
 def portfolio_mrp(spec: PortfolioSpec, s: int, d: int,
                   kind: MetricKind = SHARPE) -> MrpResult:
-    """MRP of the weighted aggregate return w'X_t (inner-join alignment)."""
+    """MRP of the weighted aggregate return w'X_t (inner-join alignment).
+    Raises MinRegimeError, naming the first date, where the aggregate
+    overflows."""
     dates, matrix = _inner_join(spec.strategies)
-    agg = matrix @ np.asarray(spec.weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        agg = matrix @ np.asarray(spec.weights)
+    overflow = np.flatnonzero(~np.isfinite(agg))
+    if overflow.size:
+        raise MinRegimeError(f"portfolio return on {dates[overflow[0]]} is "
+                             "not finite: the weighted sum overflows")
     combined = ReturnSeries(
         dates=dates,
         returns=agg,
@@ -264,20 +276,41 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     replicate. All block starts are drawn up front from a counter-based
     generator, so the result depends only on the seed. ``jobs`` is
     accepted for compatibility and has no effect.
+
+    Replicates are gathered as rows of a return matrix, from the returns
+    extended by their first ``block_len - 1`` values, a chunk of rows at
+    a time: its prefix arrays hold about ``engine._CHUNK`` values, so its
+    memory stays near the window scan's. At s = 1 one 2-D split scan
+    (``engine._split_scan``) scores a chunk, at s >= 2 ``mrp_fast``
+    each row; the values are ``mrp_fast``'s on each replicate, bit for bit.
     """
     n = len(series)
     if not (1 <= block_len <= n):
         raise InvalidBlock(f"block_len must be in [1, {n}], got {block_len}")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    _check_feasible(n, s, d)
     rng = np.random.Generator(np.random.Philox(seed))
     nblocks = -(-n // block_len)
     starts = rng.integers(0, n, size=(replicates, nblocks))
+    # row k of ``blocks`` is the block starting at k, wrapped at the end
+    blocks = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((series.returns, series.returns[:block_len - 1])),
+        block_len)
+    step = max(1, _CHUNK // (2 * n))  # rows of a chunk
     values = np.empty(replicates)
-    for k, row in enumerate(starts):
-        idx = (row[:, None] + np.arange(block_len)).ravel()[:n] % n
-        values[k] = mrp_fast(replace(series, returns=series.returns[idx]),
-                             s, d, kind).value
+    for k in range(0, replicates, step):
+        x = blocks[starts[k:k + step]].reshape(-1, nblocks * block_len)[:, :n]
+        if s >= 2:
+            values[k:k + step] = [mrp_fast(replace(series, returns=row), s, d,
+                                           kind).value for row in x]
+            continue
+        left, right = _split_scan(x, d, kind, series.periods_per_year)
+        # each row's first least split; its value is the left side unless
+        # the right is less, as ``mrp_one_split`` reports it
+        pick = np.arange(len(x)), _first_min(np.minimum(left, right))
+        values[k:k + step] = np.where(right[pick] < left[pick], right[pick],
+                                      left[pick])
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     quants = {q: float(np.quantile(values, q)) for q in qs}
     return BootstrapSummary(

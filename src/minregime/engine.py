@@ -43,8 +43,13 @@ from .series import (
     MetricKind,
     PrefixTable,
     ReturnSeries,
+    _least_ends,
+    _moments,
     _parts,
+    _prefix,
     _ratio,
+    _score,
+    _spread_prefix,
     build_prefix_sums,
     defined_ends,
     metric_many,
@@ -181,32 +186,57 @@ def mrp_one_split(series: ReturnSeries, d: int,
     """
     n = len(series)
     _check_feasible(n, 1, d)
-    left, right, pair = _split_scan(build_prefix_sums(series), d, kind)
-    i = _first_min(pair)
-    return _result_from_splits(series, (d + i,), d, np.array([left[i], right[i]]))
+    left, right = _split_scan(series.returns[None], d, kind,
+                              series.periods_per_year)
+    i = int(_first_min(np.minimum(left, right))[0])
+    return _result_from_splits(series, (d + i,), d,
+                               np.array([left[0, i], right[0, i]]))
 
 
-def _split_scan(table: PrefixTable, d: int, kind: MetricKind):
+def _split_scan(x: np.ndarray, d: int, kind: MetricKind,
+                periods_per_year: int):
     """Left and right segment metrics of every single split t in [d, n-d]
-    (entry t - d), and their minimum: NaN where either side is undefined.
+    (column t - d) of each row of the (R, n) return matrix ``x``: NaN
+    where that side is undefined. A row's metrics are those of the row
+    as a series on its own, bit for bit.
 
-    Each entry depends only on its own split, so the scan at the least d
-    holds the scan at every larger d as the slice [d - d0, n - d - d0].
+    One row-wise cumsum gives the prefix sums; the left windows [0, t)
+    and right windows [t, n) are column slices of them, scored by the
+    kernel's ``_moments``, ``_score`` and ``_least_ends``. Each entry
+    depends only on its own split, so the scan at the least d holds the
+    scan at every larger d as the columns [d - d0, n - d - d0].
     """
-    n = table.n
-    ts = np.arange(d, n - d + 1, dtype=np.int64)
-    left = metric_many(table, np.zeros_like(ts), ts, kind)
-    right = metric_many(table, ts, np.full_like(ts, n), kind)
-    return left, right, np.minimum(left, right)
+    n = x.shape[-1]
+    cut = slice(d, n - d + 1)
+    t = np.arange(d, n - d + 1, dtype=np.int64)
+    m = t.size
+    sum1 = _prefix(x)
+    spread_sums = _spread_prefix(x, kind)
+    ends = _least_ends(x, kind)
+
+    def side(start, end, length, defined, segment):
+        excess, spread = _moments(length, sum1[:, end] - sum1[:, start],
+                                  spread_sums[:, end] - spread_sums[:, start],
+                                  kind)
+        return _score(defined, excess, spread, kind, periods_per_year,
+                      lambda k: segment(x[k // m], k % m))
+
+    left = side(slice(0, 1), cut, t, t >= ends[:, :1],
+                lambda row, k: row[:d + k])
+    right = side(cut, slice(n, None), n - t, ends[:, cut] <= n,
+                 lambda row, k: row[d + k:])
+    return left, right
 
 
-def _first_min(pair: np.ndarray) -> int:
-    """Index of the first least non-NaN entry: the tie rule of the split
-    scan and of brute force."""
-    if np.all(np.isnan(pair)):
+def _first_min(pair: np.ndarray):
+    """Index of the first least non-NaN entry along the last axis: the tie
+    rule of the split scan and of brute force. Raises NoValidPartition
+    if a row (or the one array) is all NaN."""
+    least = np.fmin.reduce(pair, axis=-1, keepdims=True)  # NaN: all NaN
+    if np.isnan(least).any():
         raise NoValidPartition("every partition has a segment with an "
                                "undefined metric")
-    return int(np.flatnonzero(pair == np.nanmin(pair))[0])
+    return np.argmax(pair == least, axis=-1)
 
 
 def _reach(f: np.ndarray, n: int, s: int) -> tuple[list[int], list[int]]:

@@ -176,11 +176,30 @@ class PrefixTable:
     def downside(self, mar: float) -> np.ndarray:
         """Prefix sums of squared shortfalls below ``mar``."""
         if mar not in self._cache:
-            shortfall = np.minimum(self.returns - mar, 0.0)
-            down2 = np.zeros(self.n + 1)
-            np.cumsum(shortfall * shortfall, out=down2[1:])
-            self._cache[mar] = down2
+            self._cache[mar] = _spread_prefix(self.returns, sortino(mar))
         return self._cache[mar]
+
+
+def _prefix(v: np.ndarray) -> np.ndarray:
+    """Prefix sums along the last axis, led by a 0: entry k sums the first
+    k values. A row's sums are those of the row on its own, bit for bit."""
+    out = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
+    np.cumsum(v, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _shortfall2(r: np.ndarray, mar: float) -> np.ndarray:
+    """Squared shortfalls min(r - mar, 0)^2."""
+    shortfall = np.minimum(r - mar, 0.0)
+    return shortfall * shortfall
+
+
+def _spread_prefix(r: np.ndarray, kind: MetricKind) -> np.ndarray:
+    """``_prefix`` of the terms of ``kind``'s spread: squared returns
+    (Sharpe), squared shortfalls below ``mar`` (Sortino)."""
+    if kind.name == "sortino":
+        return _prefix(_shortfall2(r, kind.mar))
+    return _prefix(r * r)
 
 
 def build_prefix_sums(series: ReturnSeries) -> PrefixTable:
@@ -189,12 +208,9 @@ def build_prefix_sums(series: ReturnSeries) -> PrefixTable:
     n = r.shape[0]
     if n == 0:
         raise EmptySeries(f"series {series.label!r} is empty")
-    sum1 = np.zeros(n + 1)
-    sum2 = np.zeros(n + 1)
-    np.cumsum(r, out=sum1[1:])
-    np.cumsum(r * r, out=sum2[1:])
-    return PrefixTable(sum1=sum1, sum2=sum2, returns=r,
-                       periods_per_year=series.periods_per_year, n=n)
+    return PrefixTable(sum1=_prefix(r), sum2=_spread_prefix(r, SHARPE),
+                       returns=r, periods_per_year=series.periods_per_year,
+                       n=n)
 
 
 def defined_ends(table: PrefixTable, kind: MetricKind) -> np.ndarray:
@@ -210,35 +226,49 @@ def defined_ends(table: PrefixTable, kind: MetricKind) -> np.ndarray:
     or after a, a suffix minimum built in O(n) and cached per kind.
     """
     if kind not in table._cache:
-        r = table.returns
-        n = table.n
-        witness = np.full(n + 1, n + 1, dtype=np.int64)
-        if kind.name == "sortino":
-            shortfall = np.minimum(r - kind.mar, 0.0)
-            hit, stop = shortfall * shortfall > 0.0, np.arange(1, n + 1)
-        else:  # the pair (k, k + 1) differs, so [k, k + 2) is defined
-            hit, stop = r[1:] != r[:-1], np.arange(2, n + 1)
-        witness[:hit.size] = np.where(hit, stop, n + 1)
-        least = np.minimum.accumulate(witness[::-1])[::-1]
-        table._cache[kind] = np.maximum(least, np.arange(2, n + 3))
+        table._cache[kind] = _least_ends(table.returns, kind)
     return table._cache[kind]
+
+
+def _least_ends(r: np.ndarray, kind: MetricKind) -> np.ndarray:
+    """``defined_ends`` of the returns ``r``, along its last axis: of one
+    series, or of each row of a return matrix."""
+    n = r.shape[-1]
+    witness = np.full(r.shape[:-1] + (n + 1,), n + 1, dtype=np.int64)
+    if kind.name == "sortino":
+        hit, stop = _shortfall2(r, kind.mar) > 0.0, np.arange(1, n + 1)
+    else:  # the pair (k, k + 1) differs, so [k, k + 2) is defined
+        hit, stop = r[..., 1:] != r[..., :-1], np.arange(2, n + 1)
+    witness[..., :hit.shape[-1]] = np.where(hit, stop, n + 1)
+    least = np.minimum.accumulate(witness[..., ::-1], axis=-1)[..., ::-1]
+    return np.maximum(least, np.arange(2, n + 3))
 
 
 def _parts(table: PrefixTable, start: np.ndarray, end: np.ndarray,
            kind: MetricKind):
     """Length, excess mean and mean-square spread of segments [start, end),
-    int arrays of bounds, from prefix differences. Sharpe's spread is the
-    sample variance, Sortino's the mean squared shortfall below ``mar``.
-    """
+    int arrays of bounds, from prefix differences."""
+    if kind.name == "sortino":
+        down = table.downside(kind.mar)
+        spread_sum = down[end] - down[start]
+    else:
+        spread_sum = table.sum2[end] - table.sum2[start]
     length = end - start
-    total = table.sum1[end] - table.sum1[start]
+    return (length, *_moments(length, table.sum1[end] - table.sum1[start],
+                              spread_sum, kind))
+
+
+def _moments(length, total, spread_sum, kind: MetricKind):
+    """Excess mean and mean-square spread of segments of ``length``
+    observations, from their sums of returns (``total``) and of squared
+    returns (Sharpe) or squared shortfalls below ``mar`` (Sortino).
+    Sharpe's spread is the sample variance, Sortino's the mean squared
+    shortfall."""
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = total / length
         if kind.name == "sortino":
-            down = table.downside(kind.mar)
-            return length, mean - kind.mar, (down[end] - down[start]) / length
-        sq = table.sum2[end] - table.sum2[start]
-        return length, mean, (sq - total * total / length) / (length - 1)
+            return mean - kind.mar, spread_sum / length
+        return mean, (spread_sum - total * total / length) / (length - 1)
 
 
 def _ratio(excess, spread, periods_per_year: int) -> np.ndarray:
@@ -247,9 +277,9 @@ def _ratio(excess, spread, periods_per_year: int) -> np.ndarray:
         return excess / np.sqrt(spread) * math.sqrt(periods_per_year)
 
 
-def _direct(table: PrefixTable, start: int, end: int, kind: MetricKind) -> float:
-    """Two-pass metric of one segment of >= 2 observations, read from the
-    returns; NaN if its spread is not > 0.
+def _direct(seg: np.ndarray, kind: MetricKind, periods_per_year: int) -> float:
+    """Two-pass metric of the segment of >= 2 returns ``seg``; NaN if its
+    spread is not > 0.
 
     Where the spread of a defined segment underflows (returns, or
     shortfalls, within about 1e-154 of each other), its excess and
@@ -257,7 +287,6 @@ def _direct(table: PrefixTable, start: int, end: int, kind: MetricKind) -> float
     taken again: the ratio does not depend on scale, so a segment that
     ``defined_ends`` calls defined never scores NaN.
     """
-    seg = table.returns[start:end]
     mean = float(np.mean(seg))
     if kind.name == "sortino":
         excess, dev, dof = mean - kind.mar, np.minimum(seg - kind.mar, 0.0), 0
@@ -270,7 +299,20 @@ def _direct(table: PrefixTable, start: int, end: int, kind: MetricKind) -> float
         spread = float(np.sum(dev * dev)) / (seg.size - dof)
     if not spread > 0.0:
         return math.nan
-    return float(_ratio(excess, spread, table.periods_per_year))
+    return float(_ratio(excess, spread, periods_per_year))
+
+
+def _score(defined, excess, spread, kind: MetricKind, periods_per_year: int,
+           segment) -> np.ndarray:
+    """Ratios of excess means and spreads from ``_moments`` where
+    ``defined``, NaN elsewhere. Where prefix rounding cancels the spread
+    of a defined segment to <= 0 (a small variance after large returns, a
+    tiny shortfall after large ones), that segment is recomputed by
+    ``_direct`` from ``segment(k)``, its returns, k its flat index."""
+    out = np.where(defined, _ratio(excess, spread, periods_per_year), np.nan)
+    for k in np.flatnonzero(defined & ~(spread > 0)).tolist():
+        out.flat[k] = _direct(segment(k), kind, periods_per_year)
+    return out
 
 
 def metric_many(table: PrefixTable, start, end, kind: MetricKind) -> np.ndarray:
@@ -279,10 +321,8 @@ def metric_many(table: PrefixTable, start, end, kind: MetricKind) -> np.ndarray:
     ``defined_ends`` decides which segments are defined: those of at
     least 2 observations holding two distinct values (Sharpe) or a return
     whose squared shortfall below ``mar`` is > 0 (Sortino). Every segment
-    costs O(1) from the prefix table. Where prefix rounding cancels the
-    spread of a defined segment to <= 0 (a small variance after large
-    returns, a tiny shortfall after large ones), that segment is
-    recomputed by ``_direct``.
+    costs O(1) from the prefix table, bar the rare ones ``_score``
+    recomputes.
 
     ``start`` and ``end`` are int arrays of segment bounds.
     """
@@ -290,11 +330,8 @@ def metric_many(table: PrefixTable, start, end, kind: MetricKind) -> np.ndarray:
                                      np.asarray(end, dtype=np.int64))
     defined = end >= defined_ends(table, kind)[start]
     _, excess, spread = _parts(table, start, end, kind)
-    out = np.where(defined, _ratio(excess, spread, table.periods_per_year),
-                   np.nan)
-    for k in np.flatnonzero(defined & ~(spread > 0)).tolist():
-        out.flat[k] = _direct(table, int(start.flat[k]), int(end.flat[k]), kind)
-    return out
+    return _score(defined, excess, spread, kind, table.periods_per_year,
+                  lambda k: table.returns[start.flat[k]:end.flat[k]])
 
 
 def sharpe_many(table: PrefixTable, start, end) -> np.ndarray:

@@ -1,10 +1,11 @@
 import datetime
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minregime import (
@@ -29,6 +30,8 @@ from minregime import (
     series_metric,
     sortino,
 )
+import minregime.analytics as analytics_module
+import minregime.series as series_module
 from minregime.analytics import FactorReport, _trailing_window
 from minregime.engine import mrp_one_split
 
@@ -302,3 +305,122 @@ class TestBlockBootstrap:
         assert boot.values.shape == (40,)
         assert boot.quantiles[0.05] <= boot.quantiles[0.5] <= boot.quantiles[0.95]
         assert boot.mean == pytest.approx(boot.values.mean())
+
+
+def drawn_replicates(series, block_len, replicates, seed):
+    """The replicates ``block_bootstrap_mrp`` draws, gathered through an
+    index matrix taken modulo n."""
+    n = len(series)
+    rng = np.random.Generator(np.random.Philox(seed))
+    nblocks = -(-n // block_len)
+    starts = rng.integers(0, n, size=(replicates, nblocks))
+    idx = (starts[:, :, None] + np.arange(block_len)).reshape(replicates, -1)
+    return series.returns[idx[:, :n] % n]
+
+
+def reference_values(series, s, d, kind, block_len, replicates, seed):
+    """Each replicate scored on its own by ``mrp_brute_force``: at s = 1
+    ``mrp_fast`` runs the batched path's split scan, so enumeration is the
+    reference that shares none of it."""
+    return [mrp_brute_force(replace(series, returns=row), s, d, kind).value
+            for row in drawn_replicates(series, block_len, replicates, seed)]
+
+
+@st.composite
+def bootstrap_cases(draw):
+    """Series over a small alphabet with ties, or at a large offset with
+    vol 1e-3 or 1e-12 (prefix sums cancel), with injected constant runs
+    (zero runs among them) and runs of tiny returns after a large one; s = 1 or 2, Sharpe or Sortino, and
+    a chunk of 1 to 7 rows that need not divide the replicates."""
+    s = draw(st.sampled_from([1, 2]))
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers((s + 1) * d, 40))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from(ALPHABET), min_size=n,
+                               max_size=n))
+    else:
+        offset = draw(st.floats(1.0, 1e3)) * draw(st.sampled_from([1, -1]))
+        vol = draw(st.sampled_from([1e-3, 1e-12]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        values = (offset + vol * rng.standard_normal(n)).tolist()
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(0, n - 1))
+        stop = min(n, start + draw(st.integers(2, 12)))
+        values[start:stop] = [draw(st.sampled_from(ALPHABET))] * (stop - start)
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.integers(0, n - 1))
+        large = draw(st.sampled_from([-0.5, 1e3]))
+        tiny = draw(st.lists(st.sampled_from([1e-13, -1e-13, 0.0]),
+                             max_size=10))
+        run = [large] + tiny
+        values[start:start + len(run)] = run[:n - start]
+    kind = draw(st.sampled_from([SHARPE, sortino(0.0), sortino(0.005),
+                                 sortino(-0.005)]))
+    return (values, s, d, kind, draw(st.integers(1, n)),
+            draw(st.integers(1, 20)), draw(st.integers(1, 7)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+#: a large loss then tiny ones, Sortino: the downside prefix absorbs the
+#: tiny shortfalls, so right windows after the loss are recomputed
+ABSORBED_SORTINO = ([-0.5] + [-1e-13] * 11, 1, 2, sortino(0.0), 12, 9, 2, 4)
+#: the same for Sharpe: the squared returns after 1e3 are absorbed
+ABSORBED_SHARPE = ([1e3] + [1e-13, -1e-13] * 6, 1, 2, SHARPE, 13, 9, 4, 6)
+#: returns within a few ulps of -1e3, then ordinary ones: the variance of
+#: left windows in the first part cancels, and their recomputed Sharpe,
+#: near -1e15, is the minimum
+CANCELLED_LEFT = ([-1e3 - 2.5e-13 * (k % 3) for k in range(20)]
+                  + [0.01, -0.01, 0.02, -0.03] * 5, 1, 2, SHARPE, 40, 9, 3, 8)
+
+
+class TestBootstrapReplicateOracle:
+    def test_values_match_per_replicate_reference(self):
+        """The batched replicate path against the brute-force MRP of each
+        drawn replicate as a series, bit for bit, NoValidPartition included;
+        some cases must take the kernel's direct recompute."""
+        recomputed = []
+        direct = series_module._direct
+
+        def counted(*args):
+            recomputed.append(args)
+            return direct(*args)
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(bootstrap_cases())
+        @example(ABSORBED_SORTINO)
+        @example(ABSORBED_SHARPE)
+        @example(CANCELLED_LEFT)
+        def check(case):
+            values, s, d, kind, block_len, replicates, rows, seed = case
+            series = series_from(values)
+            try:
+                want = reference_values(series, s, d, kind, block_len,
+                                        replicates, seed)
+            except NoValidPartition:
+                want = None
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analytics_module, "_CHUNK", 2 * len(series) * rows)
+                if s == 1:
+                    mp.setattr(series_module, "_direct", counted)
+                if want is None:
+                    with pytest.raises(NoValidPartition):
+                        block_bootstrap_mrp(series, block_len, replicates, s=s,
+                                            d=d, kind=kind, seed=seed)
+                    return
+                got = block_bootstrap_mrp(series, block_len, replicates, s=s,
+                                          d=d, kind=kind, seed=seed).values
+            assert got.tobytes() == np.array(want).tobytes()
+
+        check()
+        assert recomputed
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("kind", [SHARPE, sortino(0.0)],
+                             ids=["sharpe", "sortino"])
+    def test_no_feasible_split(self, s, kind):
+        # constant positive returns: no segment has a defined metric
+        series = series_from([0.01] * 30)
+        with pytest.raises(NoValidPartition):
+            reference_values(series, s, 5, kind, 7, 3, 1)
+        with pytest.raises(NoValidPartition):
+            block_bootstrap_mrp(series, 7, 3, s=s, d=5, kind=kind, seed=1)

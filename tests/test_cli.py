@@ -275,6 +275,27 @@ class TestOthers:
         assert main(["portfolio", "--input", str(factors_csv),
                      "--weights", "nope=1.0", "--min-segment", "0.25y"]) == 1
 
+    def test_portfolio_overflow_is_an_error(self, tmp_path, capsys):
+        import datetime
+
+        import numpy as np
+
+        # N(0, 3) returns; at weights 1e308 the second day's sum overflows
+        rets = np.random.default_rng(0).normal(0.0, 3.0, (800, 2))
+        rets[:2] = [[0.5, -0.5], [2.0, 1.0]]
+        day = datetime.date(2000, 1, 3)
+        lines = ["date,a,b"] + [
+            f"{day + datetime.timedelta(days=i)},{a:.8f},{b:.8f}"
+            for i, (a, b) in enumerate(rets)]
+        path = tmp_path / "large.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["portfolio", "--input", str(path),
+                     "--weights", "a=1e308,b=1e308", "--min-segment", "100p"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == ("error: portfolio return on 2000-01-04 is not finite: "
+                       "the weighted sum overflows\n")
+
     def test_simulate(self, tmp_path):
         out = tmp_path / "sim.csv"
         code = main(["simulate", "--N", "100", "--trials", "2000",

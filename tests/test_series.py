@@ -140,7 +140,7 @@ class TestSortinoPrefix:
         table = build_prefix_sums(series_from(values))
         kind = sortino(0.0)
         got = metric_many(table, np.array([2]), np.array([5]), kind)[0]
-        assert got == _direct(table, 2, 5, kind)
+        assert got == _direct(table.returns[2:5], kind, table.periods_per_year)
         assert got == pytest.approx(-12.9615, abs=1e-4)
         row = metric_many(table, np.full(4, 2), np.arange(4, 8), kind)
         assert row[1] == got
@@ -150,7 +150,8 @@ class TestSortinoPrefix:
         got = metric_many(table, np.array([1, 1, 0]), np.array([4, 5, 1]),
                           sortino(0.0))
         assert math.isnan(got[0])        # no return below 0
-        assert got[1] == pytest.approx(_direct(table, 1, 5, sortino(0.0)),
+        assert got[1] == pytest.approx(_direct(table.returns[1:5], sortino(0.0),
+                                               table.periods_per_year),
                                        rel=1e-12)
         assert math.isnan(got[2])        # length 1
 
@@ -199,7 +200,8 @@ class TestKernelProperties:
         starts, ends = (np.array(x) for x in zip(*segments))
         got = metric_many(table, starts, ends, sortino(mar))
         for (a, b), value in zip(segments, got.tolist()):
-            want = _direct(table, a, b, sortino(mar)) if b - a > 1 else math.nan
+            want = _direct(table.returns[a:b], sortino(mar),
+                           table.periods_per_year) if b - a > 1 else math.nan
             assert math.isnan(value) == math.isnan(want), (a, b)
             if not math.isnan(want):
                 assert math.isclose(value, want, rel_tol=1e-9, abs_tol=1e-9)
