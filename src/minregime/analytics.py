@@ -124,7 +124,8 @@ def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
     """One lookback's cells, (MRP - metric) at each d of ``ds``; NaN where
     no partition fits.
 
-    The trailing window and its prefix table are built once. At s = 1 one
+    The trailing window, its prefix table and its metric are computed
+    once, the metric right after the first cell's MRP. At s = 1 one
     split scan at the least fitting d holds every cell: a cell is the
     first least entry of its slice of that scan, as ``mrp_one_split``
     would pick it. Cells are computed, and raise, in grid order.
@@ -140,6 +141,7 @@ def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
         d0 = min(d for d, ok in zip(ds, fits) if ok)
         pair = np.minimum(*_split_scan(win.returns[None], d0, kind,
                                        win.periods_per_year))[0]
+    full = None
     for k, d in enumerate(ds):
         if not fits[k]:
             continue
@@ -148,7 +150,9 @@ def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
             value = cut[_first_min(cut)]
         else:
             value = mrp_fast(win, s, d, kind).value
-        row[k] = value - segment_metric(table, 0, n, kind)
+        if full is None:
+            full = segment_metric(table, 0, n, kind)
+        row[k] = value - full
     return row
 
 

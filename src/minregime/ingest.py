@@ -5,12 +5,16 @@ per factor, ISO-8601 dates, header row. The long format (name, date,
 ret) is read the same way, as one value column split by name. A leading
 byte-order mark is dropped. Rows before ``start_date`` are dropped
 (factor histories are truncated so every factor is live at the start).
+
+A plain file (no quote, no overlong line, rows as wide as the header)
+is split by ``str.split``, any other by ``csv.reader``: the same rows.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +22,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import EmptySeries, ParseError
+from .errors import EmptySeries, MinRegimeError, ParseError
 from .series import Frequency, ReturnSeries, _as_days
 
 
@@ -76,9 +80,12 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     """Load one ReturnSeries per factor column (or long-format name).
 
     Both layouts are read column by column, with the result and errors
-    of a row-by-row read. Blank lines are skipped; a short row's absent
-    cells read as empty and its absent date as missing; a long row's
-    extra cells are dropped; a repeated header name means its last
+    of a row-by-row read. The rows are ``csv.reader``'s, which a plain
+    file (see ``_split``) gets from ``str.split``; a file that is not
+    UTF-8, or has a field over the ``csv`` field size limit, raises a
+    MinRegimeError that names it. Blank lines are skipped; a short row's
+    absent cells read as empty and its absent date as missing; a long
+    row's extra cells are dropped; a repeated header name means its last
     column. Rows before ``start_date`` are dropped. In the long layout a
     name column splits the rows of one value column, and series come in
     order of each name's first appearance. A failing column is scanned
@@ -89,18 +96,22 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     (``ReturnSeries`` raises DateOrderError).
     """
     path = Path(config.path)
-    # "utf-8-sig": a byte-order mark is not part of the first header name
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None:
+    try:  # a byte-order mark is not part of the first header name
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+        if not text:
             raise EmptySeries(f"{path}: no header row")
-        labels = config.value_columns
-        if labels is None:
-            labels = tuple(c for c in header if c != config.date_column)
-        if not labels and not config.long_format:
-            raise EmptySeries("no value columns")
-        table, nrows = _columns(rows, header, config.date_column)
+        header, table, nrows = (_split(text)
+                                or _columns(text, config.date_column))
+    except UnicodeDecodeError as exc:
+        raise MinRegimeError(f"{path}: not UTF-8 text ({exc.reason}) at byte "
+                             f"{exc.start}") from None
+    except csv.Error as exc:  # a field over the field size limit
+        raise MinRegimeError(f"{path}: {exc}") from None
+    labels = config.value_columns
+    if labels is None:
+        labels = tuple(c for c in header if c != config.date_column)
+    if not labels and not config.long_format:
+        raise EmptySeries("no value columns")
 
     def column(name: str, absent: str | None = "") -> tuple:
         return table.get(name, (absent,) * nrows)
@@ -120,9 +131,7 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     def read(name: str, pos: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Indices into ``live`` of non-empty cells, and their returns."""
         cells = _take(column(name), live)
-        keep = np.flatnonzero(np.fromiter(map(bool, map(str.strip, cells)),
-                                          bool, len(cells)))
-        values = _column_values(cells, keep, config)
+        keep, values = _column_values(cells, config)
         if values is None:
             at, error = _first_error(cells, (live + 2).tolist(), lambda t, r:
                                      _parse_ret(t, r, name, config))
@@ -167,11 +176,35 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     return out
 
 
-def _columns(rows, header: list[str], date_column: str) -> tuple[dict, int]:
-    """Cells by header name (a repeated name: its last column), and the
-    count, of the non-blank rows, each cut or padded to the header's
-    width: a short row's absent cells read as empty, its absent date as
-    None."""
+def _split(text: str) -> tuple[list[str], dict, int] | None:
+    """``_columns``'s result by ``str.split``, where that gives the rows of
+    ``csv.reader``: no quote, no line over the field size limit, and each
+    non-blank body line (ended by \\n, \\r\\n or \\r) as wide as the
+    header. None for any other text."""
+    if "\r" in text:  # one scan, where the replaces take two
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    width = len(header)
+    body = [line for line in lines[1:] if line]
+    if ('"' in text or not lines[0]
+            or max(map(len, lines)) > csv.field_size_limit()
+            or any(line.count(",") != width - 1 for line in body)):
+        return None
+    nrows, joined = len(body), ",".join(body)
+    del lines, body  # the line strings go before the cells are made
+    cells = joined.split(",") if nrows else []
+    columns = (cells[k::width] for k in range(width))
+    return header, dict(zip(header, columns)), nrows
+
+
+def _columns(text: str, date_column: str) -> tuple:
+    """Header, cells by header name and count of the non-blank rows of a
+    non-empty text, read by ``csv.reader``. Each row is cut or padded to
+    the header's width: a short row's absent cells read as empty, its
+    absent date as None. A repeated header name means its last column."""
+    rows = csv.reader(io.StringIO(text, newline=""))
+    header = next(rows)
     width = len(header)
     di = {name: k for k, name in enumerate(header)}.get(date_column)
 
@@ -181,7 +214,7 @@ def _columns(rows, header: list[str], date_column: str) -> tuple[dict, int]:
             cut[di] = None
         return cut
     rows = [row if len(row) == width else pad(row) for row in rows if row]
-    return dict(zip(header, zip(*rows))), len(rows)
+    return header, dict(zip(header, zip(*rows))), len(rows)
 
 
 def _take(cells, at: np.ndarray):
@@ -189,19 +222,27 @@ def _take(cells, at: np.ndarray):
     return cells if at.size == len(cells) else [cells[k] for k in at.tolist()]
 
 
-def _column_values(cells, keep: np.ndarray,
-                   config: IngestConfig) -> np.ndarray | None:
-    """Returns of one column's non-empty cells, at indices ``keep``, or
-    None if a cell fails: one ``float`` pass, then vectorized checks."""
-    if config.missing_policy == "error" and keep.size < len(cells):
-        return None
-    cells = _take(cells, keep)
+def _column_values(cells, config: IngestConfig) -> tuple:
+    """Indices of a column's non-empty cells and their returns, or None
+    for the returns if a cell fails: one ``float`` pass, then vectorized
+    checks. Cells are stripped only if ``float`` fails on one."""
+    n = len(cells)
+    keep = (np.flatnonzero(np.fromiter(map(bool, cells), bool, n))
+            if "" in cells else np.arange(n))
     try:
-        values = np.fromiter(map(float, cells), float, keep.size)
+        values = np.fromiter(map(float, filter(None, cells)), float, keep.size)
     except ValueError:
-        return None
+        keep = np.flatnonzero(np.fromiter(map(bool, map(str.strip, cells)),
+                                          bool, n))
+        try:
+            values = np.fromiter(map(float, _take(cells, keep)), float,
+                                 keep.size)
+        except ValueError:
+            return keep, None
+    if config.missing_policy == "error" and keep.size < n:
+        return keep, None
     if not np.isfinite(values).all():
-        return None
+        return keep, None
     if config.percent:
         values /= 100.0
     if config.log_returns:
@@ -210,8 +251,8 @@ def _column_values(cells, keep: np.ndarray,
             values = np.fromiter(map(math.expm1, values.tolist()), float,
                                  keep.size)
         except OverflowError:
-            return None
-    return values
+            return keep, None
+    return keep, values
 
 
 def _first_error(cells, rows, parse):

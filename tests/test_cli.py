@@ -81,6 +81,24 @@ class TestReport:
         code = main(["report", "--input", str(tmp_path / "missing.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("data, message", [
+        (b"date,f\xe9\n2020-01-01,0.01\n",
+         "not UTF-8 text (invalid continuation byte) at byte 6"),
+        # the offset counts a leading byte-order mark
+        (b"\xef\xbb\xbfdate,f\n2020-01-01,\xff\n",
+         "not UTF-8 text (invalid start byte) at byte 21"),
+        (b"date,f\n2020-01-01,0." + b"1" * 131_072 + b"\n",
+         "field larger than field limit (131072)"),
+    ], ids=["not-utf8", "not-utf8-after-bom", "over-field-limit"])
+    def test_unreadable_file_is_data_error(self, tmp_path, capsys, data,
+                                           message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        assert main(["report", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {message}\n"
+        assert "Traceback" not in err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as info:
             main(["report", "--nonsense"])

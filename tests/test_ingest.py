@@ -2,11 +2,12 @@ import csv
 import datetime
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minregime import (
@@ -18,6 +19,7 @@ from minregime import (
     ZeroVariance,
     series_metric,
 )
+from minregime import ingest
 from minregime.engine import mrp_one_split
 from minregime.ingest import FixtureSpec, IngestConfig, load_csv, make_fixture
 
@@ -86,6 +88,15 @@ class TestLoadCsv:
         assert len(s) == 2
         with pytest.raises(ParseError):
             load_csv(IngestConfig(path, missing_policy="error"))
+
+    def test_whitespace_cells(self, tmp_path):
+        # "\x1c" is whitespace to str.strip but not to float
+        text = "date,f1\n1990-01-01, 0.01\n1990-01-02,\x1c\n1990-01-03,\t\n"
+        (s,) = load_csv(IngestConfig(write(tmp_path, text)))
+        assert s.returns.tolist() == [0.01]
+        path = write(tmp_path, "date,f1\n1990-01-01,0.01\x1c\n")
+        with pytest.raises(ParseError, match="bad number"):
+            load_csv(IngestConfig(path))
 
     def test_percent_flag(self, tmp_path):
         path = write(tmp_path, "date,f1\n1990-01-01,1.5\n1990-01-02,-0.5\n")
@@ -251,6 +262,50 @@ GOOD_CELLS = ("0.01", "-0.02", " 0.003 ", "1e-3", "-0.5", "0", "2.5", "-7",
 BAD_CELLS = ("nan", "inf", "-Infinity", "abc", "1_0", "0x1", "1e999", "800",
              "1e308")
 LABELS = ("a", "b", "c")
+# quoted cells and whitespace that read as a number or as empty, and
+# ones that read as a bad number: a comma inside quotes, a doubled quote,
+# a character that str.strip removes and float does not
+MESSY_CELLS = ('"0.01"', '" -0.02 "', '""', "\x1c", "\t\x0b")
+MESSY_BAD_CELLS = ('"1,5"', '"0.0""1"', '""""', "0.01\x1c")
+
+
+def file_text(lines, choice):
+    """CSV lines as the text of a file: lines ended by "\\n", "\\r\\n", "\\r"
+    or a mix of them, the last line ended or not, and sometimes a blank
+    first line or a whitespace-only line, or no text at all. ``choice``
+    picks one item of a sequence."""
+    shape = choice(("plain",) * 9 + ("blank_first", "whitespace", "empty"))
+    if shape == "empty":
+        return ""
+    lines = list(lines)
+    if shape == "blank_first":
+        lines.insert(0, "")
+    elif shape == "whitespace":
+        lines.insert(choice(range(1, len(lines) + 1)), choice((" ", "\t ")))
+    return ended(lines, choice)
+
+
+def ended(lines, choice):
+    """Lines ended by "\\n", "\\r\\n", "\\r" or a mix of them, the last
+    one ended or not."""
+    ends = choice(("\n",) * 3 + ("\r\n", "\r", "mixed"))
+    text = "".join(line + (choice(("\n", "\r\n", "\r")) if ends == "mixed"
+                           else ends) for line in lines)
+    return text if choice((True, True, False)) else text.rstrip("\r\n")
+
+
+def count_tokenizers(monkeypatch) -> Counter:
+    """Counts, kept as ``load_csv`` runs, of the files it splits with
+    ``str.split`` and of those it leaves to ``csv.reader``."""
+    counts = Counter()
+    split = ingest._split
+
+    def spy(text):
+        got = split(text)
+        counts["split" if got is not None else "csv.reader"] += 1
+        return got
+    monkeypatch.setattr(ingest, "_split", spy)
+    return counts
 
 
 @st.composite
@@ -258,9 +313,11 @@ def wide_csvs(draw):
     """A wide CSV's text and the IngestConfig options to read it with.
 
     Half the cases are clean apart from empty cells. The others may have
-    blank, short, long or out-of-order rows, whitespace cells, a missing
-    date column, and, in a third of all cases, bad or non-finite numbers
-    and bad dates. Rows may fall before ``start_date``, and labels repeat.
+    blank, short, long or out-of-order rows, whitespace or quoted cells, a
+    quoted header name, a missing date column, and, in a third of all
+    cases, bad or non-finite numbers and bad dates. Rows may fall before
+    ``start_date``, and labels repeat. Any case may take one of the
+    shapes of ``file_text``.
     """
     messy, junk = draw(st.sampled_from(((False, False), (False, False),
                                         (True, False), (True, True))))
@@ -268,11 +325,16 @@ def wide_csvs(draw):
     header = list(names)
     if not messy or draw(st.sampled_from((True,) * 5 + (False,))):
         header.insert(draw(st.integers(0, len(names))), "date")
-    cells = st.sampled_from(GOOD_CELLS + (BAD_CELLS if junk else ()))
+    cells = st.sampled_from(GOOD_CELLS + (MESSY_CELLS if messy else ())
+                            + (BAD_CELLS + MESSY_BAD_CELLS if junk else ()))
     kinds = ("row",) * 8 + (("blank", "short", "long", "back", "empty_back")
                             if messy else ())
     day = datetime.date(1979, 12, 28)
-    lines = [",".join(header)]
+    shown_header = list(header)
+    if messy and draw(st.booleans()):
+        k = draw(st.integers(0, len(header) - 1))
+        shown_header[k] = f'"{header[k]}"'
+    lines = [",".join(shown_header)]
     for _ in range(draw(st.integers(0 if messy else 3, 14))):
         kind = draw(st.sampled_from(kinds))
         if kind == "blank":
@@ -302,7 +364,7 @@ def wide_csvs(draw):
         percent=draw(st.booleans()),
         log_returns=draw(st.booleans()),
     )
-    return "\n".join(lines) + "\n", options
+    return file_text(lines, lambda items: draw(st.sampled_from(items))), options
 
 
 def outcome(load, config):
@@ -316,25 +378,31 @@ def outcome(load, config):
 
 
 class TestColumnWiseReader:
-    @settings(max_examples=600, deadline=None, derandomize=True)
-    @given(wide_csvs())
-    def test_matches_row_by_row_reference(self, case):
-        text, options = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "wide.csv"
-            path.write_text(text)
-            config = IngestConfig(path, **options)
-            want = outcome(reference_load_wide, config)
-            got = outcome(lambda c: [
-                (s.label, np.datetime_as_string(s.dates).tolist(), s.returns)
-                for s in load_csv(c)], config)
-        if isinstance(want, tuple):
-            assert got == want
-            return
-        assert [g[0] for g in got] == [w[0] for w in want]
-        for (_, got_dates, got_rets), (_, want_dates, want_rets) in zip(got, want):
-            assert got_dates == want_dates
-            assert got_rets.tobytes() == want_rets.tobytes()
+    def test_matches_row_by_row_reference(self, monkeypatch):
+        tokenizers = count_tokenizers(monkeypatch)
+
+        @settings(max_examples=600, deadline=None, derandomize=True)
+        @given(wide_csvs())
+        def check(case):
+            text, options = case
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "wide.csv"
+                path.write_text(text)
+                config = IngestConfig(path, **options)
+                want = outcome(reference_load_wide, config)
+                got = outcome(lambda c: [
+                    (s.label, np.datetime_as_string(s.dates).tolist(),
+                     s.returns) for s in load_csv(c)], config)
+            if isinstance(want, tuple):
+                assert got == want
+                return
+            assert [g[0] for g in got] == [w[0] for w in want]
+            for (_, got_dates, got_rets), (_, want_dates, want_rets) in zip(
+                    got, want):
+                assert got_dates == want_dates
+                assert got_rets.tobytes() == want_rets.tobytes()
+        check()
+        assert tokenizers["split"] > 100 and tokenizers["csv.reader"] > 100
 
 
 def reference_load_long(config):
@@ -405,10 +473,11 @@ def long_csvs(draw):
     Half the cases are clean apart from empty cells, with the names
     interleaved. The others may have blank, short, long or out-of-order
     rows, whitespace cells, several rows of a name on one date, and a
-    missing or repeated column; in a third of all cases bad or non-finite
-    numbers, and in half of those blank names or bad dates. Rows may fall
-    before ``start_date``. The rows come from one seeded ``Random``, which
-    keeps generation cheap.
+    missing or repeated column, quoted cells and a quoted header name; in
+    a third of all cases bad or non-finite numbers, and in half of those
+    blank names or bad dates. Rows may fall before ``start_date``. Any
+    case may take one of the shapes of ``file_text``. The rows come from
+    one seeded ``Random``, which keeps generation cheap.
     """
     rnd = draw(st.randoms(use_true_random=True))
     messy, junk = rnd.choice(((False, False), (False, False),
@@ -421,10 +490,15 @@ def long_csvs(draw):
         else:
             header.insert(rnd.randint(0, 3), rnd.choice(header))
     names = ("a", "b", " c ", "a") * 3 + (("", "  ") if blank_names else ())
-    cells = GOOD_CELLS + (LONG_BAD_CELLS if junk else ())
+    cells = (GOOD_CELLS + (MESSY_CELLS if messy else ())
+             + (LONG_BAD_CELLS + MESSY_BAD_CELLS if junk else ()))
     kinds = ("row",) * 8 + (("blank", "short", "long", "back") if messy else ())
     day = datetime.date(1979, 12, 28)
-    lines = [",".join(header)]
+    shown_header = list(header)
+    if messy and header and rnd.random() < 0.5:
+        k = rnd.randrange(len(header))
+        shown_header[k] = f'"{header[k]}"'
+    lines = [",".join(shown_header)]
     for _ in range(rnd.randint(0 if messy else 3, 16)):
         kind = rnd.choice(kinds)
         if kind == "blank":
@@ -451,27 +525,87 @@ def long_csvs(draw):
         percent=draw(st.booleans()),
         log_returns=draw(st.booleans()),
     )
-    return "\n".join(lines) + "\n", options
+    return file_text(lines, rnd.choice), options
 
 
 class TestLongLayoutReader:
-    @settings(max_examples=500, deadline=None, derandomize=True)
-    @given(long_csvs())
-    def test_matches_row_by_row_reference(self, case):
-        text, options = case
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "long.csv"
-            path.write_text(text)
-            config = IngestConfig(path, **options)
-            want = outcome(reference_load_long, config)
-            got = outcome(lambda c: [
-                (s.label, np.datetime_as_string(s.dates).tolist(), s.returns)
-                for s in load_csv(c)], config)
-        if isinstance(want, tuple):
-            assert got == want
+    def test_matches_row_by_row_reference(self, monkeypatch):
+        tokenizers = count_tokenizers(monkeypatch)
+
+        @settings(max_examples=500, deadline=None, derandomize=True)
+        @given(long_csvs())
+        def check(case):
+            text, options = case
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "long.csv"
+                path.write_text(text)
+                config = IngestConfig(path, **options)
+                want = outcome(reference_load_long, config)
+                got = outcome(lambda c: [
+                    (s.label, np.datetime_as_string(s.dates).tolist(),
+                     s.returns) for s in load_csv(c)], config)
+            if isinstance(want, tuple):
+                assert got == want
+                return
+            assert [g[0] for g in got] == [w[0] for w in want]
+            assert all(type(g[0]) is str for g in got)
+            for (_, got_dates, got_rets), (_, want_dates, want_rets) in zip(
+                    got, want):
+                assert got_dates == want_dates
+                assert got_rets.tobytes() == want_rets.tobytes()
+        check()
+        assert tokenizers["split"] > 100 and tokenizers["csv.reader"] > 100
+
+
+# --------------------------------------------------------- the tokenizers
+
+# cells hold no comma, quote or line end; the alphabet has characters that
+# str.strip or str.splitlines treat specially and csv.reader does not
+TOKEN_CELLS = st.text("a1.- \t\0\x0b\x0c\x1c\x85\xa0 ", max_size=3)
+
+
+@st.composite
+def token_texts(draw):
+    """(text, whether ``_split`` may read it): a header and rows of cells,
+    with blank lines, ended as ``ended`` ends them. The rows may be ragged,
+    one cell may be longer than the field size limit, and the first line
+    may be blank; such a text is for ``csv.reader``."""
+    header = draw(st.lists(TOKEN_CELLS.filter(bool), min_size=1, max_size=4))
+    width = len(header)
+    rows = draw(st.lists(st.lists(TOKEN_CELLS, min_size=width,
+                                  max_size=width), max_size=6))
+    ragged = draw(st.sampled_from((False,) * 3 + (True,)))
+    if ragged:  # at least two cells, so the line is not blank
+        size = draw(st.sampled_from([width + 1, width + 2]
+                                    + list(range(2, width))))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.lists(TOKEN_CELLS, min_size=size, max_size=size)))
+    too_long = draw(st.sampled_from((False,) * 9 + (True,)))
+    if too_long:
+        line = draw(st.sampled_from([header] + rows))
+        line[-1] = "1" * (csv.field_size_limit() + 1)
+    blank_first = draw(st.sampled_from((False,) * 9 + (True,)))
+    lines = [""] * blank_first + [",".join(line) for line in [header] + rows]
+    lines[1:] = [line for row in lines[1:] for line in
+                 [row] + [""] * draw(st.integers(0, 1))]
+    text = ended(lines, lambda items: draw(st.sampled_from(items)))
+    return text, not (ragged or too_long or blank_first)
+
+
+class TestSplitTokenizer:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(token_texts())
+    @example(("", False))
+    @example(("\na\nb\n", False))  # csv.reader's header is [] here
+    @example(("a\n\n b\r\rc\r\n", True))
+    @example(("a,b\r\n1,2", True))
+    def test_matches_csv_reader(self, case):
+        text, readable = case
+        got = ingest._split(text)
+        assert (got is not None) == readable
+        if got is None:
             return
-        assert [g[0] for g in got] == [w[0] for w in want]
-        assert all(type(g[0]) is str for g in got)
-        for (_, got_dates, got_rets), (_, want_dates, want_rets) in zip(got, want):
-            assert got_dates == want_dates
-            assert got_rets.tobytes() == want_rets.tobytes()
+        header, table, nrows = ingest._columns(text, "date")
+        assert got[0] == header and got[2] == nrows
+        assert {name: list(cells) for name, cells in got[1].items()} == {
+            name: list(table.get(name, ())) for name in header}
