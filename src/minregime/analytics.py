@@ -4,9 +4,11 @@ Per-factor reports, the decay-risk frontier, sensitivity grids over
 (lookback, minimum-segment-length), cross-metric robustness correlations,
 portfolio-level minimum regime performance, and block-bootstrap stability
 checks. Grid cells are milliseconds of numpy work each and run in
-process, in grid order. Bootstrap replicates are drawn as rows of a
-return matrix, a few rows at a time; at s = 1 one 2-D split scan scores
-each chunk of rows, with no series or prefix table per replicate.
+process, in grid order. Every product scores segments from one
+``PrefixTable``: a trailing window's, shared by its grid row's split
+scan and full-window metric, or a chunk of bootstrap replicates', drawn
+as rows of a return matrix and scored at s = 1 by one 2-D split scan,
+with no series or table per replicate.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .series import (
     SHARPE,
     MetricKind,
     ReturnSeries,
+    _prefix_table,
     build_prefix_sums,
     segment_metric,
     series_metric,
@@ -126,9 +129,10 @@ def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
 
     The trailing window, its prefix table and its metric are computed
     once, the metric right after the first cell's MRP. At s = 1 one
-    split scan at the least fitting d holds every cell: a cell is the
-    first least entry of its slice of that scan, as ``mrp_one_split``
-    would pick it. Cells are computed, and raise, in grid order.
+    split scan of that table, at the least fitting d, holds every cell:
+    a cell is the first least entry of its slice of that scan, as
+    ``mrp_one_split`` would pick it. The full-window metric reads the
+    same table. Cells are computed, and raise, in grid order.
     """
     win = _trailing_window(series, lookback)
     n = len(win)
@@ -139,8 +143,7 @@ def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
     table = build_prefix_sums(win)
     if s == 1:
         d0 = min(d for d, ok in zip(ds, fits) if ok)
-        pair = np.minimum(*_split_scan(win.returns[None], d0, kind,
-                                       win.periods_per_year))[0]
+        pair = np.minimum(*_split_scan(table, d0, kind))
     full = None
     for k, d in enumerate(ds):
         if not fits[k]:
@@ -284,9 +287,10 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     Replicates are gathered as rows of a return matrix, from the returns
     extended by their first ``block_len - 1`` values, a chunk of rows at
     a time: its prefix arrays hold about ``engine._CHUNK`` values, so its
-    memory stays near the window scan's. At s = 1 one 2-D split scan
-    (``engine._split_scan``) scores a chunk, at s >= 2 ``mrp_fast``
-    each row; the values are ``mrp_fast``'s on each replicate, bit for bit.
+    memory stays near the window scan's. At s = 1 the chunk's one
+    ``PrefixTable`` is read by one 2-D split scan (``engine._split_scan``),
+    at s >= 2 ``mrp_fast`` scores each row; the values are ``mrp_fast``'s
+    on each replicate, bit for bit.
     """
     n = len(series)
     if not (1 <= block_len <= n):
@@ -309,7 +313,8 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
             values[k:k + step] = [mrp_fast(replace(series, returns=row), s, d,
                                            kind).value for row in x]
             continue
-        left, right = _split_scan(x, d, kind, series.periods_per_year)
+        left, right = _split_scan(_prefix_table(x, series.periods_per_year),
+                                  d, kind)
         # each row's first least split; its value is the left side unless
         # the right is less, as ``mrp_one_split`` reports it
         pick = np.arange(len(x)), _first_min(np.minimum(left, right))

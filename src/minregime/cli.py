@@ -56,17 +56,20 @@ def parse_duration(text: str, frequency: Frequency) -> int:
             return int(round(float(text[:-1]) * frequency.periods_per_year))
         if text.endswith("p"):
             return int(text[:-1])
-    except ValueError:
+    except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(
-            f"duration {text!r} is not a number") from None
+            f"duration {text!r} is not a finite number") from None
     raise argparse.ArgumentTypeError(
         f"duration {text!r} needs a 'y' or 'p' suffix")
 
 
 def duration(text: str) -> str:
     """argparse type of a duration flag: the syntax is checked at parse
-    time, the period count once ``--frequency`` is known."""
-    parse_duration(text, Frequency.DAILY)
+    time, the period count once ``--frequency`` is known. Below 2 periods
+    at the most periods per year (daily), it is below 2 at every one."""
+    if parse_duration(text, Frequency.DAILY) < 2:
+        raise argparse.ArgumentTypeError(
+            f"duration {text!r} is fewer than 2 periods")
     return text
 
 
@@ -93,12 +96,15 @@ def finite(text: str) -> float:
 
 
 def parse_years(text: str) -> float:
-    """Parse '40y' (or a bare number) into a finite number of years > 0;
-    the argparse type of ``--lookback`` and of each ``--lookbacks`` and
-    ``--ds`` value and step."""
+    """Parse '40y' (or a bare number) into a finite number of years > 0
+    whose period count is finite at every frequency; the argparse type of
+    ``--lookback`` and of each ``--lookbacks`` and ``--ds`` value and
+    step."""
     value = finite(text.strip().removesuffix("y"))
     if not value > 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not > 0")
+    if not math.isfinite(value * Frequency.DAILY.periods_per_year):
+        raise argparse.ArgumentTypeError(f"{text!r} is too many years")
     return value
 
 

@@ -43,13 +43,11 @@ from .series import (
     MetricKind,
     PrefixTable,
     ReturnSeries,
-    _least_ends,
+    _kind_arrays,
     _moments,
     _parts,
-    _prefix,
     _ratio,
     _score,
-    _spread_prefix,
     build_prefix_sums,
     defined_ends,
     metric_many,
@@ -186,45 +184,41 @@ def mrp_one_split(series: ReturnSeries, d: int,
     """
     n = len(series)
     _check_feasible(n, 1, d)
-    left, right = _split_scan(series.returns[None], d, kind,
-                              series.periods_per_year)
-    i = int(_first_min(np.minimum(left, right))[0])
+    left, right = _split_scan(build_prefix_sums(series), d, kind)
+    i = int(_first_min(np.minimum(left, right)))
     return _result_from_splits(series, (d + i,), d,
-                               np.array([left[0, i], right[0, i]]))
+                               np.array([left[i], right[i]]))
 
 
-def _split_scan(x: np.ndarray, d: int, kind: MetricKind,
-                periods_per_year: int):
+def _split_scan(table: PrefixTable, d: int, kind: MetricKind):
     """Left and right segment metrics of every single split t in [d, n-d]
-    (column t - d) of each row of the (R, n) return matrix ``x``: NaN
-    where that side is undefined. A row's metrics are those of the row
-    as a series on its own, bit for bit.
+    (column t - d) of the table's series, or of each row of a replicate
+    matrix's table: NaN where that side is undefined. A row's metrics are
+    those of the row as a series on its own, bit for bit.
 
-    One row-wise cumsum gives the prefix sums; the left windows [0, t)
-    and right windows [t, n) are column slices of them, scored by the
-    kernel's ``_moments``, ``_score`` and ``_least_ends``. Each entry
-    depends only on its own split, so the scan at the least d holds the
-    scan at every larger d as the columns [d - d0, n - d - d0].
+    The left windows [0, t) and right windows [t, n) are column slices of
+    the table's prefix arrays, scored by the kernel's ``_moments`` and
+    ``_score``. Slices, not arrays of bounds gathered as ``metric_many``
+    gathers them: the values are the same, but a 200-replicate bootstrap
+    of a 10-year daily series at d = 252 took 53.9 ms gathered against
+    26.9 ms sliced (medians of 20 interleaved pairs, 2-vCPU Xeon). Each
+    entry depends only on its own split, so the scan at the least d holds
+    the scan at every larger d as the columns [d - d0, n - d - d0].
     """
-    n = x.shape[-1]
+    n = table.n
     cut = slice(d, n - d + 1)
     t = np.arange(d, n - d + 1, dtype=np.int64)
-    m = t.size
-    sum1 = _prefix(x)
-    spread_sums = _spread_prefix(x, kind)
-    ends = _least_ends(x, kind)
+    sum1 = table.sum1
+    q, ends = _kind_arrays(table, kind)  # spread prefix, defined ends
 
-    def side(start, end, length, defined, segment):
-        excess, spread = _moments(length, sum1[:, end] - sum1[:, start],
-                                  spread_sums[:, end] - spread_sums[:, start],
-                                  kind)
-        return _score(defined, excess, spread, kind, periods_per_year,
-                      lambda k: segment(x[k // m], k % m))
+    def side(start, end, bounds, defined):
+        a, b = bounds
+        excess, spread = _moments(b - a, sum1[..., end] - sum1[..., start],
+                                  q[..., end] - q[..., start], kind)
+        return _score(table, defined, excess, spread, kind, a, b)
 
-    left = side(slice(0, 1), cut, t, t >= ends[:, :1],
-                lambda row, k: row[:d + k])
-    right = side(cut, slice(n, None), n - t, ends[:, cut] <= n,
-                 lambda row, k: row[d + k:])
+    left = side(slice(0, 1), cut, (0, t), t >= ends[..., :1])
+    right = side(cut, slice(n, None), (t, n), ends[..., cut] <= n)
     return left, right
 
 

@@ -1,11 +1,12 @@
 """Return-series representation and per-segment risk-adjusted metrics.
 
-Segment statistics are served from prefix sums so that any contiguous
-segment's Sharpe or Sortino ratio costs O(1) after an O(n) build. The
-Sortino threshold ``mar`` is fixed per metric, so its downside sum of
-squares folds into a prefix array too, built on first use for each
-``mar``. One array of least ends per start, ``defined_ends``, says which
-segments have a defined metric, for the kernel and the window scan alike.
+Segment statistics are served from one prefix table, of a series or of
+each row of a replicate matrix, so that any contiguous segment's Sharpe
+or Sortino ratio costs O(1) after an O(n) build. Each metric kind adds
+one cached entry: its spread prefix (``mar`` is fixed per metric, so the
+Sortino downside sums are a prefix array too) and ``defined_ends``.
+Gathered paths pass arrays of bounds (``metric_many``); the split scan
+reads column slices of the same arrays, faster than gathering them.
 """
 
 from __future__ import annotations
@@ -154,14 +155,13 @@ class ReturnSeries:
 
 @dataclass(frozen=True)
 class PrefixTable:
-    """Cumulative sums enabling O(1) segment statistics.
+    """Cumulative sums enabling O(1) segment statistics, of one series or
+    of each row of a replicate matrix (rows along the last axis).
 
-    ``sum1[k]`` / ``sum2[k]`` hold the sum of the first k returns and
-    squared returns. ``downside(mar)`` adds, for the Sortino ratio, the
-    prefix sums of squared shortfalls min(r - mar, 0)^2. Which segments
-    have a defined metric is one array per metric, ``defined_ends``.
-    Both are built on first use and cached, so Sharpe-only work never
-    pays for the Sortino arrays.
+    ``sum1[..., k]`` / ``sum2[..., k]`` hold the sum of the first k
+    returns and squared returns. Each ``MetricKind`` adds one cached
+    entry, its spread prefix and ``defined_ends``, built on first use, so
+    Sharpe-only work never pays for the Sortino arrays.
     """
 
     sum1: np.ndarray
@@ -169,15 +169,9 @@ class PrefixTable:
     returns: np.ndarray
     periods_per_year: int
     n: int
-    # downside prefix per mar (float keys), defined ends per MetricKind
+    # (spread prefix, defined ends) per MetricKind
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
-
-    def downside(self, mar: float) -> np.ndarray:
-        """Prefix sums of squared shortfalls below ``mar``."""
-        if mar not in self._cache:
-            self._cache[mar] = _spread_prefix(self.returns, sortino(mar))
-        return self._cache[mar]
 
 
 def _prefix(v: np.ndarray) -> np.ndarray:
@@ -188,35 +182,48 @@ def _prefix(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shortfall2(r: np.ndarray, mar: float) -> np.ndarray:
-    """Squared shortfalls min(r - mar, 0)^2."""
-    shortfall = np.minimum(r - mar, 0.0)
-    return shortfall * shortfall
-
-
-def _spread_prefix(r: np.ndarray, kind: MetricKind) -> np.ndarray:
-    """``_prefix`` of the terms of ``kind``'s spread: squared returns
-    (Sharpe), squared shortfalls below ``mar`` (Sortino)."""
-    if kind.name == "sortino":
-        return _prefix(_shortfall2(r, kind.mar))
-    return _prefix(r * r)
+def _prefix_table(r: np.ndarray, periods_per_year: int) -> PrefixTable:
+    """The prefix table of the returns ``r`` along its last axis: of one
+    series, or of each row of a return matrix, a row's arrays those of
+    the row on its own, bit for bit."""
+    return PrefixTable(sum1=_prefix(r), sum2=_prefix(r * r), returns=r,
+                       periods_per_year=periods_per_year, n=r.shape[-1])
 
 
 def build_prefix_sums(series: ReturnSeries) -> PrefixTable:
     """Build the prefix table for a non-empty series."""
-    r = series.returns
-    n = r.shape[0]
-    if n == 0:
+    if len(series) == 0:
         raise EmptySeries(f"series {series.label!r} is empty")
-    return PrefixTable(sum1=_prefix(r), sum2=_spread_prefix(r, SHARPE),
-                       returns=r, periods_per_year=series.periods_per_year,
-                       n=n)
+    return _prefix_table(series.returns, series.periods_per_year)
+
+
+def _kind_arrays(table: PrefixTable, kind: MetricKind):
+    """``kind``'s spread prefix and ``defined_ends``, built once per kind
+    and cached in the table. The spread prefix sums the terms of the
+    spread: squared returns (Sharpe, ``sum2`` itself) or squared
+    shortfalls min(r - mar, 0)^2 (Sortino, where a nonzero one is the
+    witness ``defined_ends`` looks for)."""
+    if kind in table._cache:
+        return table._cache[kind]
+    r, n = table.returns, table.n
+    witness = np.full(r.shape[:-1] + (n + 1,), n + 1, dtype=np.int64)
+    if kind.name == "sortino":
+        shortfall = np.minimum(r - kind.mar, 0.0)
+        terms = shortfall * shortfall
+        spread, hit, stop = _prefix(terms), terms > 0.0, np.arange(1, n + 1)
+    else:  # the pair (k, k + 1) differs, so [k, k + 2) is defined
+        spread, hit = table.sum2, r[..., 1:] != r[..., :-1]
+        stop = np.arange(2, n + 1)
+    witness[..., :hit.shape[-1]] = np.where(hit, stop, n + 1)
+    least = np.minimum.accumulate(witness[..., ::-1], axis=-1)[..., ::-1]
+    table._cache[kind] = spread, np.maximum(least, np.arange(2, n + 3))
+    return table._cache[kind]
 
 
 def defined_ends(table: PrefixTable, kind: MetricKind) -> np.ndarray:
     """Per start a, the least end e[a] such that [a, b) has a defined
-    metric exactly when b >= e[a]. The array has n + 1 entries; e[n] and
-    every start with no such end read more than n.
+    metric exactly when b >= e[a], along the last axis: n + 1 entries per
+    row; e[n] and every start with no such end read more than n.
 
     A defined metric stays defined as its segment grows, so one threshold
     per start states the whole rule. A segment needs 2 observations and
@@ -225,37 +232,17 @@ def defined_ends(table: PrefixTable, kind: MetricKind) -> np.ndarray:
     underflows counts as none). e[a] is the least end past a witness at
     or after a, a suffix minimum built in O(n) and cached per kind.
     """
-    if kind not in table._cache:
-        table._cache[kind] = _least_ends(table.returns, kind)
-    return table._cache[kind]
-
-
-def _least_ends(r: np.ndarray, kind: MetricKind) -> np.ndarray:
-    """``defined_ends`` of the returns ``r``, along its last axis: of one
-    series, or of each row of a return matrix."""
-    n = r.shape[-1]
-    witness = np.full(r.shape[:-1] + (n + 1,), n + 1, dtype=np.int64)
-    if kind.name == "sortino":
-        hit, stop = _shortfall2(r, kind.mar) > 0.0, np.arange(1, n + 1)
-    else:  # the pair (k, k + 1) differs, so [k, k + 2) is defined
-        hit, stop = r[..., 1:] != r[..., :-1], np.arange(2, n + 1)
-    witness[..., :hit.shape[-1]] = np.where(hit, stop, n + 1)
-    least = np.minimum.accumulate(witness[..., ::-1], axis=-1)[..., ::-1]
-    return np.maximum(least, np.arange(2, n + 3))
+    return _kind_arrays(table, kind)[1]
 
 
 def _parts(table: PrefixTable, start: np.ndarray, end: np.ndarray,
            kind: MetricKind):
-    """Length, excess mean and mean-square spread of segments [start, end),
-    int arrays of bounds, from prefix differences."""
-    if kind.name == "sortino":
-        down = table.downside(kind.mar)
-        spread_sum = down[end] - down[start]
-    else:
-        spread_sum = table.sum2[end] - table.sum2[start]
+    """Length, excess mean and mean-square spread of segments [start, end)
+    of a one-series table, int arrays of bounds, from prefix differences."""
+    spread = _kind_arrays(table, kind)[0]
     length = end - start
     return (length, *_moments(length, table.sum1[end] - table.sum1[start],
-                              spread_sum, kind))
+                              spread[end] - spread[start], kind))
 
 
 def _moments(length, total, spread_sum, kind: MetricKind):
@@ -302,16 +289,22 @@ def _direct(seg: np.ndarray, kind: MetricKind, periods_per_year: int) -> float:
     return float(_ratio(excess, spread, periods_per_year))
 
 
-def _score(defined, excess, spread, kind: MetricKind, periods_per_year: int,
-           segment) -> np.ndarray:
+def _score(table: PrefixTable, defined, excess, spread, kind: MetricKind,
+           start, end) -> np.ndarray:
     """Ratios of excess means and spreads from ``_moments`` where
-    ``defined``, NaN elsewhere. Where prefix rounding cancels the spread
-    of a defined segment to <= 0 (a small variance after large returns, a
-    tiny shortfall after large ones), that segment is recomputed by
-    ``_direct`` from ``segment(k)``, its returns, k its flat index."""
-    out = np.where(defined, _ratio(excess, spread, periods_per_year), np.nan)
+    ``defined``, NaN elsewhere. ``start`` and ``end`` are the segments'
+    bounds, broadcast to the shape of ``defined``, whose leading axes
+    index the table's rows. Where prefix rounding cancels the spread of a
+    defined segment to <= 0 (a small variance after large returns, a tiny
+    shortfall after large ones), that segment is recomputed by
+    ``_direct`` from its returns."""
+    out = np.where(defined, _ratio(excess, spread, table.periods_per_year),
+                   np.nan)
     for k in np.flatnonzero(defined & ~(spread > 0)).tolist():
-        out.flat[k] = _direct(segment(k), kind, periods_per_year)
+        at = np.unravel_index(k, out.shape)
+        a, b = (np.broadcast_to(v, out.shape)[at] for v in (start, end))
+        row = table.returns[at[:table.returns.ndim - 1]]
+        out[at] = _direct(row[a:b], kind, table.periods_per_year)
     return out
 
 
@@ -324,14 +317,14 @@ def metric_many(table: PrefixTable, start, end, kind: MetricKind) -> np.ndarray:
     costs O(1) from the prefix table, bar the rare ones ``_score``
     recomputes.
 
-    ``start`` and ``end`` are int arrays of segment bounds.
+    ``start`` and ``end`` are int arrays of segment bounds in a
+    one-series table.
     """
     start, end = np.broadcast_arrays(np.asarray(start, dtype=np.int64),
                                      np.asarray(end, dtype=np.int64))
     defined = end >= defined_ends(table, kind)[start]
     _, excess, spread = _parts(table, start, end, kind)
-    return _score(defined, excess, spread, kind, table.periods_per_year,
-                  lambda k: table.returns[start.flat[k]:end.flat[k]])
+    return _score(table, defined, excess, spread, kind, start, end)
 
 
 def sharpe_many(table: PrefixTable, start, end) -> np.ndarray:

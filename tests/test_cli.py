@@ -175,6 +175,14 @@ class TestReport:
         ["bias", "--mu", "inf"],
         ["simulate", "--sigma", "nan"],
         ["simulate", "--N", "0"],
+        ["report", "--min-segment", "infy"],
+        ["report", "--min-segment", "1e400y"],
+        ["report", "--min-segment", "0p"],
+        ["portfolio", "--min-segment", "1p", "--weights", "alpha=1"],
+        ["correlations", "--min-segment", "0y"],
+        ["report", "--lookback", "1e308"],
+        ["sensitivity", "--lookbacks", "1e308"],
+        ["sensitivity", "--ds", "1e308"],
     ])
     def test_bad_year_flags_exit_2(self, factors_csv, argv, capsys):
         # a step <= 0 once looped without end, a non-number or an empty
@@ -183,7 +191,9 @@ class TestReport:
         # --splits 0, a count N of 0 or an infinite --mar failed only in
         # the computation (exit 1); a bad --weights entry, a regime length
         # of 0 or an infinite volatility ended in a traceback, and an
-        # infinite --mu exited 0
+        # infinite --mu exited 0; an infinite --min-segment, or a year
+        # count whose period count overflows, raised OverflowError, and a
+        # --min-segment below 2 periods failed only in the computation
         if argv[0] not in ("bias", "simulate", "fixture"):
             argv = argv + ["--input", str(factors_csv)]
         with pytest.raises(SystemExit) as info:

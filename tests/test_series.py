@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minregime import (
@@ -21,7 +21,16 @@ from minregime import (
     segment_metric,
     sortino,
 )
-from minregime.series import SHARPE, _direct, _parts, defined_ends, metric_many
+from minregime.engine import _split_scan
+from minregime.series import (
+    SHARPE,
+    _direct,
+    _kind_arrays,
+    _parts,
+    _prefix_table,
+    defined_ends,
+    metric_many,
+)
 
 from conftest import make_series, series_from
 
@@ -155,10 +164,17 @@ class TestSortinoPrefix:
                                        rel=1e-12)
         assert math.isnan(got[2])        # length 1
 
-    def test_downside_built_once_per_mar(self):
+    def test_one_entry_per_kind(self):
         table = build_prefix_sums(make_series(50))
-        assert table.downside(0.0) is table.downside(0.0)
-        down2 = table.downside(0.001)
+        segment_metric(table, 0, 50)  # Sharpe only: no Sortino entry
+        assert list(table._cache) == [SHARPE]
+        assert table._cache[SHARPE][0] is table.sum2
+        low, high = sortino(0.0), sortino(0.001)
+        entry = _kind_arrays(table, low)
+        metric_many(table, np.arange(10), np.arange(10) + 5, low)
+        assert table._cache[low] is entry
+        down2 = _kind_arrays(table, high)[0]
+        assert set(table._cache) == {SHARPE, low, high}
         shortfall = np.minimum(table.returns - 0.001, 0.0)
         assert np.allclose(down2, np.concatenate(([0.0],
                                                   np.cumsum(shortfall ** 2))))
@@ -169,11 +185,10 @@ LARGE_LOSS, TINY_LOSS = -0.5, -1e-13
 
 
 @st.composite
-def kernel_cases(draw):
-    """A short series over a small alphabet with injected constant runs
-    (zero runs among them) and runs of tiny losses and zeros after a
-    large loss, a Sortino threshold, and segment bounds."""
-    n = draw(st.integers(2, 40))
+def kernel_values(draw, n):
+    """n returns over a small alphabet with injected constant runs (zero
+    runs among them) and runs of tiny losses and zeros after a large
+    loss."""
     values = draw(st.lists(st.sampled_from(SMALL_ALPHABET),
                            min_size=n, max_size=n))
     for _ in range(draw(st.integers(0, 3))):
@@ -185,10 +200,29 @@ def kernel_cases(draw):
         tail = draw(st.lists(st.sampled_from([TINY_LOSS, 0.0]), max_size=6))
         chunk = [LARGE_LOSS] + tail
         values[start:start + len(chunk)] = chunk[:n - start]
+    return values
+
+
+@st.composite
+def kernel_cases(draw):
+    """A short series from ``kernel_values``, a Sortino threshold, and
+    segment bounds."""
+    n = draw(st.integers(2, 40))
+    values = draw(kernel_values(n))
     mar = draw(st.sampled_from([0.0, 0.001, -0.001]))
     bound = st.integers(0, n)
     segments = draw(st.lists(st.tuples(bound, bound), min_size=1, max_size=20))
     return values, mar, [tuple(sorted(ab)) for ab in segments]
+
+
+@st.composite
+def matrix_cases(draw):
+    """One to four rows from ``kernel_values`` of a common length, a
+    least segment d, and a Sortino threshold."""
+    n = draw(st.integers(4, 30))
+    rows = draw(st.lists(kernel_values(n), min_size=1, max_size=4))
+    return (rows, draw(st.integers(2, n // 2)),
+            draw(st.sampled_from([0.0, 0.001, -0.001])))
 
 
 class TestKernelProperties:
@@ -205,6 +239,31 @@ class TestKernelProperties:
             assert math.isnan(value) == math.isnan(want), (a, b)
             if not math.isnan(want):
                 assert math.isclose(value, want, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def bits(values: np.ndarray) -> list[int]:
+    return values.view(np.int64).ravel().tolist()
+
+
+class TestMatrixTable:
+    # row 0: a zero run and then tiny losses after a large one, whose
+    # prefix sums cancel or absorb the right side's spread (recomputed by
+    # ``_direct``); row 1: constant sides with no defined metric (NaN)
+    @example(([[0.01, -0.01, 0.0, 0.0, 0.0, LARGE_LOSS, TINY_LOSS, 0.0,
+                TINY_LOSS, 0.0],
+               [0.0, 0.0, 0.0, 0.0, 0.0, 0.02, 0.02, 0.02, 0.02, 0.02]],
+              3, 0.0))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(matrix_cases())
+    def test_split_scan_matches_each_row(self, case):
+        rows, d, mar = case
+        table = _prefix_table(np.array(rows), 252)
+        for kind in (SHARPE, sortino(mar)):
+            left, right = _split_scan(table, d, kind)
+            for k, row in enumerate(rows):
+                want = _split_scan(build_prefix_sums(series_from(row)), d, kind)
+                assert bits(left[k]) == bits(want[0]), (kind, k)
+                assert bits(right[k]) == bits(want[1]), (kind, k)
 
 
 UNDERFLOW_LOSS = -1e-170  # its squared shortfall below 0 underflows to 0.0
