@@ -16,6 +16,7 @@ from .errors import (
     InvalidModel,
     MinRegimeError,
     NoValidPartition,
+    NonFiniteReturn,
     ParseError,
     QuadratureFailed,
     SegmentTooShort,

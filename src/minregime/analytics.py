@@ -27,7 +27,6 @@ from .errors import (
     DegenerateVector,
     Infeasible,
     InvalidBlock,
-    MinRegimeError,
 )
 from .series import (
     SHARPE,
@@ -245,15 +244,11 @@ def _inner_join(strategies: Sequence[ReturnSeries]
 def portfolio_mrp(spec: PortfolioSpec, s: int, d: int,
                   kind: MetricKind = SHARPE) -> MrpResult:
     """MRP of the weighted aggregate return w'X_t (inner-join alignment).
-    Raises MinRegimeError, naming the first date, where the aggregate
-    overflows."""
+    Where the weighted sum overflows, the aggregate series raises
+    NonFiniteReturn, naming the first date, without a numpy warning."""
     dates, matrix = _inner_join(spec.strategies)
     with np.errstate(over="ignore", invalid="ignore"):
         agg = matrix @ np.asarray(spec.weights)
-    overflow = np.flatnonzero(~np.isfinite(agg))
-    if overflow.size:
-        raise MinRegimeError(f"portfolio return on {dates[overflow[0]]} is "
-                             "not finite: the weighted sum overflows")
     combined = ReturnSeries(
         dates=dates,
         returns=agg,
@@ -315,11 +310,8 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
             continue
         left, right = _split_scan(_prefix_table(x, series.periods_per_year),
                                   d, kind)
-        # each row's first least split; its value is the left side unless
-        # the right is less, as ``mrp_one_split`` reports it
-        pick = np.arange(len(x)), _first_min(np.minimum(left, right))
-        values[k:k + step] = np.where(right[pick] < left[pick], right[pick],
-                                      left[pick])
+        worse = np.minimum(left, right)  # each split's worse side
+        values[k:k + step] = worse[np.arange(len(x)), _first_min(worse)]
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     quants = {q: float(np.quantile(values, q)) for q in qs}
     return BootstrapSummary(

@@ -24,8 +24,6 @@ import numpy as np
 
 from .errors import InvalidModel, QuadratureFailed
 
-EULER_GAMMA = 0.5772156649015329
-
 
 @dataclass(frozen=True)
 class BiasModel:
@@ -57,7 +55,6 @@ class GumbelConstants:
 
     b: float
     a: float
-    gamma: float = EULER_GAMMA
 
 
 def gumbel_constants(N: int) -> GumbelConstants:
@@ -130,9 +127,9 @@ def bias_asymptotic(model: BiasModel) -> float:
 
     Equivalent to sigma * (4 ln N - ln ln N - ln 4 pi) / (2 sqrt(2 ln N)).
     Returned as a positive magnitude to match the exact bias convention
-    E[X] - E[Z] >= 0. The Gumbel mean offset a * gamma is deliberately
-    excluded (E[max] is approximated by b alone); it is available from
-    ``gumbel_constants`` for callers that want the refined location.
+    E[X] - E[Z] >= 0. The Gumbel mean offset a * gamma (gamma being
+    Euler's constant, a from ``gumbel_constants``) is deliberately
+    excluded: E[max] is approximated by b alone.
     """
     if model.N < 3:
         raise InvalidModel(f"asymptotic form needs N >= 3, got {model.N}")
@@ -175,20 +172,17 @@ class GumbelDiagnostic:
     drift: tuple[tuple[int, float, float], ...]
 
 
-def gumbel_limit_diagnostic(model: BiasModel, trials: int, seed: int = 0,
-                            drift_trials: int | None = None) -> GumbelDiagnostic:
-    """KS distance to the Gumbel limit plus the mean-drift table.
+def gumbel_limit_diagnostic(model: BiasModel, trials: int,
+                            seed: int = 0) -> GumbelDiagnostic:
+    """KS distance to the Gumbel limit plus the mean-drift table, each
+    from ``trials`` draws.
 
     The drift grid runs over decades 10, 100, ... up to N (flat groups).
-    Mean separation needs far fewer trials than the KS statistic, so the
-    grid can use a smaller ``drift_trials``.
     """
     # imported by its only user, so `import minregime` does not pay for
     # loading scipy.stats
     from scipy import stats
 
-    if drift_trials is None:
-        drift_trials = trials
     if model.N < 10:
         raise InvalidModel(f"diagnostic needs N >= 10, got {model.N}")
     z = simulate_min_model(model, trials, seed=seed)
@@ -202,7 +196,7 @@ def gumbel_limit_diagnostic(model: BiasModel, trials: int, seed: int = 0,
     decades = [10 ** k for k in range(1, int(math.log10(model.N)) + 1)]
     for idx, n in enumerate(decades):
         sub = BiasModel(mu=model.mu, sigma=model.sigma, s=1, n_s=n)
-        sample = simulate_min_model(sub, drift_trials, seed=seed + 1 + idx)
+        sample = simulate_min_model(sub, trials, seed=seed + 1 + idx)
         drift.append((n, float(np.mean(sample)),
-                      float(np.std(sample, ddof=1) / math.sqrt(drift_trials))))
+                      float(np.std(sample, ddof=1) / math.sqrt(trials))))
     return GumbelDiagnostic(ks_distance=float(ks), drift=tuple(drift))

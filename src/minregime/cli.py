@@ -18,6 +18,7 @@ import argparse
 import csv
 import datetime
 import io
+import itertools
 import json
 import math
 import sys
@@ -64,12 +65,9 @@ def parse_duration(text: str, frequency: Frequency) -> int:
 
 
 def duration(text: str) -> str:
-    """argparse type of a duration flag: the syntax is checked at parse
-    time, the period count once ``--frequency`` is known. Below 2 periods
-    at the most periods per year (daily), it is below 2 at every one."""
-    if parse_duration(text, Frequency.DAILY) < 2:
-        raise argparse.ArgumentTypeError(
-            f"duration {text!r} is fewer than 2 periods")
+    """argparse type of a duration flag: only the syntax is checked here;
+    ``main`` works out the period count once ``--frequency`` is known."""
+    parse_duration(text, Frequency.DAILY)
     return text
 
 
@@ -122,20 +120,27 @@ def parse_weights(text: str) -> list[tuple[str, float]]:
     return pairs
 
 
+#: the most values of a 'lo:hi:step' grid
+_GRID_CAP = 10_000
+
+
 def parse_range(text: str) -> list[float]:
     """Parse 'lo:hi:step[y]' or a comma list into a list of year values;
     the argparse type of ``--lookbacks`` and ``--ds``. The grid must not
-    be empty."""
+    be empty, and a range has at most ``_GRID_CAP`` values, counted from
+    lo, hi and step before the grid is built."""
     text = text.strip().removesuffix("y")
     if ":" in text:
         lo, hi, step = (parse_years(p) for p in text.split(":"))
-        out, v = [], lo
-        while v <= hi + 1e-9:
-            out.append(v)
-            v += step
-        if not out:
+        steps = (hi + 1e-9 - lo) / step  # from lo to the last value <= hi
+        if steps < 0:
             raise argparse.ArgumentTypeError(f"grid {text!r} is empty")
-        return out
+        if steps >= _GRID_CAP:
+            raise argparse.ArgumentTypeError(
+                f"grid {text!r} has more than {_GRID_CAP:,} values")
+        # lo, then step added to the value before, as a running sum
+        return list(itertools.accumulate(itertools.repeat(step, int(steps)),
+                                         initial=lo))
     return [parse_years(p) for p in text.split(",")]
 
 
@@ -171,14 +176,10 @@ def _load(args) -> list[ReturnSeries]:
     return ingest.load_csv(config)
 
 
-def _min_segment(args) -> int:
-    return parse_duration(args.min_segment, Frequency(args.frequency))
-
-
 def _reports(series_list, args) -> list[analytics.FactorReport]:
     kind = _metric_kind(args)
     freq = Frequency(args.frequency)
-    d_years = _min_segment(args) / freq.periods_per_year
+    d_years = args.min_segment / freq.periods_per_year
     return [analytics.factor_report(s, args.lookback, d_years, kind)
             for s in series_list]
 
@@ -257,7 +258,7 @@ def cmd_portfolio(args) -> None:
             raise MinRegimeError(f"unknown strategy {name!r} in --weights")
     spec = analytics.PortfolioSpec(tuple(w for _, w in args.weights),
                                    tuple(by_label[name] for name, _ in args.weights))
-    res = analytics.portfolio_mrp(spec, args.splits, _min_segment(args),
+    res = analytics.portfolio_mrp(spec, args.splits, args.min_segment,
                                   _metric_kind(args))
     rows = [{
         "mrp": _fmt(res.value),
@@ -304,10 +305,12 @@ def cmd_fixture(args) -> None:
         vol_pre=args.vol_pre, vol_post=args.vol_post,
         frequency=Frequency(args.frequency),
     )
+    series = ingest.make_fixture(args.seed, spec)
     if args.out:
-        ingest.make_fixture(args.seed, spec, path=args.out)
+        with open(args.out, "w", newline="") as fh:
+            ingest.write_csv(series, fh)
     else:
-        ingest.write_csv(ingest.make_fixture(args.seed, spec), sys.stdout)
+        ingest.write_csv(series, sys.stdout)
 
 
 #: every shared flag, defined once; each subcommand names those it reads
@@ -403,11 +406,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vol-post", type=finite, default=0.01, dest="vol_post")
     p.set_defaults(func=cmd_fixture)
 
+    for p in sub.choices.values():  # for checks of more than one flag
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if "min_segment" in args:  # the period count, at the input's frequency
+        text = args.min_segment
+        args.min_segment = parse_duration(text, Frequency(args.frequency))
+        if args.min_segment < 2:
+            args.parser.error(f"argument --min-segment: duration {text!r} is "
+                              f"fewer than 2 periods at the {args.frequency} "
+                              "frequency")
     try:
         args.func(args)
     except MinRegimeError as exc:

@@ -132,7 +132,7 @@ def _splits_array(n: int, s: int, d: int) -> np.ndarray:
 def _result_from_splits(series: ReturnSeries, splits: tuple[int, ...], d: int,
                         metrics: np.ndarray) -> MrpResult:
     spec = PartitionSpec(splits=splits, n=len(series), d=d)
-    argmin = int(np.nanargmin(metrics))
+    argmin = int(_first_min(metrics))
     return MrpResult(
         value=float(metrics[argmin]),
         optimal_splits=spec,

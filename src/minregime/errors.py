@@ -23,6 +23,10 @@ class SeriesTooShort(MinRegimeError):
     """A series is too short for the requested window computation."""
 
 
+class NonFiniteReturn(MinRegimeError, ValueError):
+    """A return of a series is NaN or infinite."""
+
+
 class WealthNonPositive(MinRegimeError):
     """A return of -100% or worse makes the wealth path non-positive."""
 

@@ -55,25 +55,16 @@ def _parse_date(text: str | None, row: int, column: str) -> datetime.date:
         raise ParseError(row, column, f"bad date {text!r}") from exc
 
 
-def _parse_ret(text: str | None, row: int, column: str,
-               config: IngestConfig) -> float | None:
-    """One return cell, parsed alone only to locate a column's first
-    error; None for an empty one that ``missing_policy`` skips."""
-    if text is None or not text.strip():
-        if config.missing_policy == "error":
-            raise ParseError(row, column, "missing value")
-        return None
+def _parse_ret(text: str, row: int, column: str,
+               config: IngestConfig) -> None:
+    """One return cell, read by ``_column_values`` alone only to locate a
+    column's first error: the ParseError of the rule it breaks names the
+    cell's text, unless the cell is blank ("missing value")."""
     try:
-        value = float(text)
+        _column_values([text], config)
     except ValueError as exc:
-        raise ParseError(row, column, f"bad number {text!r}") from exc
-    if not math.isfinite(value):
-        raise ParseError(row, column, f"non-finite return {text!r}")
-    if config.percent:
-        value /= 100.0
-    if config.log_returns:
-        value = math.expm1(value)
-    return value
+        raise ParseError(row, column, f"{exc} {text!r}" if text.strip()
+                         else str(exc)) from None
 
 
 def load_csv(config: IngestConfig) -> list[ReturnSeries]:
@@ -88,9 +79,10 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     row's extra cells are dropped; a repeated header name means its last
     column. Rows before ``start_date`` are dropped. In the long layout a
     name column splits the rows of one value column, and series come in
-    order of each name's first appearance. A failing column is scanned
-    cell by cell to locate its first error, and the least (row,
-    position) is raised: a row's date, then its name, then its values.
+    order of each name's first appearance. A failing column's first bad
+    cell is found by the column rules (``_column_values``) run on one
+    cell at a time, and the least (row, position) is raised: a row's
+    date, then its name, then its values.
     Rows from a bad date on are not read. Then series are checked in
     label order for emptiness (EmptySeries), then for date order
     (``ReturnSeries`` raises DateOrderError).
@@ -128,15 +120,16 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     dates = _as_days(days)
     live = np.flatnonzero(dates >= np.datetime64(config.start_date, "D"))
 
-    def read(name: str, pos: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def read(name: str, pos: int) -> tuple:
         """Indices into ``live`` of non-empty cells, and their returns."""
         cells = _take(column(name), live)
-        keep, values = _column_values(cells, config)
-        if values is None:
+        try:
+            return _column_values(cells, config)
+        except (ValueError, OverflowError):
             at, error = _first_error(cells, (live + 2).tolist(), lambda t, r:
                                      _parse_ret(t, r, name, config))
             errors.append((at, pos, error))
-        return keep, values
+            return None, None
 
     if config.long_format:
         names = list(map(str.strip, _take(column(config.name_column), live)))
@@ -223,9 +216,12 @@ def _take(cells, at: np.ndarray):
 
 
 def _column_values(cells, config: IngestConfig) -> tuple:
-    """Indices of a column's non-empty cells and their returns, or None
-    for the returns if a cell fails: one ``float`` pass, then vectorized
-    checks. Cells are stripped only if ``float`` fails on one."""
+    """Indices of a column's non-empty cells and their returns: one
+    ``float`` pass, then vectorized checks. Cells are stripped only if
+    ``float`` fails on one. These are the return-cell rules: a cell that
+    breaks one raises ValueError naming it ("missing value", "bad
+    number", "non-finite return"), or ``math.expm1``'s OverflowError.
+    Run on one cell, they raise that cell's error."""
     n = len(cells)
     keep = (np.flatnonzero(np.fromiter(map(bool, cells), bool, n))
             if "" in cells else np.arange(n))
@@ -238,20 +234,17 @@ def _column_values(cells, config: IngestConfig) -> tuple:
             values = np.fromiter(map(float, _take(cells, keep)), float,
                                  keep.size)
         except ValueError:
-            return keep, None
+            raise ValueError("bad number") from None
     if config.missing_policy == "error" and keep.size < n:
-        return keep, None
-    if not np.isfinite(values).all():
-        return keep, None
+        raise ValueError("missing value")
+    if np.count_nonzero(np.isfinite(values)) < keep.size:
+        raise ValueError("non-finite return")
     if config.percent:
         values /= 100.0
     if config.log_returns:
         # np.expm1 differs from math.expm1 in the last bit on some inputs
-        try:
-            values = np.fromiter(map(math.expm1, values.tolist()), float,
-                                 keep.size)
-        except OverflowError:
-            return keep, None
+        values = np.fromiter(map(math.expm1, values.tolist()), float,
+                             keep.size)
     return keep, values
 
 
@@ -289,31 +282,25 @@ class FixtureSpec:
         return self.n_pre
 
 
-def make_fixture(seed: int, spec: FixtureSpec,
-                 path: str | Path | None = None) -> ReturnSeries:
-    """Generate a two-regime Gaussian series; optionally write it as CSV.
-
-    Written values carry 12 significant digits so the file round-trips
-    through ``load_csv`` at that precision. Identical seeds produce
-    identical series and files.
-    """
+def make_fixture(seed: int, spec: FixtureSpec) -> ReturnSeries:
+    """Generate a two-regime Gaussian series. Identical seeds produce
+    identical series. Returns that overflow raise NonFiniteReturn from
+    ``ReturnSeries``, without a numpy warning."""
     rng = np.random.Generator(np.random.Philox(seed))
-    pre = spec.drift_pre + spec.vol_pre * rng.standard_normal(spec.n_pre)
-    post = spec.drift_post + spec.vol_post * rng.standard_normal(spec.n_post)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = spec.drift_pre + spec.vol_pre * rng.standard_normal(spec.n_pre)
+        post = spec.drift_post + spec.vol_post * rng.standard_normal(spec.n_post)
     rets = np.concatenate([pre, post])
     n = rets.shape[0]
     dates = np.datetime64(spec.start, "D") + np.arange(n)
-    series = ReturnSeries(dates=dates, returns=rets,
-                          frequency=spec.frequency, label=spec.label)
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            write_csv(series, fh)
-    return series
+    return ReturnSeries(dates=dates, returns=rets,
+                        frequency=spec.frequency, label=spec.label)
 
 
 def write_csv(series: ReturnSeries, fh: TextIO) -> None:
     """Write one series as a two-column (date, label) CSV, 12 significant
-    digits per return."""
+    digits per return, so the file round-trips through ``load_csv`` at
+    that precision."""
     writer = csv.writer(fh)
     writer.writerow(["date", series.label])
     for day, r in zip(series.dates.tolist(), series.returns):

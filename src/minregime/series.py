@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DateOrderError,
     EmptySeries,
+    NonFiniteReturn,
     SegmentTooShort,
     SeriesTooShort,
     WealthNonPositive,
@@ -91,7 +92,8 @@ class ReturnSeries:
     ``dates`` is held as one read-only ``datetime64[D]`` array; any
     sequence of ``datetime.date`` is accepted and converted once, and a
     read-only ``datetime64[D]`` array (a slice of another series' dates)
-    is kept as it is. Dates must strictly increase, else DateOrderError.
+    is kept as it is. Returns must be finite, else NonFiniteReturn, and
+    dates must strictly increase, else DateOrderError.
     """
 
     dates: np.ndarray
@@ -112,8 +114,10 @@ class ReturnSeries:
             raise ValueError("dates and returns must have equal length")
         if rets.ndim != 1:
             raise ValueError("returns must be one-dimensional")
-        if rets.size and not np.all(np.isfinite(rets)):
-            raise ValueError(f"non-finite return in series {self.label!r}")
+        finite = np.isfinite(rets)
+        if not finite.all():
+            raise NonFiniteReturn(f"series {self.label!r}: return on "
+                                  f"{dates[np.argmin(finite)]} is not finite")
         late = np.flatnonzero(~(np.diff(dates) > np.timedelta64(0, "D")))
         if late.size:
             raise DateOrderError(f"series {self.label!r}: date "

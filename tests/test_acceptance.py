@@ -103,16 +103,15 @@ def test_criterion_4_asymptotic_error_bounds():
 
 def test_criterion_5_divergence_and_gumbel_limit():
     drift_diag = gumbel_limit_diagnostic(BiasModel(0, 1, 1, 10 ** 4),
-                                         trials=100, seed=50,
-                                         drift_trials=20_000)
+                                         trials=20_000, seed=50)
     grid = drift_diag.drift
     assert [n for n, _, _ in grid] == [10, 10 ** 2, 10 ** 3, 10 ** 4]
     for (_, m1, s1), (_, m2, s2) in zip(grid, grid[1:]):
         assert m2 < m1 - 3 * math.hypot(s1, s2)
     small = gumbel_limit_diagnostic(BiasModel(0, 1, 1, 10 ** 2),
-                                    trials=10_000, seed=51, drift_trials=10)
+                                    trials=10_000, seed=51)
     large = gumbel_limit_diagnostic(BiasModel(0, 1, 1, 10 ** 5),
-                                    trials=10_000, seed=52, drift_trials=10)
+                                    trials=10_000, seed=52)
     assert large.ks_distance <= 0.05
     assert large.ks_distance < small.ks_distance
     print("criterion 5 PASS: simulated minimum strictly decreasing with "

@@ -196,7 +196,7 @@ class TestGumbelLimitDiagnostic:
         small = gumbel_limit_diagnostic(BiasModel(0, 1, 1, 100),
                                         trials=10_000, seed=21)
         large = gumbel_limit_diagnostic(BiasModel(0, 1, 1, 10 ** 5),
-                                        trials=10_000, seed=22, drift_trials=1000)
+                                        trials=10_000, seed=22)
         assert large.ks_distance <= 0.05
         assert large.ks_distance < small.ks_distance
 

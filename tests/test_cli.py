@@ -183,6 +183,11 @@ class TestReport:
         ["report", "--lookback", "1e308"],
         ["sensitivity", "--lookbacks", "1e308"],
         ["sensitivity", "--ds", "1e308"],
+        ["report", "--min-segment", "0.1y", "--frequency", "monthly",
+         "--input", "missing.csv"],
+        ["sensitivity", "--lookbacks", "1:1e6:1y"],
+        ["sensitivity", "--lookbacks", "1:1e12:1y"],
+        ["sensitivity", "--ds", "1:2:1e-12y"],
     ])
     def test_bad_year_flags_exit_2(self, factors_csv, argv, capsys):
         # a step <= 0 once looped without end, a non-number or an empty
@@ -193,8 +198,11 @@ class TestReport:
         # of 0 or an infinite volatility ended in a traceback, and an
         # infinite --mu exited 0; an infinite --min-segment, or a year
         # count whose period count overflows, raised OverflowError, and a
-        # --min-segment below 2 periods failed only in the computation
-        if argv[0] not in ("bias", "simulate", "fixture"):
+        # --min-segment below 2 periods failed only in the computation, at
+        # a monthly frequency once the input had been read; a grid of
+        # more than 10,000 values was built until memory ran out
+        if (argv[0] not in ("bias", "simulate", "fixture")
+                and "--input" not in argv):
             argv = argv + ["--input", str(factors_csv)]
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -321,8 +329,16 @@ class TestOthers:
                      "--weights", "a=1e308,b=1e308", "--min-segment", "100p"])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert err == ("error: portfolio return on 2000-01-04 is not finite: "
-                       "the weighted sum overflows\n")
+        assert err == ("error: series 'portfolio': return on 2000-01-04 is "
+                       "not finite\n")
+
+    def test_fixture_overflow_is_an_error(self, capsys):
+        # returns that overflow ended in a traceback
+        code = main(["fixture", "--drift-pre", "1e308", "--vol-pre", "1e308"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: series 'synthetic': return on ")
+        assert err.count("\n") == 1
 
     def test_simulate(self, tmp_path):
         out = tmp_path / "sim.csv"

@@ -21,7 +21,8 @@ from minregime import (
 )
 from minregime import ingest
 from minregime.engine import mrp_one_split
-from minregime.ingest import FixtureSpec, IngestConfig, load_csv, make_fixture
+from minregime.ingest import (FixtureSpec, IngestConfig, load_csv, make_fixture,
+                              write_csv)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -159,7 +160,9 @@ class TestMakeFixture:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "fix.csv"
         spec = FixtureSpec(n_pre=40, n_post=30)
-        original = make_fixture(3, spec, path=path)
+        original = make_fixture(3, spec)
+        with open(path, "w", newline="") as fh:
+            write_csv(original, fh)
         (loaded,) = load_csv(IngestConfig(path))
         assert np.array_equal(loaded.dates, original.dates)
         assert loaded.returns == pytest.approx(original.returns, rel=1e-11)
@@ -167,8 +170,9 @@ class TestMakeFixture:
     def test_identical_seeds_identical_files(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         spec = FixtureSpec(n_pre=20, n_post=20)
-        make_fixture(9, spec, path=p1)
-        make_fixture(9, spec, path=p2)
+        for path in (p1, p2):
+            with open(path, "w", newline="") as fh:
+                write_csv(make_fixture(9, spec), fh)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_break_recovery_strong_signal(self):

@@ -10,6 +10,7 @@ from minregime import (
     DateOrderError,
     EmptySeries,
     Frequency,
+    NonFiniteReturn,
     ReturnSeries,
     SegmentTooShort,
     SeriesTooShort,
@@ -397,6 +398,11 @@ class TestReturnSeries:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             series_from([0.01, np.nan])
+        with pytest.raises(NonFiniteReturn, match=(
+                "series 'test': return on 2000-01-03 is not finite")) as info:
+            series_from([0.01, -0.02, np.inf, np.nan])
+        # callers that catch ValueError still catch it
+        assert isinstance(info.value, ValueError)
 
     def test_frequency_periods(self):
         assert Frequency.DAILY.periods_per_year == 252
