@@ -271,19 +271,18 @@ def cmd_portfolio(args) -> None:
 
 def cmd_bias(args) -> None:
     rows = []
+    log_v = bias_mod._log_uniforms(args.trials, args.seed)  # one for every N
     for n in args.N:
         model = bias_mod.BiasModel(mu=args.mu, sigma=args.sigma, s=1, n_s=n)
-        exact = bias_mod.bias_exact(model)
         # the extreme-value form only exists for N >= 3; leave the cell blank
         asym = _fmt(bias_mod.bias_asymptotic(model)) if n >= 3 else ""
-        sample = bias_mod.simulate_min_model(model, args.trials, seed=args.seed)
-        se = float(np.std(sample, ddof=1) / math.sqrt(args.trials))
+        sample = bias_mod._min_draws(model, log_v)
         rows.append({
             "N": str(n),
-            "exact_bias": _fmt(exact),
+            "exact_bias": _fmt(bias_mod.bias_exact(model)),
             "asymptotic_bias": asym,
             "simulated_mean": _fmt(float(np.mean(sample))),
-            "se": _fmt(se),
+            "se": _fmt(float(np.std(sample, ddof=1) / math.sqrt(args.trials))),
         })
     _emit(rows, args.out, args.format)
 
@@ -413,19 +412,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if "min_segment" in args:  # the period count, at the input's frequency
-        text = args.min_segment
-        args.min_segment = parse_duration(text, Frequency(args.frequency))
-        if args.min_segment < 2:
-            args.parser.error(f"argument --min-segment: duration {text!r} is "
-                              f"fewer than 2 periods at the {args.frequency} "
+
+    def periods(flag: str, text: str) -> int:
+        """The period count of a duration, at the input's frequency."""
+        count = parse_duration(text, Frequency(args.frequency))
+        if count < 2:
+            args.parser.error(f"argument {flag}: duration {text!r} is fewer "
+                              f"than 2 periods at the {args.frequency} "
                               "frequency")
+        return count
+    if "min_segment" in args:
+        args.min_segment = periods("--min-segment", args.min_segment)
+    for years in getattr(args, "ds", ()):  # repr: the float, to the bit
+        periods("--ds", f"{years!r}y")
     try:
         args.func(args)
-    except MinRegimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MinRegimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -45,14 +45,19 @@ class IngestConfig:
             raise ValueError(f"unknown missing_policy {self.missing_policy!r}")
 
 
-def _parse_date(text: str | None, row: int, column: str) -> datetime.date:
-    """One date cell, parsed alone only to locate a column's first error."""
-    if text is None:
-        raise ParseError(row, column, "missing date cell")
+def _dates(cells) -> list[datetime.date]:
+    """The date-cell rule, ISO-8601 with blanks around ignored: a missing
+    cell (None) raises AttributeError, a bad one ValueError."""
+    return [datetime.date.fromisoformat(t.strip()) for t in cells]
+
+
+def _parse_date(text: str | None, row: int, column: str) -> None:
+    """One date cell, read by ``_dates`` alone to locate a bad one."""
     try:
-        return datetime.date.fromisoformat(text.strip())
-    except ValueError as exc:
-        raise ParseError(row, column, f"bad date {text!r}") from exc
+        _dates([text])
+    except (AttributeError, ValueError):
+        raise ParseError(row, column, "missing date cell" if text is None
+                         else f"bad date {text!r}") from None
 
 
 def _parse_ret(text: str, row: int, column: str,
@@ -111,12 +116,12 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     text = column(config.date_column, None)
     errors = []  # (row, position in the row, error); the least is raised
     try:
-        days = [datetime.date.fromisoformat(t.strip()) for t in text]
+        days = _dates(text)
     except (AttributeError, ValueError):
         at, error = _first_error(text, range(2, nrows + 2), lambda t, r:
                                  _parse_date(t, r, config.date_column))
         errors.append((at, -1, error))
-        days = [datetime.date.fromisoformat(t.strip()) for t in text[:at - 2]]
+        days = _dates(text[:at - 2])
     dates = _as_days(days)
     live = np.flatnonzero(dates >= np.datetime64(config.start_date, "D"))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from minregime import bias
 from minregime import (
     BiasModel,
     InvalidModel,
@@ -177,6 +178,16 @@ class TestSimulateMinModel:
         b = simulate_min_model(BiasModel(0, 1, 1, 5), 1000, seed=9)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 5, 301])
+    def test_shared_draws_match_per_model_calls(self, seed):
+        # one seed's log-uniforms, drawn once and transformed for each N,
+        # are each N's own simulate_min_model sample to the bit
+        log_v = bias._log_uniforms(4000, seed)
+        for N in (1, 2, 5, 100, 10 ** 6):
+            model = BiasModel(0.3, 2.0, 1, N)
+            assert np.array_equal(bias._min_draws(model, log_v),
+                                  simulate_min_model(model, 4000, seed))
+
     def test_location_equivariance_paired_seeds(self):
         a = simulate_min_model(BiasModel(0.0, 1, 1, 20), 5000, seed=6)
         b = simulate_min_model(BiasModel(0.7, 1, 1, 20), 5000, seed=6)
@@ -199,6 +210,18 @@ class TestGumbelLimitDiagnostic:
                                         trials=10_000, seed=22)
         assert large.ks_distance <= 0.05
         assert large.ks_distance < small.ks_distance
+
+    @pytest.mark.parametrize("seed", [0, 7, 301])
+    @pytest.mark.parametrize("N,trials", [(10, 200), (1000, 2000),
+                                          (10 ** 5, 3000)])
+    def test_ks_distance_is_kstest_statistic(self, seed, N, trials):
+        model = BiasModel(0.1, 1.5, 1, N)
+        z = simulate_min_model(model, trials, seed=seed)
+        consts = gumbel_constants(N)
+        standardized = ((z - model.mu) / model.sigma + consts.b) / consts.a
+        want = stats.kstest(standardized, stats.gumbel_l.cdf).statistic
+        diag = gumbel_limit_diagnostic(model, trials, seed=seed)
+        assert diag.ks_distance == want
 
     def test_domain(self):
         with pytest.raises(InvalidModel):

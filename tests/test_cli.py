@@ -188,6 +188,11 @@ class TestReport:
         ["sensitivity", "--lookbacks", "1:1e6:1y"],
         ["sensitivity", "--lookbacks", "1:1e12:1y"],
         ["sensitivity", "--ds", "1:2:1e-12y"],
+        ["sensitivity", "--ds", "0.001,0.5"],
+        ["sensitivity", "--ds", "0.5,0.005"],
+        ["sensitivity", "--ds", "0.1,1", "--frequency", "monthly",
+         "--input", "missing.csv"],
+        ["sensitivity", "--ds", "0.1:1:0.3y", "--frequency", "monthly"],
     ])
     def test_bad_year_flags_exit_2(self, factors_csv, argv, capsys):
         # a step <= 0 once looped without end, a non-number or an empty
@@ -200,7 +205,9 @@ class TestReport:
         # count whose period count overflows, raised OverflowError, and a
         # --min-segment below 2 periods failed only in the computation, at
         # a monthly frequency once the input had been read; a grid of
-        # more than 10,000 values was built until memory ran out
+        # more than 10,000 values was built until memory ran out; a --ds
+        # value below 2 periods at the input's frequency printed a column
+        # of Infeasible cells (exit 0)
         if (argv[0] not in ("bias", "simulate", "fixture")
                 and "--input" not in argv):
             argv = argv + ["--input", str(factors_csv)]
@@ -222,6 +229,17 @@ class TestSensitivity:
                 r["mrp_minus_sharpe"] for r in rows}
         assert cell[("alpha", "1", "0.75")] == "Infeasible"
         assert cell[("alpha", "1", "0.25")] != "Infeasible"
+
+    @pytest.mark.parametrize("ds,frequency", [("0.008", "daily"),
+                                               ("0.17", "monthly")])
+    def test_ds_of_two_periods_runs(self, factors_csv, tmp_path, ds,
+                                    frequency):
+        # 0.008y is 2 periods daily and 0.17y 2 monthly: the least d kept
+        out = tmp_path / "grid.csv"
+        assert main(["sensitivity", "--input", str(factors_csv),
+                     "--lookbacks", "1", "--ds", ds, "--frequency", frequency,
+                     "--out", str(out)]) == 0
+        assert len(list(csv.DictReader(out.open()))) == 3
 
     def test_jobs_byte_identical(self, factors_csv, tmp_path):
         a, b = tmp_path / "g1.csv", tmp_path / "g8.csv"

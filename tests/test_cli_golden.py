@@ -1,10 +1,14 @@
-"""CLI stdout, byte for byte, on a small deterministic factor panel.
+"""CLI stdout, byte for byte, on a small deterministic factor panel and
+for the bias model's subcommands.
 
-The expected outputs under ``tests/data/cli_golden/`` were written by the
-release before the column-wise CSV reader, the ``datetime64[D]`` date
-array and the shared one-split grid pass, from the panel that
-``write_panel`` builds. Every case must still print exactly those bytes.
-To add a case, write its stdout from a checkout of that release.
+The expected outputs under ``tests/data/cli_golden/`` of the panel cases
+were written by the release before the column-wise CSV reader, the
+``datetime64[D]`` date array and the shared one-split grid pass, from
+the panel that ``write_panel`` builds. Those of ``bias`` and ``simulate``
+were written by the release before the Kolmogorov-Smirnov statistic was
+computed in ``minregime.bias`` and ``bias`` drew one stream of uniforms
+per call. Every case must still print exactly those bytes. To add a
+case, write its stdout from a checkout of the matching release.
 """
 
 import contextlib
@@ -40,6 +44,26 @@ CASES = {
                        "--ds", "1,2"],
 }
 
+#: subcommands that read no input; a case named ``*_json`` is JSON
+MODEL_CASES = {
+    "bias": ["bias", "--seed", "301"],
+    "bias_large_n": ["bias", "--N", "1,3,1000000", "--trials", "5000",
+                     "--seed", "7"],
+    "bias_mu_sigma": ["bias", "--mu", "0.3", "--sigma", "2", "--seed", "1"],
+    "bias_json": ["bias", "--seed", "301", "--format", "json"],
+    "simulate": ["simulate", "--N", "1000", "--seed", "301"],
+    "simulate_large_n": ["simulate", "--N", "100000", "--trials", "3000",
+                         "--seed", "5"],
+}
+
+
+def stdout_of(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    return out.getvalue()
+
 
 def write_panel(path: Path) -> None:
     """Wide daily CSV: four two-regime factors, 12 significant digits,
@@ -73,8 +97,12 @@ def panel(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(panel, name):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(CASES[name] + ["--input", str(panel)])
-    assert code == 0
-    assert out.getvalue() == (GOLDEN / f"{name}.csv").read_text()
+    got = stdout_of(CASES[name] + ["--input", str(panel)])
+    assert got == (GOLDEN / f"{name}.csv").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_CASES))
+def test_model_stdout_matches_golden(name):
+    suffix = ".json" if name.endswith("_json") else ".csv"
+    got = stdout_of(MODEL_CASES[name])
+    assert got == (GOLDEN / f"{name}{suffix}").read_text()

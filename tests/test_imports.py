@@ -11,13 +11,31 @@ import minregime
 HEAVY = ("scipy", "concurrent.futures.process", "multiprocessing")
 
 
-def test_import_leaves_heavy_modules_unloaded():
+def loaded_after(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after running
+    ``code`` with this checkout's package on its path."""
     src = str(Path(minregime.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, minregime, minregime.cli\n"
-            f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))")
+    code += ("\nimport sys\n"
+             f"print(' '.join(m for m in {modules!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == []
+    return out.split()
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    assert loaded_after("import minregime, minregime.cli", HEAVY) == []
+
+
+def test_bias_and_simulate_leave_scipy_stats_unloaded():
+    # the KS statistic is computed without scipy.stats, whose import
+    # takes longer than a simulate call
+    code = ("import contextlib, io\n"
+            "from minregime.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['bias', '--trials', '200'])\n"
+            "    main(['simulate', '--N', '1000', '--trials', '200'])")
+    assert loaded_after(code, ("scipy.special", "scipy.stats")) == [
+        "scipy.special"]
