@@ -4,24 +4,24 @@ Per-factor reports, the decay-risk frontier, sensitivity grids over
 (lookback, minimum-segment-length), cross-metric robustness correlations,
 portfolio-level minimum regime performance, and block-bootstrap stability
 checks. Grid cells are milliseconds of numpy work each and run in
-process, in grid order. Every product scores segments from one
-``PrefixTable``: a trailing window's, shared by its grid row's split
-scan and full-window metric, or a chunk of bootstrap replicates', drawn
-as rows of a return matrix and scored at s = 1 by one 2-D split scan,
-with no series or table per replicate.
+process, in grid order. Every product reaches the minimum through the
+engine's table-level search (``engine._search``) on one ``PrefixTable``:
+a trailing window's, shared by its grid row's cells and full-window
+metric, or a chunk of bootstrap replicates', drawn as rows of a return
+matrix, with no series per replicate.
 """
 
 from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .engine import (_CHUNK, MrpResult, _check_feasible, _first_min, _split_scan,
-                     mrp_fast, mrp_one_split)
+from .engine import (_CHUNK, MrpResult, _check_feasible, _first_min, _search,
+                     _split_scan, mrp_fast, mrp_one_split)
 from .errors import (
     DateMismatch,
     DegenerateVector,
@@ -127,11 +127,11 @@ def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
     no partition fits.
 
     The trailing window, its prefix table and its metric are computed
-    once, the metric right after the first cell's MRP. At s = 1 one
-    split scan of that table, at the least fitting d, holds every cell:
-    a cell is the first least entry of its slice of that scan, as
-    ``mrp_one_split`` would pick it. The full-window metric reads the
-    same table. Cells are computed, and raise, in grid order.
+    once, the metric right after the first cell's MRP; every cell reads
+    that table. At s = 1 one split scan, at the least fitting d, holds
+    every cell: a cell is the first least entry of its slice of that
+    scan, as ``mrp_one_split`` would pick it. At s >= 2 a cell is one
+    ``engine._search``. Cells are computed, and raise, in grid order.
     """
     win = _trailing_window(series, lookback)
     n = len(win)
@@ -151,7 +151,7 @@ def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
             cut = pair[d - d0:n - d - d0 + 1]
             value = cut[_first_min(cut)]
         else:
-            value = mrp_fast(win, s, d, kind).value
+            value = _search(table, s, d, kind)[0]
         if full is None:
             full = segment_metric(table, 0, n, kind)
         row[k] = value - full
@@ -166,13 +166,15 @@ def sensitivity_grid(series: ReturnSeries,
                      jobs: int = 1) -> SensitivityGrid:
     """(MRP - metric) for every lookback/d combination.
 
-    Each lookback's window is scored once: at s = 1 by one split scan
-    shared by all its d cells, O(n) per lookback; at s >= 2 by
-    ``mrp_fast`` per cell. ``jobs`` is accepted for compatibility and has
-    no effect: the cells are computed in process, in grid order.
+    Each lookback's window and its prefix table are built once: at s = 1
+    one split scan is shared by all its d cells, O(n) per lookback; at
+    s >= 2 each cell is one window search of that table; s < 1 raises
+    Infeasible. ``jobs`` is accepted for compatibility and has no effect.
     """
     if not lookbacks_years or not d_years:
         raise ValueError("lookback and d grids must be non-empty")
+    if s < 1:
+        raise Infeasible("s must be >= 1")
     ds = [_periods(dy, series) for dy in d_years]
     cells = np.array([_grid_row(series, lb, ds, s, kind)
                       for lb in lookbacks_years])
@@ -275,17 +277,16 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
 
     Blocks of ``block_len`` consecutive returns (wrapping at the end) are
     concatenated to the original length, and the MRP is recomputed per
-    replicate. All block starts are drawn up front from a counter-based
-    generator, so the result depends only on the seed. ``jobs`` is
-    accepted for compatibility and has no effect.
+    replicate. The block starts come from one counter-based generator,
+    drawn chunk by chunk in replicate order, so the result depends only
+    on the seed. ``jobs`` is accepted for compatibility and has no effect.
 
     Replicates are gathered as rows of a return matrix, from the returns
     extended by their first ``block_len - 1`` values, a chunk of rows at
     a time: its prefix arrays hold about ``engine._CHUNK`` values, so its
-    memory stays near the window scan's. At s = 1 the chunk's one
-    ``PrefixTable`` is read by one 2-D split scan (``engine._split_scan``),
-    at s >= 2 ``mrp_fast`` scores each row; the values are ``mrp_fast``'s
-    on each replicate, bit for bit.
+    memory stays near the window scan's at any replicate count. The
+    chunk's one ``PrefixTable`` goes to ``engine._search``, with no series
+    per replicate; the values are ``mrp_fast``'s on each, bit for bit.
     """
     n = len(series)
     if not (1 <= block_len <= n):
@@ -295,7 +296,6 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     _check_feasible(n, s, d)
     rng = np.random.Generator(np.random.Philox(seed))
     nblocks = -(-n // block_len)
-    starts = rng.integers(0, n, size=(replicates, nblocks))
     # row k of ``blocks`` is the block starting at k, wrapped at the end
     blocks = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((series.returns, series.returns[:block_len - 1])),
@@ -303,15 +303,10 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     step = max(1, _CHUNK // (2 * n))  # rows of a chunk
     values = np.empty(replicates)
     for k in range(0, replicates, step):
-        x = blocks[starts[k:k + step]].reshape(-1, nblocks * block_len)[:, :n]
-        if s >= 2:
-            values[k:k + step] = [mrp_fast(replace(series, returns=row), s, d,
-                                           kind).value for row in x]
-            continue
-        left, right = _split_scan(_prefix_table(x, series.periods_per_year),
-                                  d, kind)
-        worse = np.minimum(left, right)  # each split's worse side
-        values[k:k + step] = worse[np.arange(len(x)), _first_min(worse)]
+        starts = rng.integers(0, n, size=(min(step, replicates - k), nblocks))
+        x = blocks[starts].reshape(-1, nblocks * block_len)[:, :n]
+        values[k:k + step] = _search(_prefix_table(x, series.periods_per_year),
+                                     s, d, kind)[0]
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     quants = {q: float(np.quantile(values, q)) for q in qs}
     return BootstrapSummary(

@@ -7,16 +7,16 @@ segments of at least d observations each. The engine provides:
 * ``enumerate_partitions`` - lexicographic stream of all split tuples,
   read from one numpy array of rows,
 * ``mrp_brute_force``     - exact minimum by full enumeration (oracle),
-* ``mrp_one_split``       - O(n) scan for the single-split case,
+* ``mrp_one_split``       - ``mrp_fast`` at s = 1,
 * ``mrp_fast``            - feasible-window algorithm, value-identical to
   brute force: the worst segment of the optimal partition is itself a
   contiguous window whose prefix and suffix can each be cut into feasible
-  segments, so minimizing over such windows suffices. O(n) at s = 1. At
-  s >= 2 a tile certificate first skips every block of windows whose
-  lower bound lies above an incumbent, and the rest are scored in flat
-  chunks: on clean data with a negative minimum a few thousand of the
-  O(n^2) windows; where nothing can be skipped (a positive minimum on
-  large-offset data) all of them, as a full scan would.
+  segments, so minimizing over such windows suffices. O(n) at s = 1; at
+  s >= 2 a tile certificate skips the windows that cannot be the least.
+
+Every caller reaches the minimum through one search of a prefix table,
+``_search``, and every ``MrpResult`` comes from ``_result``, which scores
+the chosen partition's segments.
 
 Partitions containing a segment with an undefined metric (zero variance,
 or no return below ``mar`` for Sortino) are infeasible rather than scored
@@ -46,6 +46,7 @@ from .series import (
     _kind_arrays,
     _moments,
     _parts,
+    _prefix_table,
     _ratio,
     _score,
     build_prefix_sums,
@@ -129,16 +130,19 @@ def _splits_array(n: int, s: int, d: int) -> np.ndarray:
     return w + d * np.arange(1, s + 1, dtype=np.int64)
 
 
-def _result_from_splits(series: ReturnSeries, splits: tuple[int, ...], d: int,
-                        metrics: np.ndarray) -> MrpResult:
-    spec = PartitionSpec(splits=splits, n=len(series), d=d)
+def _result(series: ReturnSeries, table: PrefixTable, splits, d: int,
+            kind: MetricKind) -> MrpResult:
+    """The ``MrpResult`` of ``series`` split at the ints ``splits``: its
+    segments are scored on its prefix ``table``, the first least reported."""
+    bounds = np.array((0, *splits, len(series)), dtype=np.int64)
+    metrics = metric_many(table, bounds[:-1], bounds[1:], kind)
     argmin = int(_first_min(metrics))
     return MrpResult(
         value=float(metrics[argmin]),
-        optimal_splits=spec,
-        segment_metrics=tuple(float(v) for v in metrics),
+        optimal_splits=PartitionSpec(tuple(bounds[1:-1].tolist()), len(series), d),
+        segment_metrics=tuple(metrics.tolist()),
         argmin_segment=argmin,
-        split_dates=tuple(series.dates[np.asarray(splits) - 1].tolist()),
+        split_dates=tuple(series.dates[bounds[1:-1] - 1].tolist()),
     )
 
 
@@ -162,18 +166,13 @@ def mrp_brute_force(series: ReturnSeries, s: int, d: int,
     _check_feasible(n, s, d)
     table = build_prefix_sums(series)
     splits = _splits_array(n, s, d)
-    p = splits.shape[0]
-    bounds = np.empty((p, s + 2), dtype=np.int64)
-    bounds[:, 0] = 0
-    bounds[:, 1:-1] = splits
-    bounds[:, -1] = n
-    metrics = metric_many(
-        table, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(), kind
-    ).reshape(p, s + 1)
+    edge = np.zeros((len(splits), 1), dtype=np.int64)
+    bounds = np.hstack((edge, splits, edge + n))
+    metrics = metric_many(table, bounds[:, :-1].ravel(), bounds[:, 1:].ravel(),
+                          kind).reshape(len(splits), s + 1)
     # NaN propagates: a partition with an undefined segment is never picked
-    best_row = _first_min(np.min(metrics, axis=1))
-    return _result_from_splits(series, tuple(splits[best_row].tolist()), d,
-                               metrics[best_row])
+    return _result(series, table, splits[_first_min(np.min(metrics, axis=1))],
+                   d, kind)
 
 
 def mrp_one_split(series: ReturnSeries, d: int,
@@ -182,12 +181,7 @@ def mrp_one_split(series: ReturnSeries, d: int,
 
     Equivalent to ``mrp_brute_force(series, 1, d)`` including tie-breaks.
     """
-    n = len(series)
-    _check_feasible(n, 1, d)
-    left, right = _split_scan(build_prefix_sums(series), d, kind)
-    i = int(_first_min(np.minimum(left, right)))
-    return _result_from_splits(series, (d + i,), d,
-                               np.array([left[i], right[i]]))
+    return mrp_fast(series, 1, d, kind)
 
 
 def _split_scan(table: PrefixTable, d: int, kind: MetricKind):
@@ -408,30 +402,44 @@ def mrp_fast(series: ReturnSeries, s: int, d: int,
              kind: MetricKind = SHARPE) -> MrpResult:
     """MRP_s via the feasible-window search; value-identical to brute force.
 
-    s = 1 is ``mrp_one_split``, O(n). For s >= 2 the answer is the least
-    window that can be a segment of a valid partition; windows cost O(1)
-    each via prefix sums. A tile certificate (``_certified_ends``)
-    first skips every block of windows that provably scores above an
-    incumbent, the least window of least length per start or of the
-    windows ending at n; the windows of the kept tiles are scored in
-    (i, j) order, ``_CHUNK`` at a time, one gathered ``metric_many``
-    call per chunk. It prunes mostly where the minimum is negative: on
-    the benchmark's clean two-regime series it scores under 0.1% of the
-    windows. Where nothing can be pruned (a positive minimum on
-    large-offset data) all O(n^2) windows are scored, plus an O(n)
-    incumbent pass and a pass over at most about 16,000 tiles and their
-    rows.
-
-    A segment with an undefined metric only makes its partitions
-    infeasible, and feasibility is read off ``defined_ends`` and greedy
-    cuts, so brute force is never needed. Ties go to the
-    lexicographically first window (i, j).
+    ``_search`` finds the partition on the series' prefix table, and
+    ``_result`` scores it.
     """
-    n = len(series)
-    _check_feasible(n, s, d)
-    if s == 1:
-        return mrp_one_split(series, d, kind)
+    _check_feasible(len(series), s, d)
     table = build_prefix_sums(series)
+    return _result(series, table, _search(table, s, d, kind)[1], d, kind)
+
+
+def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
+    """MRP_s of the table's series, or of each row of a replicate
+    matrix's table as a series on its own, bit for bit, and a partition
+    achieving it: (value, splits), s splits per row. The caller checks
+    that s and d fit (``_check_feasible``).
+
+    At s = 1 one O(n) split scan covers every row, and each row takes its
+    first least worse side. At s >= 2 each row is searched on its own
+    table: the answer is the least window that can be a segment of a
+    valid partition, read off ``defined_ends`` and greedy cuts, so brute
+    force is never needed; windows cost O(1) each via prefix sums. A tile
+    certificate (``_certified_ends``) first skips every block of windows
+    that provably scores above an incumbent, the least window of least
+    length per start or of the windows ending at n; the windows of the
+    kept tiles are scored in (i, j) order, ``_CHUNK`` at a time, one
+    gathered ``metric_many`` call per chunk. On the benchmark's clean
+    two-regime series it scores under 0.1% of the windows; where nothing
+    can be pruned (a positive minimum on large-offset data), all O(n^2).
+    Ties go to the lexicographically first window (i, j), and
+    ``_complete_partition`` builds a partition around it.
+    """
+    if s == 1:
+        worse = np.minimum(*_split_scan(table, d, kind))
+        i = _first_min(worse)[..., None]
+        return np.take_along_axis(worse, i, -1)[..., 0], d + i
+    if table.returns.ndim > 1:
+        found = [_search(_prefix_table(row, table.periods_per_year), s, d, kind)
+                 for row in table.returns]
+        return tuple(np.array(v) for v in zip(*found))
+    n = table.n
     f = np.maximum(np.arange(n, dtype=np.int64) + d, defined_ends(table, kind)[:n])
     lo, hi = _reach(f, n, s)
     if lo[s + 1] > n:
@@ -461,8 +469,5 @@ def mrp_fast(series: ReturnSeries, s: int, d: int,
         best = min(best, (float(vals[k]), int(start[k]), int(end[k])))
     if not math.isfinite(best[0]):
         raise NoValidPartition("no window with a defined metric")
-    _, i, j = best
-    splits = _complete_partition(f, s, lo, hi, i, j)
-    bounds = np.array((0,) + splits + (n,), dtype=np.int64)
-    metrics = metric_many(table, bounds[:-1], bounds[1:], kind)
-    return _result_from_splits(series, splits, d, metrics)
+    value, i, j = best
+    return value, np.array(_complete_partition(f, s, lo, hi, i, j))

@@ -1,6 +1,7 @@
 import datetime
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +122,27 @@ class TestSensitivityGrid:
         g2 = sensitivity_grid(s, [1.0, 1.5], [0.2, 0.3], jobs=4)
         assert np.array_equal(g1.cells, g2.cells, equal_nan=True)
 
+    @pytest.mark.parametrize("s, d_years", [(0, (1 / 252,)), (-3, (1 / 252,)),
+                                            (-3, (5,)), (0, (0.2,))])
+    def test_s_below_one_infeasible(self, s, d_years):
+        # where no cell fits (d = 1), the grid once came back all NaN
+        with pytest.raises(Infeasible, match="s must be >= 1"):
+            sensitivity_grid(make_series(600, seed=6), (1, 2), d_years, s=s)
+
+    def test_one_prefix_table_per_lookback(self, monkeypatch):
+        built = []
+        build = series_module._prefix_table
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+        monkeypatch.setattr(series_module, "_prefix_table", counting)
+        # the 1.0-year window fits d = 0.1 and 0.2 years at s = 2, the
+        # 0.5-year window only 0.1; no window fits 1.0
+        sensitivity_grid(make_series(400, seed=7), (0.5, 1.0), (0.1, 0.2, 1.0),
+                         s=2)
+        assert len(built) == 2
+
 
 ALPHABET = (0.0, 0.01, -0.01, 0.02, -0.03)
 #: monthly: windows of 6 to 60 periods, d of 1 (never fits) to 12 periods
@@ -131,7 +153,7 @@ GRID_DS = (1 / 12, 2 / 12, 0.25, 0.5, 1.0)
 @st.composite
 def grid_cases(draw):
     """Monthly series over a small alphabet with injected constant runs
-    (zero runs among them), at s = 1 or 2, Sharpe or Sortino."""
+    (zero runs among them), at s = 1, 2 or 3, Sharpe or Sortino."""
     n = draw(st.integers(4, 48))
     values = draw(st.lists(st.sampled_from(ALPHABET), min_size=n, max_size=n))
     for _ in range(draw(st.integers(0, 3))):
@@ -140,7 +162,7 @@ def grid_cases(draw):
         values[start:stop] = [draw(st.sampled_from(ALPHABET))] * (stop - start)
     kind = draw(st.sampled_from([SHARPE, sortino(0.0), sortino(0.01)]))
     return (series_from(values, frequency=Frequency.MONTHLY),
-            draw(st.sampled_from([1, 2])), kind)
+            draw(st.sampled_from([1, 2, 3])), kind)
 
 
 def reference_grid(series, s, kind):
@@ -299,6 +321,32 @@ class TestBlockBootstrap:
             hits += boot.values.min() <= original <= boot.values.max()
         assert hits / 30 >= 0.9
 
+    def test_builds_no_series_per_replicate(self, monkeypatch):
+        s = make_series(120, seed=22)
+        built = []
+        post_init = ReturnSeries.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+        monkeypatch.setattr(ReturnSeries, "__post_init__", counting)
+        block_bootstrap_mrp(s, 10, 12, s=2, d=20, seed=3)
+        assert not built
+
+    def test_memory_flat_in_replicates(self):
+        # the block starts are drawn chunk by chunk: 20,000 replicates of
+        # 200 draws each would hold 32 MB of them at once
+        s = make_series(200, seed=23)
+        peaks = []
+        for replicates in (1_000, 20_000):
+            tracemalloc.start()
+            try:
+                block_bootstrap_mrp(s, 1, replicates, d=20, seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2_000_000
+
     def test_summary_fields(self):
         s = make_series(100, seed=21)
         boot = block_bootstrap_mrp(s, 10, 40, d=15, seed=2)
@@ -330,9 +378,9 @@ def reference_values(series, s, d, kind, block_len, replicates, seed):
 def bootstrap_cases(draw):
     """Series over a small alphabet with ties, or at a large offset with
     vol 1e-3 or 1e-12 (prefix sums cancel), with injected constant runs
-    (zero runs among them) and runs of tiny returns after a large one; s = 1 or 2, Sharpe or Sortino, and
+    (zero runs among them) and runs of tiny returns after a large one; s = 1, 2 or 3, Sharpe or Sortino, and
     a chunk of 1 to 7 rows that need not divide the replicates."""
-    s = draw(st.sampled_from([1, 2]))
+    s = draw(st.sampled_from([1, 2, 3]))
     d = draw(st.integers(2, 6))
     n = draw(st.integers((s + 1) * d, 40))
     if draw(st.booleans()):

@@ -379,9 +379,7 @@ def reference_window_scan(series, s, d, kind=SHARPE):
     best = min(best, (float(vals[k]), int(is_[k]), n))
     _, i, j = best
     splits = engine._complete_partition(f, s, lo, hi, i, j)
-    bounds = np.array((0,) + splits + (n,), dtype=np.int64)
-    metrics = metric_many(table, bounds[:-1], bounds[1:], kind)
-    return engine._result_from_splits(series, splits, d, metrics)
+    return engine._result(series, table, splits, d, kind)
 
 
 def feasible_window_count(series, s, d, kind):
