@@ -42,13 +42,9 @@ from .series import (
 DEFAULT_ROLLING_WINDOW = {"daily": 252, "monthly": 36}
 
 
-def _periods(years: float, series: ReturnSeries) -> int:
-    return int(round(years * series.periods_per_year))
-
-
 def _trailing_window(series: ReturnSeries, lookback_years: float) -> ReturnSeries:
     """Last lookback_years of data (the whole series if shorter)."""
-    w = min(len(series), _periods(lookback_years, series))
+    w = min(len(series), series.frequency.periods(lookback_years))
     return series.window(len(series) - w, len(series))
 
 
@@ -68,7 +64,7 @@ def factor_report(series: ReturnSeries, lookback_years: float = 40.0,
                   d_years: float = 2.0, kind: MetricKind = SHARPE) -> FactorReport:
     """Full-window metric and MRP_1 on the trailing lookback window."""
     win = _trailing_window(series, lookback_years)
-    d = _periods(d_years, series)
+    d = series.frequency.periods(d_years)
     if len(win) < 2 * d:
         raise Infeasible(
             f"{series.label!r}: window of {len(win)} periods < 2*d = {2 * d}")
@@ -175,7 +171,7 @@ def sensitivity_grid(series: ReturnSeries,
         raise ValueError("lookback and d grids must be non-empty")
     if s < 1:
         raise Infeasible("s must be >= 1")
-    ds = [_periods(dy, series) for dy in d_years]
+    ds = [series.frequency.periods(dy) for dy in d_years]
     cells = np.array([_grid_row(series, lb, ds, s, kind)
                       for lb in lookbacks_years])
     return SensitivityGrid(
@@ -198,8 +194,11 @@ def robustness_correlations(labels: Sequence[str],
     if len(names) < 2:
         raise ValueError("need at least two metric vectors")
     mat = np.array([np.asarray(metric_vectors[k], dtype=float) for k in names])
-    if mat.shape[1] != len(labels) or mat.shape[1] < 3:
-        raise ValueError("need equal-length vectors over >= 3 factors")
+    if mat.shape[1] != len(labels):
+        raise ValueError("need one value per factor in each vector")
+    if len(labels) < 3:
+        raise DegenerateVector(f"correlations need >= 3 factors, got "
+                               f"{len(labels)}")
     stds = mat.std(axis=1)
     for name, sd in zip(names, stds):
         if sd == 0:

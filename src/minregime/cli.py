@@ -54,7 +54,7 @@ def parse_duration(text: str, frequency: Frequency) -> int:
     text = text.strip()
     try:
         if text.endswith("y"):
-            return int(round(float(text[:-1]) * frequency.periods_per_year))
+            return frequency.periods(float(text[:-1]))
         if text.endswith("p"):
             return int(text[:-1])
     except (ValueError, OverflowError):
@@ -93,14 +93,20 @@ def finite(text: str) -> float:
     return value
 
 
+def positive(text: str) -> float:
+    """argparse type of a number flag that must be finite and > 0."""
+    value = finite(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not > 0")
+    return value
+
+
 def parse_years(text: str) -> float:
     """Parse '40y' (or a bare number) into a finite number of years > 0
     whose period count is finite at every frequency; the argparse type of
     ``--lookback`` and of each ``--lookbacks`` and ``--ds`` value and
     step."""
-    value = finite(text.strip().removesuffix("y"))
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not > 0")
+    value = positive(text.strip().removesuffix("y"))
     if not math.isfinite(value * Frequency.DAILY.periods_per_year):
         raise argparse.ArgumentTypeError(f"{text!r} is too many years")
     return value
@@ -329,7 +335,7 @@ FLAGS = {
     "--jobs": dict(type=int_at_least(1), default=1),
     "--seed": dict(type=int, default=0),
     "--mu": dict(type=finite, default=0.0),
-    "--sigma": dict(type=finite, default=1.0),
+    "--sigma": dict(type=positive, default=1.0),
     "--out": dict(default=None),
     "--format": dict(choices=["csv", "json"], default="csv"),
 }
@@ -389,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate")
     _add_flags(p, "--mu", "--sigma", "--seed", *OUTPUT)
-    p.add_argument("--N", type=int_at_least(1), default=10_000)
+    p.add_argument("--N", type=int_at_least(10), default=10_000,
+                   help="order-statistic count (>= 10 for the diagnostic)")
     p.add_argument("--trials", type=int_at_least(2), default=20_000,
                    help="Monte Carlo trials per N (>= 2 for a standard error)")
     p.set_defaults(func=cmd_simulate)
@@ -413,18 +420,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
-    def periods(flag: str, text: str) -> int:
-        """The period count of a duration, at the input's frequency."""
-        count = parse_duration(text, Frequency(args.frequency))
+    def at_least_2(flag: str, text: str, count: int) -> int:
+        """``count``, the period count of a duration at the input's
+        frequency, if it is at least 2."""
         if count < 2:
             args.parser.error(f"argument {flag}: duration {text!r} is fewer "
                               f"than 2 periods at the {args.frequency} "
                               "frequency")
         return count
     if "min_segment" in args:
-        args.min_segment = periods("--min-segment", args.min_segment)
-    for years in getattr(args, "ds", ()):  # repr: the float, to the bit
-        periods("--ds", f"{years!r}y")
+        count = parse_duration(args.min_segment, Frequency(args.frequency))
+        args.min_segment = at_least_2("--min-segment", args.min_segment, count)
+    for years in getattr(args, "ds", ()):
+        at_least_2("--ds", f"{years!r}y",
+                   Frequency(args.frequency).periods(years))
     try:
         args.func(args)
     except (MinRegimeError, OSError) as exc:

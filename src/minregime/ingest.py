@@ -51,27 +51,6 @@ def _dates(cells) -> list[datetime.date]:
     return [datetime.date.fromisoformat(t.strip()) for t in cells]
 
 
-def _parse_date(text: str | None, row: int, column: str) -> None:
-    """One date cell, read by ``_dates`` alone to locate a bad one."""
-    try:
-        _dates([text])
-    except (AttributeError, ValueError):
-        raise ParseError(row, column, "missing date cell" if text is None
-                         else f"bad date {text!r}") from None
-
-
-def _parse_ret(text: str, row: int, column: str,
-               config: IngestConfig) -> None:
-    """One return cell, read by ``_column_values`` alone only to locate a
-    column's first error: the ParseError of the rule it breaks names the
-    cell's text, unless the cell is blank ("missing value")."""
-    try:
-        _column_values([text], config)
-    except ValueError as exc:
-        raise ParseError(row, column, f"{exc} {text!r}" if text.strip()
-                         else str(exc)) from None
-
-
 def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     """Load one ReturnSeries per factor column (or long-format name).
 
@@ -84,13 +63,13 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     row's extra cells are dropped; a repeated header name means its last
     column. Rows before ``start_date`` are dropped. In the long layout a
     name column splits the rows of one value column, and series come in
-    order of each name's first appearance. A failing column's first bad
-    cell is found by the column rules (``_column_values``) run on one
-    cell at a time, and the least (row, position) is raised: a row's
-    date, then its name, then its values.
-    Rows from a bad date on are not read. Then series are checked in
-    label order for emptiness (EmptySeries), then for date order
-    (``ReturnSeries`` raises DateOrderError).
+    order of each name's first appearance. If a column-wise step fails,
+    one row-by-row read (``_first_bad_cell``) raises the first bad cell's
+    ParseError: a row's date, then its name, then its values, each cell
+    read by the same rules (``_dates``, ``_column_values``) run on that
+    cell alone. Then series are checked in label order for emptiness
+    (EmptySeries), then for date order (``ReturnSeries`` raises
+    DateOrderError).
     """
     path = Path(config.path)
     try:  # a byte-order mark is not part of the first header name
@@ -99,6 +78,7 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
             raise EmptySeries(f"{path}: no header row")
         header, table, nrows = (_split(text)
                                 or _columns(text, config.date_column))
+        del text  # the file's text goes before the columns are read
     except UnicodeDecodeError as exc:
         raise MinRegimeError(f"{path}: not UTF-8 text ({exc.reason}) at byte "
                              f"{exc.start}") from None
@@ -113,41 +93,20 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     def column(name: str, absent: str | None = "") -> tuple:
         return table.get(name, (absent,) * nrows)
 
-    text = column(config.date_column, None)
-    errors = []  # (row, position in the row, error); the least is raised
     try:
-        days = _dates(text)
-    except (AttributeError, ValueError):
-        at, error = _first_error(text, range(2, nrows + 2), lambda t, r:
-                                 _parse_date(t, r, config.date_column))
-        errors.append((at, -1, error))
-        days = _dates(text[:at - 2])
-    dates = _as_days(days)
-    live = np.flatnonzero(dates >= np.datetime64(config.start_date, "D"))
-
-    def read(name: str, pos: int) -> tuple:
-        """Indices into ``live`` of non-empty cells, and their returns."""
-        cells = _take(column(name), live)
-        try:
-            return _column_values(cells, config)
-        except (ValueError, OverflowError):
-            at, error = _first_error(cells, (live + 2).tolist(), lambda t, r:
-                                     _parse_ret(t, r, name, config))
-            errors.append((at, pos, error))
-            return None, None
-
-    if config.long_format:
-        names = list(map(str.strip, _take(column(config.name_column), live)))
-        if "" in names:
-            at = int(live[names.index("")]) + 2
-            errors.append((at, 0, ParseError(at, config.name_column,
-                                             "missing series name")))
-        keep, values = read(config.return_column, 1)
-    else:  # a repeated label is read once, and repeated below
-        read_once = {label: read(label, labels.index(label))
-                     for label in dict.fromkeys(labels)}
-    if errors:
-        raise min(errors, key=lambda e: e[:2])[2]
+        dates = _as_days(_dates(column(config.date_column, None)))
+        live = np.flatnonzero(dates >= np.datetime64(config.start_date, "D"))
+        if config.long_format:
+            names = list(map(str.strip, _take(column(config.name_column), live)))
+            if "" in names:
+                raise ValueError("missing series name")
+            keep, values = _column_values(_take(column(config.return_column),
+                                                live), config)
+        else:  # a repeated label is read once, and repeated below
+            read_once = {label: _column_values(_take(column(label), live), config)
+                         for label in dict.fromkeys(labels)}
+    except (AttributeError, ValueError, OverflowError):
+        raise _first_bad_cell(config, column, labels) from None
 
     if config.long_format:
         names = _take(names, keep)
@@ -253,14 +212,34 @@ def _column_values(cells, config: IngestConfig) -> tuple:
     return keep, values
 
 
-def _first_error(cells, rows, parse):
-    """(row, error) of the first cell that ``parse(cell, row)`` rejects:
-    the per-cell scan that locates what a column-wide step found."""
-    for row, cell in zip(rows, cells):
+def _first_bad_cell(config: IngestConfig, column, labels) -> ParseError:
+    """The error of a row-by-row read of the cells ``column(name)`` gives,
+    once a column-wise step has failed. Each row's date is read first,
+    and a row before ``start_date`` is skipped; then, in the long layout,
+    its series name; then its cell of each value column, in order of
+    first position in ``labels``. A cell is read by its column's rule run
+    on that one cell; ``expm1``'s OverflowError propagates."""
+    start = np.datetime64(config.start_date, "D")
+    names = column(config.name_column) if config.long_format else None
+    values = {name: column(name) for name in
+              ((config.return_column,) if config.long_format else labels)}
+    for k, text in enumerate(column(config.date_column, None)):
+        row = k + 2
         try:
-            parse(cell, row)
-        except (ParseError, OverflowError) as exc:
-            return row, exc
+            day = np.datetime64(_dates([text])[0], "D")
+        except (AttributeError, ValueError):
+            return ParseError(row, config.date_column, "missing date cell"
+                              if text is None else f"bad date {text!r}")
+        if day < start:
+            continue
+        if names is not None and not names[k].strip():
+            return ParseError(row, config.name_column, "missing series name")
+        for name, cells in values.items():
+            try:
+                _column_values([cells[k]], config)
+            except ValueError as exc:
+                return ParseError(row, name, f"{exc} {cells[k]!r}"
+                                  if cells[k].strip() else str(exc))
     raise AssertionError("every cell parsed one by one")
 
 

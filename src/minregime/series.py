@@ -39,6 +39,10 @@ class Frequency(enum.Enum):
     def periods_per_year(self) -> int:
         return 252 if self is Frequency.DAILY else 12
 
+    def periods(self, years: float) -> int:
+        """The period count of ``years`` at this frequency, rounded."""
+        return int(round(years * self.periods_per_year))
+
 
 @dataclass(frozen=True)
 class MetricKind:

@@ -193,6 +193,12 @@ class TestReport:
         ["sensitivity", "--ds", "0.1,1", "--frequency", "monthly",
          "--input", "missing.csv"],
         ["sensitivity", "--ds", "0.1:1:0.3y", "--frequency", "monthly"],
+        ["simulate", "--N", "5"],
+        ["simulate", "--N", "9"],
+        ["bias", "--sigma", "0"],
+        ["bias", "--sigma", "-1"],
+        ["simulate", "--sigma", "0"],
+        ["simulate", "--sigma", "-1"],
     ])
     def test_bad_year_flags_exit_2(self, factors_csv, argv, capsys):
         # a step <= 0 once looped without end, a non-number or an empty
@@ -207,7 +213,8 @@ class TestReport:
         # a monthly frequency once the input had been read; a grid of
         # more than 10,000 values was built until memory ran out; a --ds
         # value below 2 periods at the input's frequency printed a column
-        # of Infeasible cells (exit 0)
+        # of Infeasible cells (exit 0); a simulate --N below 10 and a
+        # --sigma <= 0 failed only in the computation (exit 1)
         if (argv[0] not in ("bias", "simulate", "fixture")
                 and "--input" not in argv):
             argv = argv + ["--input", str(factors_csv)]
@@ -315,6 +322,18 @@ class TestOthers:
         assert [r["metric"] for r in rows] == [
             "mrp", "sharpe", "rolling_sharpe_vol", "max_drawdown"]
         assert float(rows[0]["mrp"]) == pytest.approx(1.0)
+
+    def test_correlations_of_two_factors_is_an_error(self, factors_csv,
+                                                     tmp_path, capsys):
+        # fewer than 3 factors ended in a traceback
+        path = tmp_path / "two.csv"
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in
+                                factors_csv.read_text().splitlines()))
+        code = main(["correlations", "--input", str(path),
+                     "--lookback", "2y", "--min-segment", "0.25y"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: correlations need >= 3 factors, got 2\n"
 
     def test_portfolio(self, factors_csv, tmp_path):
         out = tmp_path / "port.csv"

@@ -156,6 +156,22 @@ class TestLoadCsv:
         assert [s.label for s in series] == ["b"]
 
 
+    def test_clean_load_skips_the_locator(self, tmp_path, monkeypatch):
+        # the row-by-row read runs only once a column-wise step has failed;
+        # cells before start_date are not read at all
+        def locate(*args):
+            raise AssertionError("the locator ran on a clean file")
+        monkeypatch.setattr(ingest, "_first_bad_cell", locate)
+        path = write(tmp_path, "date,a,b\n1979-12-31,x,\n"
+                     "1990-01-01,0.01,\n1990-01-02, 0.02 ,0.03\n")
+        a, b = load_csv(IngestConfig(path))
+        assert (a.returns.tolist(), b.returns.tolist()) == ([0.01, 0.02], [0.03])
+        path = write(tmp_path, "name,date,ret\n,1979-12-31,x\nmom,1990-01-01,"
+                     "0.01\nval,1990-01-01,\nmom,1990-01-02,0.02\n")
+        (s,) = load_csv(IngestConfig(path, long_format=True))
+        assert (s.label, s.returns.tolist()) == ("mom", [0.01, 0.02])
+
+
 class TestMakeFixture:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "fix.csv"
