@@ -46,7 +46,6 @@ from .series import (
     _kind_arrays,
     _moments,
     _parts,
-    _prefix_table,
     _ratio,
     _score,
     build_prefix_sums,
@@ -393,8 +392,8 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
     return i[order], j0[order], j1[order]
 
 
-#: windows per ``metric_many`` call of the window scan; a larger chunk
-#: raises the scan's peak memory with little gain in speed
+#: the most windows per ``metric_many`` call of the window scan, bar one
+#: wider row tile; a larger chunk raises peak memory for little speed
 _CHUNK = 2 ** 14
 
 
@@ -418,17 +417,18 @@ def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
 
     At s = 1 one O(n) split scan covers every row, and each row takes its
     first least worse side. At s >= 2 each row is searched on its own
-    table: the answer is the least window that can be a segment of a
-    valid partition, read off ``defined_ends`` and greedy cuts, so brute
-    force is never needed; windows cost O(1) each via prefix sums. A tile
+    table, which reads that row of the matrix table's prefix arrays: the
+    answer is the least window that can be a segment of a valid
+    partition, read off ``defined_ends`` and greedy cuts, so brute force
+    is never needed; windows cost O(1) each via prefix sums. A tile
     certificate (``_certified_ends``) first skips every block of windows
     that provably scores above an incumbent, the least window of least
-    length per start or of the windows ending at n; the windows of the
-    kept tiles are scored in (i, j) order, ``_CHUNK`` at a time, one
-    gathered ``metric_many`` call per chunk. On the benchmark's clean
-    two-regime series it scores under 0.1% of the windows; where nothing
-    can be pruned (a positive minimum on large-offset data), all O(n^2).
-    Ties go to the lexicographically first window (i, j), and
+    length per start or of the windows ending at n. The kept row tiles
+    are scored in (i, j) order, as many whole tiles per ``metric_many``
+    call as fit ``_CHUNK`` windows at the widest tile's width. On the
+    benchmark's clean two-regime series it scores under 0.1% of the
+    windows; where nothing can be pruned (a positive minimum on
+    large-offset data), all O(n^2). Ties go to the least (i, j), and
     ``_complete_partition`` builds a partition around it.
     """
     if s == 1:
@@ -436,8 +436,9 @@ def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
         i = _first_min(worse)[..., None]
         return np.take_along_axis(worse, i, -1)[..., 0], d + i
     if table.returns.ndim > 1:
-        found = [_search(_prefix_table(row, table.periods_per_year), s, d, kind)
-                 for row in table.returns]
+        found = [_search(PrefixTable(*row, table.periods_per_year, table.n),
+                         s, d, kind)
+                 for row in zip(table.sum1, table.sum2, table.returns)]
         return tuple(np.array(v) for v in zip(*found))
     n = table.n
     f = np.maximum(np.arange(n, dtype=np.int64) + d, defined_ends(table, kind)[:n])
@@ -455,18 +456,17 @@ def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
     rows = np.flatnonzero(f <= j_hi)
     incumbent = min(best[0], float(np.min(metric_many(table, rows, f[rows], kind))))
     i, j0, j1 = _certified_ends(table, kind, d, f, j_hi, incumbent)
-    # number the tiles' windows 0, 1, ... in (i, j) order; a window's end
-    # is its number plus its tile's shift
-    stop = np.cumsum(j1 - j0 + 1)
-    shift = j1 + 1 - stop
-    total = int(stop[-1]) if stop.size else 0
-    for c in range(0, total, _CHUNK):
-        flat = np.arange(c, min(c + _CHUNK, total))
-        t = np.searchsorted(stop, flat, "right")
-        start, end = i[t], flat + shift[t]
+    # each chunk is a block of whole row tiles, one per row, padded to the
+    # widest by copies of the tile's last window: they score bit-equal to
+    # it and come after it, so the block's first least is the first window
+    width = int(np.max(j1 - j0, initial=0)) + 1
+    step = max(1, _CHUNK // width)
+    for c in range(0, i.size, step):
+        start = i[c:c + step, None]
+        end = np.minimum(j0[c:c + step, None] + np.arange(width), j1[c:c + step, None])
         vals = metric_many(table, start, end, kind)
-        k = int(np.argmin(vals))
-        best = min(best, (float(vals[k]), int(start[k]), int(end[k])))
+        t, k = np.unravel_index(np.argmin(vals), vals.shape)
+        best = min(best, (float(vals[t, k]), int(start[t, 0]), int(end[t, k])))
     if not math.isfinite(best[0]):
         raise NoValidPartition("no window with a defined metric")
     value, i, j = best

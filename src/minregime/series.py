@@ -325,11 +325,10 @@ def metric_many(table: PrefixTable, start, end, kind: MetricKind) -> np.ndarray:
     costs O(1) from the prefix table, bar the rare ones ``_score``
     recomputes.
 
-    ``start`` and ``end`` are int arrays of segment bounds in a
-    one-series table.
+    ``start`` and ``end`` are int arrays of bounds in a one-series table
+    that broadcast against each other; each is gathered at its own shape.
     """
-    start, end = np.broadcast_arrays(np.asarray(start, dtype=np.int64),
-                                     np.asarray(end, dtype=np.int64))
+    start, end = np.asarray(start, dtype=np.int64), np.asarray(end, dtype=np.int64)
     defined = end >= defined_ends(table, kind)[start]
     _, excess, spread = _parts(table, start, end, kind)
     return _score(table, defined, excess, spread, kind, start, end)

@@ -32,6 +32,7 @@ from minregime import (
     sortino,
 )
 import minregime.analytics as analytics_module
+import minregime.engine as engine_module
 import minregime.series as series_module
 from minregime.analytics import FactorReport, _trailing_window
 from minregime.engine import mrp_one_split
@@ -332,6 +333,25 @@ class TestBlockBootstrap:
         monkeypatch.setattr(ReturnSeries, "__post_init__", counting)
         block_bootstrap_mrp(s, 10, 12, s=2, d=20, seed=3)
         assert not built
+
+    def test_one_prefix_table_per_chunk(self, monkeypatch):
+        # at s = 2 each replicate row is searched on its row of the
+        # chunk's table, with no table of its own
+        s = make_series(120, seed=22)
+        built = []
+        build = series_module._prefix_table
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+        # every module that may bind the builder under its own name
+        for module in (series_module, analytics_module, engine_module):
+            monkeypatch.setattr(module, "_prefix_table", counting,
+                                raising=False)
+        replicates = 150
+        block_bootstrap_mrp(s, 10, replicates, s=2, d=20, seed=3)
+        rows = analytics_module._CHUNK // (2 * len(s))
+        assert len(built) == -(-replicates // rows) == 3
 
     def test_memory_flat_in_replicates(self):
         # the block starts are drawn chunk by chunk: 20,000 replicates of

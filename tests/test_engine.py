@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,16 +516,28 @@ class TestWindowCertificate:
         assert res == reference_window_scan(series, 2, 252)
 
     @pytest.mark.parametrize("kind", [SHARPE, sortino(2 ** -4)])
-    def test_ties_across_chunks_go_to_first_window(self, kind, scored):
+    def test_ties_across_chunks_go_to_first_window(self, kind, scored,
+                                                   monkeypatch):
         # exact binary fractions: windows of one phase and length score
         # bit-equal, so the least value recurs every 4 starts, across the
         # chunks of the scan, and only the first of its windows may win
         values = np.tile([2 ** -6, -2 ** -7, 2 ** -5, -2 ** -8], 150) + 2 ** -4
         series = series_from(values)
+        widths = []
+        certify = engine._certified_ends
+
+        def reading_width(*args):
+            i, j0, j1 = certify(*args)
+            widths.append(int(np.max(j1 - j0)) + 1)
+            return i, j0, j1
+        monkeypatch.setattr(engine, "_certified_ends", reading_width)
         res = mrp_fast(series, 2, 20, kind)
         # calls: the windows [i, n), the incumbent, the chunks, the result
         chunks = scored[2:-1]
-        assert len(chunks) >= 2 and chunks[0] == engine._CHUNK
+        # a chunk is whole row tiles, each padded to the widest tile's w
+        (w,) = widths
+        assert len(chunks) >= 2 and max(chunks) <= engine._CHUNK
+        assert chunks[0] == (engine._CHUNK // w) * w
         assert res == reference_window_scan(series, 2, 20, kind)
 
     def test_positive_minimum_on_offset_series(self):
@@ -534,6 +547,20 @@ class TestWindowCertificate:
         res = mrp_fast(series, 2, 100)
         assert res.value > 0
         assert res == reference_window_scan(series, 2, 100)
+
+    def test_memory_of_unpruned_scan_is_a_chunk(self):
+        # nothing prunes here: about 3.6e5 windows are scored, which at
+        # once would peak near 21 MB; one chunk at a time it peaks near
+        # 2.8 MB, most of it the certificate's tile arrays
+        rng = np.random.default_rng(21)
+        series = series_from(10.0 + 1e-3 * rng.standard_normal(2520))
+        tracemalloc.start()
+        try:
+            mrp_fast(series, 2, 252)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000
 
 
 class TestPartitionSpec:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import minregime.series as series_module
 from minregime import (
     DateOrderError,
     EmptySeries,
@@ -139,6 +140,35 @@ class TestSegmentMetric:
                                        rel=1e-6)
         assert got[1] == pytest.approx(two_pass_sharpe(values[0:3], 252),
                                        rel=1e-12)
+
+    @pytest.mark.parametrize("values, kind, recomputed", [
+        # [3, 6) and [2, 5) cancel their spread to 0, so ``_direct``
+        # scores them
+        ([3.1, 3.1, 5.7, 0.1, 0.1, 0.1 + 2 ** -55, 0.1, -0.05], SHARPE, True),
+        ([0.01, -0.5, -1e-13, 0.0, -1e-13, 0.02, 0.03], sortino(0.0), True),
+        # [1, 5) and [1, 4) keep a wrong spread > 0 after the large first
+        # return, so the kernel's value stands
+        ([0.3, -0.1, -0.1, -0.1, -0.1 - 2 ** -55, 0.2, -0.1, 0.05], SHARPE,
+         False),
+        ([-0.5, -1e-6, 0.0, 0.001], sortino(0.0), False),
+    ])
+    def test_metric_many_broadcast_bounds(self, values, kind, recomputed,
+                                          monkeypatch):
+        # a (T, 1) start against a (T, W) end scores, bit for bit and NaN
+        # for NaN, as the same bounds materialized flat
+        table = build_prefix_sums(series_from(values))
+        n = len(values)
+        start = np.arange(n)[:, None]
+        end = np.minimum(start + np.arange(n + 1), n)
+        direct = []
+        monkeypatch.setattr(series_module, "_direct",
+                            lambda *a: direct.append(a) or _direct(*a))
+        got = metric_many(table, start, end, kind)
+        assert bool(direct) == recomputed
+        flat = metric_many(table, np.broadcast_to(start, end.shape).ravel(),
+                           end.ravel(), kind)
+        assert got.shape == end.shape
+        assert got.tobytes() == flat.tobytes()
 
 
 class TestSortinoPrefix:
