@@ -6,9 +6,9 @@ portfolio-level minimum regime performance, and block-bootstrap stability
 checks. Grid cells are milliseconds of numpy work each and run in
 process, in grid order. Every product reaches the minimum through the
 engine's table-level search (``engine._search``) on one ``PrefixTable``:
-a trailing window's, shared by its grid row's cells and full-window
-metric, or a chunk of bootstrap replicates', drawn as rows of a return
-matrix, with no series per replicate.
+a trailing window's, shared by a factor report's or grid row's search
+and full-window metric, or a chunk of bootstrap replicates', drawn as
+rows of a return matrix, with no series per replicate.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import (_CHUNK, MrpResult, _check_feasible, _first_min, _search,
-                     _split_scan, mrp_fast, mrp_one_split)
+from .engine import (_CHUNK, MrpResult, _check_feasible, _first_min, _result,
+                     _search, _split_scan, mrp_fast)
 from .errors import (
     DateMismatch,
     DegenerateVector,
@@ -35,7 +35,6 @@ from .series import (
     _prefix_table,
     build_prefix_sums,
     segment_metric,
-    series_metric,
 )
 
 #: rolling-Sharpe-volatility window defaults per frequency (periods)
@@ -62,16 +61,18 @@ class FactorReport:
 
 def factor_report(series: ReturnSeries, lookback_years: float = 40.0,
                   d_years: float = 2.0, kind: MetricKind = SHARPE) -> FactorReport:
-    """Full-window metric and MRP_1 on the trailing lookback window."""
+    """Full-window metric and MRP_1 on the trailing window's prefix table."""
     win = _trailing_window(series, lookback_years)
     d = series.frequency.periods(d_years)
     if len(win) < 2 * d:
         raise Infeasible(
             f"{series.label!r}: window of {len(win)} periods < 2*d = {2 * d}")
-    res = mrp_one_split(win, d, kind)
+    _check_feasible(len(win), 1, d)
+    table = build_prefix_sums(win)
+    res = _result(win, table, _search(table, 1, d, kind)[1], d, kind)
     return FactorReport(
         label=series.label,
-        full_sharpe=series_metric(win, kind),
+        full_sharpe=segment_metric(table, 0, len(win), kind),
         mrp1=res.value,
         left_sr=res.segment_metrics[0],
         right_sr=res.segment_metrics[1],

@@ -48,6 +48,7 @@ from .series import (
     _parts,
     _ratio,
     _score,
+    _witness_span,
     build_prefix_sums,
     defined_ends,
     metric_many,
@@ -190,29 +191,39 @@ def _split_scan(table: PrefixTable, d: int, kind: MetricKind):
     those of the row as a series on its own, bit for bit.
 
     The left windows [0, t) and right windows [t, n) are column slices of
-    the table's prefix arrays, scored by the kernel's ``_moments`` and
-    ``_score``. Slices, not arrays of bounds gathered as ``metric_many``
-    gathers them: the values are the same, but a 200-replicate bootstrap
-    of a 10-year daily series at d = 252 took 53.9 ms gathered against
-    26.9 ms sliced (medians of 20 interleaved pairs, 2-vCPU Xeon). Each
-    entry depends only on its own split, so the scan at the least d holds
-    the scan at every larger d as the columns [d - d0, n - d - d0].
+    the table's prefix arrays (the left sums are the columns at t, as
+    prefixes start at 0.0), scored by the kernel's ``_moments`` and
+    ``_score``; [0, t) is defined exactly when t >= e[0], and [t, n) when
+    e[t] <= n, both from ``_witness_span``. Slices, not bounds gathered
+    as ``metric_many`` gathers them: the values are the same, but a
+    200-replicate bootstrap of a 10-year daily series at d = 252 took
+    43.8 ms gathered against 22.9 ms sliced (medians of six runs of 20
+    interleaved pairs, 2-vCPU Xeon). Each entry depends only on its own
+    split, so the scan at the least d holds the scan at every larger d as
+    the columns [d - d0, n - d - d0].
     """
     n = table.n
     cut = slice(d, n - d + 1)
     t = np.arange(d, n - d + 1, dtype=np.int64)
-    sum1 = table.sum1
-    q, ends = _kind_arrays(table, kind)  # spread prefix, defined ends
+    length = t.astype(float)
+    sum1, q = table.sum1, _kind_arrays(table, kind)[0]  # q: spread prefix
 
-    def side(start, end, bounds, defined):
-        a, b = bounds
-        excess, spread = _moments(b - a, sum1[..., end] - sum1[..., start],
-                                  q[..., end] - q[..., start], kind)
-        return _score(table, defined, excess, spread, kind, a, b)
+    # where holds(t, edge), edge per row: computed only on the rows where
+    # it fails at the split worst, True if there are none
+    def mask(holds, edge, worst):
+        lack = ~holds(worst, edge)
+        if not lack.any():
+            return True
+        defined = np.ones(lack.shape + t.shape, dtype=bool)
+        defined[lack] = holds(t, edge[lack, None])
+        return defined
 
-    left = side(slice(0, 1), cut, (0, t), t >= ends[..., :1])
-    right = side(cut, slice(n, None), (t, n), ends[..., cut] <= n)
-    return left, right
+    first, last = _witness_span(table, kind)
+    left = _moments(length, sum1[..., cut], q[..., cut], kind)
+    right = _moments(n - length, sum1[..., n:] - sum1[..., cut],
+                     q[..., n:] - q[..., cut], kind)
+    return (_score(table, mask(np.greater_equal, first, d), *left, kind, 0, t),
+            _score(table, mask(np.less_equal, last, n - d), *right, kind, t, n))
 
 
 def _first_min(pair: np.ndarray):

@@ -2,11 +2,11 @@
 
 Segment statistics are served from one prefix table, of a series or of
 each row of a replicate matrix, so that any contiguous segment's Sharpe
-or Sortino ratio costs O(1) after an O(n) build. Each metric kind adds
-one cached entry: its spread prefix (``mar`` is fixed per metric, so the
-Sortino downside sums are a prefix array too) and ``defined_ends``.
-Gathered paths pass arrays of bounds (``metric_many``); the split scan
-reads column slices of the same arrays, faster than gathering them.
+or Sortino ratio costs O(1) after an O(n) build. Each metric kind caches
+its spread prefix (``mar`` is fixed per metric, so the Sortino downside
+sums are a prefix array too), a witness mask and, once asked for,
+``defined_ends``. Gathered paths pass arrays of bounds (``metric_many``);
+the split scan reads column slices of the same arrays, faster.
 """
 
 from __future__ import annotations
@@ -167,9 +167,8 @@ class PrefixTable:
     of each row of a replicate matrix (rows along the last axis).
 
     ``sum1[..., k]`` / ``sum2[..., k]`` hold the sum of the first k
-    returns and squared returns. Each ``MetricKind`` adds one cached
-    entry, its spread prefix and ``defined_ends``, built on first use, so
-    Sharpe-only work never pays for the Sortino arrays.
+    returns and squared returns. Each ``MetricKind`` caches its arrays on
+    first use, so Sharpe-only work never pays for the Sortino arrays.
     """
 
     sum1: np.ndarray
@@ -177,7 +176,7 @@ class PrefixTable:
     returns: np.ndarray
     periods_per_year: int
     n: int
-    # (spread prefix, defined ends) per MetricKind
+    # kind: (spread prefix, witness mask, lag); (kind, "ends"): defined ends
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -206,25 +205,21 @@ def build_prefix_sums(series: ReturnSeries) -> PrefixTable:
 
 
 def _kind_arrays(table: PrefixTable, kind: MetricKind):
-    """``kind``'s spread prefix and ``defined_ends``, built once per kind
+    """``kind``'s spread prefix, witness mask and lag, built once per kind
     and cached in the table. The spread prefix sums the terms of the
     spread: squared returns (Sharpe, ``sum2`` itself) or squared
-    shortfalls min(r - mar, 0)^2 (Sortino, where a nonzero one is the
-    witness ``defined_ends`` looks for)."""
-    if kind in table._cache:
-        return table._cache[kind]
-    r, n = table.returns, table.n
-    witness = np.full(r.shape[:-1] + (n + 1,), n + 1, dtype=np.int64)
-    if kind.name == "sortino":
-        shortfall = np.minimum(r - kind.mar, 0.0)
-        terms = shortfall * shortfall
-        spread, hit, stop = _prefix(terms), terms > 0.0, np.arange(1, n + 1)
-    else:  # the pair (k, k + 1) differs, so [k, k + 2) is defined
-        spread, hit = table.sum2, r[..., 1:] != r[..., :-1]
-        stop = np.arange(2, n + 1)
-    witness[..., :hit.shape[-1]] = np.where(hit, stop, n + 1)
-    least = np.minimum.accumulate(witness[..., ::-1], axis=-1)[..., ::-1]
-    table._cache[kind] = spread, np.maximum(least, np.arange(2, n + 3))
+    shortfalls min(r - mar, 0)^2 (Sortino). The mask marks, of n entries,
+    each k where a ``defined_ends`` witness starts: [k, k + lag) holds it."""
+    if kind not in table._cache:
+        r = table.returns
+        if kind.name == "sortino":
+            shortfall = np.minimum(r - kind.mar, 0.0)
+            terms = shortfall * shortfall
+            table._cache[kind] = _prefix(terms), terms > 0.0, 1
+        else:  # the pair (k, k + 1) differs; k = n - 1 starts no pair
+            hit = np.zeros(r.shape, dtype=bool)
+            np.not_equal(r[..., 1:], r[..., :-1], out=hit[..., :-1])
+            table._cache[kind] = table.sum2, hit, 2
     return table._cache[kind]
 
 
@@ -238,17 +233,37 @@ def defined_ends(table: PrefixTable, kind: MetricKind) -> np.ndarray:
     a witness: for Sharpe two adjacent distinct values, for Sortino a
     return whose squared shortfall below ``mar`` is > 0 (one that
     underflows counts as none). e[a] is the least end past a witness at
-    or after a, a suffix minimum built in O(n) and cached per kind.
+    or after a, a suffix minimum built in O(n) on first use, cached.
     """
-    return _kind_arrays(table, kind)[1]
+    if (kind, "ends") not in table._cache:
+        (_, hit, lag), n = _kind_arrays(table, kind), table.n
+        witness = np.full(hit.shape[:-1] + (n + 1,), n + 1, dtype=np.int64)
+        witness[..., :n] = np.where(hit, np.arange(lag, n + lag), n + 1)
+        least = np.minimum.accumulate(witness[..., ::-1], axis=-1)[..., ::-1]
+        table._cache[kind, "ends"] = np.maximum(least, np.arange(2, n + 3))
+    return table._cache[kind, "ends"]
+
+
+def _witness_span(table: PrefixTable, kind: MetricKind):
+    """Per row, e[0] and the last start a with e[a] <= n (-1 if none) of
+    e = ``defined_ends``, from the witness mask without building e. As
+    e[a] is the greater of a + 2 and the least end past a witness at or
+    after a, e[0] is the first witness's end (at least 2; n + 1 if none),
+    and e[a] <= n exactly up to a = min(n - 2, the last witness's start).
+    """
+    (_, hit, lag), n = _kind_arrays(table, kind), table.n
+    found, first = hit.any(axis=-1), hit.argmax(axis=-1)
+    last = n - 1 - hit[..., ::-1].argmax(axis=-1)
+    return (np.where(found, np.maximum(first + lag, 2), n + 1),
+            np.where(found, np.minimum(last, n - 2), -1))
 
 
 def _parts(table: PrefixTable, start: np.ndarray, end: np.ndarray,
            kind: MetricKind):
-    """Length, excess mean and mean-square spread of segments [start, end)
-    of a one-series table, int arrays of bounds, from prefix differences."""
+    """Length (as floats), excess mean and mean-square spread of segments
+    [start, end) of a one-series table, int arrays of bounds."""
     spread = _kind_arrays(table, kind)[0]
-    length = end - start
+    length = np.subtract(end, start, dtype=float)
     return (length, *_moments(length, table.sum1[end] - table.sum1[start],
                               spread[end] - spread[start], kind))
 
@@ -258,18 +273,26 @@ def _moments(length, total, spread_sum, kind: MetricKind):
     observations, from their sums of returns (``total``) and of squared
     returns (Sharpe) or squared shortfalls below ``mar`` (Sortino).
     Sharpe's spread is the sample variance, Sortino's the mean squared
-    shortfall."""
+    shortfall. It writes in place only into its own new results, never
+    into an argument, which may be a view of a table."""
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = total / length
         if kind.name == "sortino":
-            return mean - kind.mar, spread_sum / length
-        return mean, (spread_sum - total * total / length) / (length - 1)
+            mean -= kind.mar
+            return mean, spread_sum / length
+        spread = total * total
+        spread /= length
+        np.subtract(spread_sum, spread, out=spread)
+        spread /= length - 1
+        return mean, spread
 
 
 def _ratio(excess, spread, periods_per_year: int) -> np.ndarray:
     """Annualized ratio of an excess mean to the root of its spread."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        return excess / np.sqrt(spread) * math.sqrt(periods_per_year)
+        out = excess / np.sqrt(spread)
+        out *= math.sqrt(periods_per_year)
+        return out
 
 
 def _direct(seg: np.ndarray, kind: MetricKind, periods_per_year: int) -> float:
@@ -300,14 +323,18 @@ def _direct(seg: np.ndarray, kind: MetricKind, periods_per_year: int) -> float:
 def _score(table: PrefixTable, defined, excess, spread, kind: MetricKind,
            start, end) -> np.ndarray:
     """Ratios of excess means and spreads from ``_moments`` where
-    ``defined``, NaN elsewhere. ``start`` and ``end`` are the segments'
-    bounds, broadcast to the shape of ``defined``, whose leading axes
-    index the table's rows. Where prefix rounding cancels the spread of a
-    defined segment to <= 0 (a small variance after large returns, a tiny
-    shortfall after large ones), that segment is recomputed by
-    ``_direct`` from its returns."""
-    out = np.where(defined, _ratio(excess, spread, table.periods_per_year),
-                   np.nan)
+    ``defined`` (a mask of their shape, or True), NaN elsewhere. ``start``
+    and ``end`` are the segments' bounds, broadcast to that shape, whose
+    leading axes index the table's rows. Where prefix rounding cancels the
+    spread of a defined segment to <= 0 (a small variance after large
+    returns, a tiny shortfall after large ones), that segment is
+    recomputed by ``_direct`` from its returns. It writes only into its
+    own new array of ratios: NaN where undefined, and recomputed values."""
+    out = _ratio(excess, spread, table.periods_per_year)
+    if defined is not True:
+        np.copyto(out, np.nan, where=~defined)
+    if np.minimum.reduce(spread, None, initial=np.inf) > 0:  # a NaN fails too
+        return out
     for k in np.flatnonzero(defined & ~(spread > 0)).tolist():
         at = np.unravel_index(k, out.shape)
         a, b = (np.broadcast_to(v, out.shape)[at] for v in (start, end))

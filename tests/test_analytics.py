@@ -58,6 +58,26 @@ class TestFactorReport:
         with pytest.raises(Infeasible):
             factor_report(make_series(100), lookback_years=1.0, d_years=1.0)
 
+    @pytest.mark.parametrize("kind", [SHARPE, sortino(0.0)],
+                             ids=["sharpe", "sortino"])
+    def test_one_prefix_table_per_report(self, kind, monkeypatch):
+        # the search, the result and the full-window metric read one table
+        s = make_series(800, seed=3)
+        win = _trailing_window(s, 1.0)
+        want = mrp_one_split(win, 63, kind)
+        built = []
+        build = series_module._prefix_table
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+        monkeypatch.setattr(series_module, "_prefix_table", counting)
+        rep = factor_report(s, lookback_years=1.0, d_years=0.25, kind=kind)
+        assert len(built) == 1
+        assert rep.full_sharpe == series_metric(win, kind)
+        assert (rep.mrp1, rep.left_sr, rep.right_sr, rep.split_date) == (
+            want.value, *want.segment_metrics, want.split_dates[0])
+
     def test_min_selection_bias(self):
         # stationary series: the split minimum sits below the full metric
         # in nearly all draws
@@ -333,6 +353,33 @@ class TestBlockBootstrap:
         monkeypatch.setattr(ReturnSeries, "__post_init__", counting)
         block_bootstrap_mrp(s, 10, 12, s=2, d=20, seed=3)
         assert not built
+
+    @pytest.mark.parametrize("kind", [SHARPE, sortino(0.0)],
+                             ids=["sharpe", "sortino"])
+    def test_split_scan_builds_no_defined_ends(self, kind, monkeypatch):
+        # at s = 1 the scan reads definedness from each row's witness
+        # span; the suffix minimum, a table's only cached integer array,
+        # is built for gathered paths only, as mrp_one_split's result
+        s = make_series(120, seed=22)
+        tables = []
+        build = series_module._prefix_table
+
+        def counting(*args):
+            tables.append(build(*args))
+            return tables[-1]
+        for module in (series_module, analytics_module):
+            monkeypatch.setattr(module, "_prefix_table", counting)
+
+        def suffix_minima(table):
+            return [v for entry in table._cache.values()
+                    for v in (entry if isinstance(entry, tuple) else (entry,))
+                    if isinstance(v, np.ndarray) and v.dtype.kind == "i"]
+        block_bootstrap_mrp(s, 10, 12, s=1, d=20, kind=kind, seed=3)
+        assert tables and all(kind in t._cache for t in tables)
+        assert not any(suffix_minima(t) for t in tables)
+        tables.clear()
+        mrp_one_split(s, 20, kind)
+        assert [len(suffix_minima(t)) for t in tables] == [1]
 
     def test_one_prefix_table_per_chunk(self, monkeypatch):
         # at s = 2 each replicate row is searched on its row of the

@@ -30,6 +30,7 @@ from minregime.series import (
     _kind_arrays,
     _parts,
     _prefix_table,
+    _witness_span,
     defined_ends,
     metric_many,
 )
@@ -197,15 +198,23 @@ class TestSortinoPrefix:
 
     def test_one_entry_per_kind(self):
         table = build_prefix_sums(make_series(50))
+        # a kind's spread prefix and witness mask are one entry, built
+        # once; its defined ends another, built on the first gathered call
         segment_metric(table, 0, 50)  # Sharpe only: no Sortino entry
-        assert list(table._cache) == [SHARPE]
+        assert set(table._cache) == {SHARPE, (SHARPE, "ends")}
         assert table._cache[SHARPE][0] is table.sum2
         low, high = sortino(0.0), sortino(0.001)
         entry = _kind_arrays(table, low)
+        assert (low, "ends") not in table._cache
         metric_many(table, np.arange(10), np.arange(10) + 5, low)
         assert table._cache[low] is entry
+        ends = table._cache[low, "ends"]
+        metric_many(table, np.arange(10), np.arange(10) + 7, low)
+        assert defined_ends(table, low) is ends
+        assert table._cache[low] is entry
         down2 = _kind_arrays(table, high)[0]
-        assert set(table._cache) == {SHARPE, low, high}
+        assert set(table._cache) == {SHARPE, (SHARPE, "ends"), low,
+                                     (low, "ends"), high}
         shortfall = np.minimum(table.returns - 0.001, 0.0)
         assert np.allclose(down2, np.concatenate(([0.0],
                                                   np.cumsum(shortfall ** 2))))
@@ -297,6 +306,54 @@ class TestMatrixTable:
                 assert bits(right[k]) == bits(want[1]), (kind, k)
 
 
+#: a large loss, then tiny ones: the downside prefix absorbs the tiny
+#: shortfalls, so the right sides after the loss are recomputed
+ABSORBED_SORTINO_ROW = [LARGE_LOSS] + [TINY_LOSS] * 11
+#: the same for Sharpe: the squared returns after 1e3 are absorbed
+ABSORBED_SHARPE_ROW = [1e3] + [1e-13, -1e-13] * 6
+
+
+class TestSplitScanOracle:
+    def test_sides_match_gathered_kernel(self):
+        """Every split's left and right side, from the table of one
+        series and from a matrix table's row, against ``metric_many`` of
+        [0, t) and [t, n) on the row's own table, bit for bit, NaN
+        included; some scans must take the direct recompute."""
+        recomputed = []
+        direct = series_module._direct
+
+        def counted(*args):
+            recomputed.append(args)
+            return direct(*args)
+
+        def scan(table, d, kind):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(series_module, "_direct", counted)
+                return _split_scan(table, d, kind)
+
+        @example(([ABSORBED_SORTINO_ROW], 2, 0.0))
+        @example(([ABSORBED_SHARPE_ROW], 2, 0.0))
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(matrix_cases())
+        def check(case):
+            rows, d, mar = case
+            matrix = _prefix_table(np.array(rows), 252)
+            n = matrix.n
+            t = np.arange(d, n - d + 1)
+            for kind in (SHARPE, sortino(mar)):
+                left, right = scan(matrix, d, kind)
+                for k, row in enumerate(rows):
+                    one = build_prefix_sums(series_from(row))
+                    want = (metric_many(one, np.zeros_like(t), t, kind),
+                            metric_many(one, t, np.full_like(t, n), kind))
+                    for got in ((left[k], right[k]), scan(one, d, kind)):
+                        assert bits(got[0]) == bits(want[0]), (kind, k)
+                        assert bits(got[1]) == bits(want[1]), (kind, k)
+
+        check()
+        assert recomputed
+
+
 UNDERFLOW_LOSS = -1e-170  # its squared shortfall below 0 underflows to 0.0
 ENDS_ALPHABET = SMALL_ALPHABET + (UNDERFLOW_LOSS,)
 
@@ -347,6 +404,26 @@ class TestDefinedEnds:
                     assert ends[a] > n, (kind, a)
                 else:
                     assert ends[a] == want, (kind, a)
+
+    @example(([UNDERFLOW_LOSS, UNDERFLOW_LOSS, 0.01, UNDERFLOW_LOSS], 0.0))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(ends_cases())
+    def test_witness_span_reads_first_and_last(self, case):
+        # the split scan's rule: e[0] and the last start a with e[a] <= n,
+        # per row, of a series and of a two-row matrix table
+        values, mar = case
+        n = len(values)
+        rows = np.array([values, values[::-1]])
+        matrix = _prefix_table(rows, 252)
+        for kind in (SHARPE, sortino(mar)):
+            first, last = _witness_span(matrix, kind)
+            for k, row in enumerate(rows):
+                table = build_prefix_sums(series_from(row))
+                ends = defined_ends(table, kind)
+                covered = np.flatnonzero(ends <= n)
+                want = ends[0], covered[-1] if covered.size else -1
+                assert (first[k], last[k]) == want, (kind, k)
+                assert _witness_span(table, kind) == want, (kind, k)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(ends_cases())
