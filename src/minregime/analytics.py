@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (_CHUNK, MrpResult, _check_feasible, _first_min, _result,
-                     _search, _split_scan, mrp_fast)
+                     _scores, _search, _split_scan, mrp_fast)
 from .errors import (
     DateMismatch,
     DegenerateVector,
@@ -34,7 +34,6 @@ from .series import (
     ReturnSeries,
     _prefix_table,
     build_prefix_sums,
-    segment_metric,
 )
 
 #: rolling-Sharpe-volatility window defaults per frequency (periods)
@@ -72,7 +71,7 @@ def factor_report(series: ReturnSeries, lookback_years: float = 40.0,
     res = _result(win, table, _search(table, 1, d, kind)[1], d, kind)
     return FactorReport(
         label=series.label,
-        full_sharpe=segment_metric(table, 0, len(win), kind),
+        full_sharpe=float(_scores(table, np.array([0, len(win)]), kind)[0]),
         mrp1=res.value,
         left_sr=res.segment_metrics[0],
         right_sr=res.segment_metrics[1],
@@ -124,11 +123,11 @@ def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
     no partition fits.
 
     The trailing window, its prefix table and its metric are computed
-    once, the metric right after the first cell's MRP; every cell reads
-    that table. At s = 1 one split scan, at the least fitting d, holds
-    every cell: a cell is the first least entry of its slice of that
-    scan, as ``mrp_one_split`` would pick it. At s >= 2 a cell is one
-    ``engine._search``. Cells are computed, and raise, in grid order.
+    once; every cell reads that table. At s = 1 one split scan, at the
+    least fitting d, holds every cell: a cell is the first least entry
+    of its slice of that scan, as ``mrp_one_split`` would pick it. At
+    s >= 2 a cell is one ``engine._search``. Cells are computed, and
+    raise, in grid order; the window's metric is then scored unchecked.
     """
     win = _trailing_window(series, lookback)
     n = len(win)
@@ -140,19 +139,14 @@ def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
     if s == 1:
         d0 = min(d for d, ok in zip(ds, fits) if ok)
         pair = np.minimum(*_split_scan(table, d0, kind))
-    full = None
     for k, d in enumerate(ds):
-        if not fits[k]:
-            continue
-        if s == 1:
+        if fits[k] and s == 1:
             cut = pair[d - d0:n - d - d0 + 1]
-            value = cut[_first_min(cut)]
-        else:
-            value = _search(table, s, d, kind)[0]
-        if full is None:
-            full = segment_metric(table, 0, n, kind)
-        row[k] = value - full
-    return row
+            row[k] = cut[_first_min(cut)]
+        elif fits[k]:
+            row[k] = _search(table, s, d, kind)[0]
+    full = float(_scores(table, np.array([0, n]), kind)[0])
+    return [value - full for value in row]
 
 
 def sensitivity_grid(series: ReturnSeries,

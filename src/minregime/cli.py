@@ -7,7 +7,8 @@ encoding carries the same values. Exit codes: 0 success, 1 data/compute
 error (diagnostic on stderr), 2 usage error.
 
 Each subcommand accepts only the flags it reads, so a flag without an
-effect is a usage error. The exceptions are kept for compatibility:
+effect is a usage error, as is --mar without --metric sortino. The
+exceptions are kept for compatibility:
 report and sensitivity accept --seed and --jobs, unused (sensitivity
 runs its grid in process).
 """
@@ -168,7 +169,7 @@ def _emit(rows: list[dict], out: str | None, fmt: str) -> None:
 
 def _metric_kind(args) -> MetricKind:
     if args.metric == "sortino":
-        return sortino(args.mar)
+        return sortino(0.0 if args.mar is None else args.mar)
     return SHARPE
 
 
@@ -308,7 +309,6 @@ def cmd_fixture(args) -> None:
         label=args.label, n_pre=args.n_pre, n_post=args.n_post,
         drift_pre=args.drift_pre, drift_post=args.drift_post,
         vol_pre=args.vol_pre, vol_post=args.vol_post,
-        frequency=Frequency(args.frequency),
     )
     series = ingest.make_fixture(args.seed, spec)
     if args.out:
@@ -326,8 +326,8 @@ FLAGS = {
     "--frequency": dict(choices=["daily", "monthly"], default="daily"),
     "--percent": dict(action="store_true", help="input values are percentages"),
     "--metric": dict(choices=["sharpe", "sortino"], default="sharpe"),
-    "--mar": dict(type=finite, default=0.0,
-                  help="minimum acceptable per-period return (sortino)"),
+    "--mar": dict(type=finite, help="minimum acceptable per-period return, "
+                  "read only with --metric sortino (default 0)"),
     "--min-segment": dict(default="2y", type=duration, dest="min_segment",
                           help="minimum segment length, e.g. 2y or 504p"),
     "--lookback": dict(default="40y", type=parse_years),
@@ -386,8 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bias")
     _add_flags(p, "--mu", "--sigma", "--seed", *OUTPUT)
-    p.add_argument("--N", default=[1, 2, 5, 10, 100],
-                   type=lambda t: [int_at_least(1)(x) for x in t.split(",")],
+
+    def counts(text: str) -> list[int]:
+        return [int_at_least(1)(x) for x in text.split(",")]
+    counts.__name__ = "int"  # as int_at_least names its parser
+    p.add_argument("--N", default=[1, 2, 5, 10, 100], type=counts,
                    help="comma list of order-statistic counts")
     p.add_argument("--trials", type=int_at_least(2), default=100_000,
                    help="Monte Carlo trials per N (>= 2 for a standard error)")
@@ -402,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fixture")
-    _add_flags(p, "--frequency", "--seed", "--out")
+    _add_flags(p, "--seed", "--out")
     p.add_argument("--label", default="synthetic")
     p.add_argument("--n-pre", type=int_at_least(1), default=252, dest="n_pre")
     p.add_argument("--n-post", type=int_at_least(1), default=252, dest="n_post")
@@ -419,6 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "mar", None) is not None and args.metric != "sortino":
+        args.parser.error("argument --mar: only read with --metric sortino")
 
     def at_least_2(flag: str, text: str, count: int) -> int:
         """``count``, the period count of a duration at the input's

@@ -22,9 +22,11 @@ Partitions containing a segment with an undefined metric (zero variance,
 or no return below ``mar`` for Sortino) are infeasible rather than scored
 at -inf; a constant sub-window must not hijack the minimum. One rule says
 which segments are defined: [a, b) is exactly when b >= e[a], with e from
-``series.defined_ends``, the array the metric kernel reads too. A defined
-metric stays defined as its segment grows in either direction, so [a, b)
-is feasible exactly when b >= max(a + d, e[a]), and whether a prefix or
+``series.defined_ends``, read by gathered bounds and the window scan; the
+split scan reads e[0] and the last a with e[a] <= n via ``_witness_span``,
+and ``_scores`` does not re-check a chosen partition. A defined metric
+stays defined as its segment grows in either direction, so [a, b) is
+feasible exactly when b >= max(a + d, e[a]), and whether a prefix or
 suffix can be cut into k feasible segments reduces to one threshold per k.
 """
 
@@ -130,13 +132,22 @@ def _splits_array(n: int, s: int, d: int) -> np.ndarray:
     return w + d * np.arange(1, s + 1, dtype=np.int64)
 
 
+def _scores(table: PrefixTable, bounds: np.ndarray, kind: MetricKind):
+    """Metrics of the segments between consecutive int ``bounds``, a
+    search's feasible partition or a window holding one: not re-checked."""
+    start, end = bounds[:-1], bounds[1:]
+    return _score(table, True, *_parts(table, start, end, kind)[1:], kind,
+                  start, end)
+
+
 def _result(series: ReturnSeries, table: PrefixTable, splits, d: int,
             kind: MetricKind) -> MrpResult:
-    """The ``MrpResult`` of ``series`` split at the ints ``splits``: its
-    segments are scored on its prefix ``table``, the first least reported."""
+    """The ``MrpResult`` of ``series`` split at the ints ``splits``, a
+    search's feasible partition: its segments are scored on its prefix
+    ``table`` by ``_scores``, the first least reported."""
     bounds = np.array((0, *splits, len(series)), dtype=np.int64)
-    metrics = metric_many(table, bounds[:-1], bounds[1:], kind)
-    argmin = int(_first_min(metrics))
+    metrics = _scores(table, bounds, kind)
+    argmin = int(np.argmin(metrics))
     return MrpResult(
         value=float(metrics[argmin]),
         optimal_splits=PartitionSpec(tuple(bounds[1:-1].tolist()), len(series), d),
@@ -207,23 +218,15 @@ def _split_scan(table: PrefixTable, d: int, kind: MetricKind):
     t = np.arange(d, n - d + 1, dtype=np.int64)
     length = t.astype(float)
     sum1, q = table.sum1, _kind_arrays(table, kind)[0]  # q: spread prefix
-
-    # where holds(t, edge), edge per row: computed only on the rows where
-    # it fails at the split worst, True if there are none
-    def mask(holds, edge, worst):
-        lack = ~holds(worst, edge)
-        if not lack.any():
-            return True
-        defined = np.ones(lack.shape + t.shape, dtype=bool)
-        defined[lack] = holds(t, edge[lack, None])
-        return defined
-
+    # each side's mask, True where every row holds at its worst split
     first, last = _witness_span(table, kind)
+    left_ok = True if np.all(first <= d) else t >= first[..., None]
+    right_ok = True if np.all(last >= n - d) else t <= last[..., None]
     left = _moments(length, sum1[..., cut], q[..., cut], kind)
     right = _moments(n - length, sum1[..., n:] - sum1[..., cut],
                      q[..., n:] - q[..., cut], kind)
-    return (_score(table, mask(np.greater_equal, first, d), *left, kind, 0, t),
-            _score(table, mask(np.less_equal, last, n - d), *right, kind, t, n))
+    return (_score(table, left_ok, *left, kind, 0, t),
+            _score(table, right_ok, *right, kind, t, n))
 
 
 def _first_min(pair: np.ndarray):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -136,29 +136,16 @@ class ReturnSeries:
 
     def window(self, start: int, end_exclusive: int, label: str | None = None) -> "ReturnSeries":
         """Contiguous sub-series on [start, end_exclusive)."""
-        return ReturnSeries(
-            dates=self.dates[start:end_exclusive],
-            returns=self.returns[start:end_exclusive],
-            frequency=self.frequency,
-            label=self.label if label is None else label,
-        )
+        return replace(self, dates=self.dates[start:end_exclusive],
+                       returns=self.returns[start:end_exclusive],
+                       label=self.label if label is None else label)
 
     def reversed(self) -> "ReturnSeries":
         """Series with the return sequence reversed (dates kept in order)."""
-        return ReturnSeries(
-            dates=self.dates,
-            returns=self.returns[::-1].copy(),
-            frequency=self.frequency,
-            label=self.label,
-        )
+        return replace(self, returns=self.returns[::-1].copy())
 
     def scaled(self, c: float) -> "ReturnSeries":
-        return ReturnSeries(
-            dates=self.dates,
-            returns=c * self.returns,
-            frequency=self.frequency,
-            label=self.label,
-        )
+        return replace(self, returns=c * self.returns)
 
 
 @dataclass(frozen=True)

@@ -358,8 +358,9 @@ class TestBlockBootstrap:
                              ids=["sharpe", "sortino"])
     def test_split_scan_builds_no_defined_ends(self, kind, monkeypatch):
         # at s = 1 the scan reads definedness from each row's witness
-        # span; the suffix minimum, a table's only cached integer array,
-        # is built for gathered paths only, as mrp_one_split's result
+        # span, and the chosen split and the full window are scored
+        # unchecked; the suffix minimum, a table's only cached integer
+        # array, is built for gathered paths only
         s = make_series(120, seed=22)
         tables = []
         build = series_module._prefix_table
@@ -379,7 +380,11 @@ class TestBlockBootstrap:
         assert not any(suffix_minima(t) for t in tables)
         tables.clear()
         mrp_one_split(s, 20, kind)
-        assert [len(suffix_minima(t)) for t in tables] == [1]
+        assert [len(suffix_minima(t)) for t in tables] == [0]
+        tables.clear()
+        factor_report(s, 1, 20 / 252, kind)
+        sensitivity_grid(s, (0.4, 1), (20 / 252, 30 / 252), kind=kind)
+        assert len(tables) == 3 and not any(suffix_minima(t) for t in tables)
 
     def test_one_prefix_table_per_chunk(self, monkeypatch):
         # at s = 2 each replicate row is searched on its row of the

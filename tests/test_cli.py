@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 import math
 
 import pytest
 
-from minregime.cli import main, parse_duration, parse_range
+from minregime.cli import build_parser, main, parse_duration, parse_range
 from minregime.series import Frequency
 
 
@@ -128,13 +129,29 @@ class TestReport:
         ["fixture", "--format", "json"],
         ["frontier", "--splits", "3"],
         ["sensitivity", "--min-segment", "2y"],
+        # --mar is read only by Sortino, and the fixture's dates are
+        # consecutive days at either frequency: both printed the bytes of
+        # a run without them
+        ["report", "--mar", "0.01"],
+        ["portfolio", "--mar", "0.01", "--weights", "alpha=1"],
+        ["correlations", "--metric", "sharpe", "--mar", "-0.0"],
+        ["fixture", "--frequency", "monthly"],
     ])
     def test_flag_without_effect_exit_2(self, factors_csv, argv):
-        if argv[0] in ("frontier", "sensitivity"):
+        if argv[0] not in ("bias", "simulate", "fixture"):
             argv = argv + ["--input", str(factors_csv)]
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--N", "--trials"])
+    def test_bias_count_not_a_number_exit_2(self, flag, capsys):
+        # bias --N abc reported "invalid <lambda> value"
+        with pytest.raises(SystemExit) as info:
+            main(["bias", flag, "abc"])
+        assert info.value.code == 2
+        assert (f"argument {flag}: invalid int value: 'abc'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2(self, factors_csv, jobs):
@@ -164,6 +181,7 @@ class TestReport:
         ["sensitivity", "--mar", "nan"],
         ["bias", "--N", "0"],
         ["bias", "--N", "2,0"],
+        ["bias", "--N", "abc"],
         ["portfolio", "--weights", "alpha=abc"],
         ["portfolio", "--weights", "alpha"],
         ["portfolio", "--weights", "alpha=inf"],
@@ -400,3 +418,87 @@ class TestOthers:
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().out == out.read_bytes().decode()
+
+
+#: a value other than the default of each option of the subcommands that
+#: read an input, as the argv that follows the flag
+INPUT_VALUES = {
+    "--help": [], "--input": ["{short}"], "--start-date": ["1995-06-01"],
+    "--frequency": ["monthly"], "--percent": [], "--metric": ["sortino"],
+    "--mar": ["0.0005"], "--min-segment": ["90p"], "--lookback": ["2y"],
+    "--splits": ["2"], "--out": ["{out}"], "--format": ["json"],
+    "--lookbacks": ["1,1.5"], "--ds": ["0.1,0.3"],
+    "--weights": ["alpha=1,beta=-1"],
+}
+MODEL_VALUES = {
+    "--help": [], "--mu": ["0.5"], "--sigma": ["2"], "--seed": ["1"],
+    "--out": ["{out}"], "--format": ["json"], "--trials": ["30"],
+}
+#: per subcommand, the argv of a small run and the options' values
+RUNS = {
+    "report": (["--input", "{csv}", "--min-segment", "60p"], INPUT_VALUES),
+    "frontier": (["--input", "{csv}", "--min-segment", "60p"], INPUT_VALUES),
+    "correlations": (["--input", "{csv}", "--min-segment", "60p"],
+                     INPUT_VALUES),
+    "sensitivity": (["--input", "{csv}", "--lookbacks", "1,2",
+                     "--ds", "0.2,0.3"], INPUT_VALUES),
+    "portfolio": (["--input", "{csv}", "--weights", "alpha=1,beta=1",
+                   "--min-segment", "60p"], INPUT_VALUES),
+    "bias": (["--N", "1,3", "--trials", "20"],
+             {**MODEL_VALUES, "--N": ["1,4"]}),
+    "simulate": (["--N", "10", "--trials", "20"],
+                 {**MODEL_VALUES, "--N": ["11"]}),
+    "fixture": (["--n-pre", "5", "--n-post", "5"], {
+        "--help": [], "--seed": ["1"], "--out": ["{out}"],
+        "--label": ["other"], "--n-pre": ["6"], "--n-post": ["6"],
+        "--drift-pre": ["0.1"], "--drift-post": ["0.1"],
+        "--vol-pre": ["0.02"], "--vol-post": ["0.02"]}),
+}
+#: accepted for compatibility, without an effect (see the README)
+COMPAT = {("report", "--seed"), ("report", "--jobs"),
+          ("sensitivity", "--seed"), ("sensitivity", "--jobs")}
+
+
+class TestFlagContract:
+    def test_every_flag_has_an_effect(self, factors_csv, tmp_path, capsys):
+        """Each option of each subcommand, at a listed value other than
+        its default, changes stdout of a small run or is a usage error
+        (exit 2). ``--percent`` scales the returns, which moves no Sharpe
+        figure, so both of its runs are Sortino at a fixed threshold."""
+        short = tmp_path / "short.csv"
+        lines = factors_csv.open().readlines()
+        short.write_text("".join(lines[:1] + lines[100:500]))
+        paths = {"{csv}": str(factors_csv), "{short}": str(short),
+                 "{out}": str(tmp_path / "out.txt")}
+
+        def run(argv):
+            try:
+                code = main([paths.get(a, a) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr().out
+
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(RUNS)
+        bases, failures = {}, []
+        for name, p in subparsers.choices.items():
+            argv, values = RUNS[name]
+            for flag in (a.option_strings[-1] for a in p._actions
+                         if a.option_strings):
+                if (name, flag) in COMPAT:
+                    continue
+                if flag not in values:
+                    failures.append((name, flag, "no value listed"))
+                    continue
+                shared = ([name, *argv, "--metric", "sortino", "--mar",
+                           "0.0005"] if flag == "--percent" else [name, *argv])
+                if tuple(shared) not in bases:
+                    bases[tuple(shared)] = run(shared)
+                code, base = bases[tuple(shared)]
+                assert code == 0 and base, shared
+                code, out = run(shared + [flag, *values[flag]])
+                if code != 2 and out == base:
+                    failures.append((name, flag, values[flag]))
+        assert not failures

@@ -532,8 +532,9 @@ class TestWindowCertificate:
             return i, j0, j1
         monkeypatch.setattr(engine, "_certified_ends", reading_width)
         res = mrp_fast(series, 2, 20, kind)
-        # calls: the windows [i, n), the incumbent, the chunks, the result
-        chunks = scored[2:-1]
+        # calls: the windows [i, n), the incumbent, the chunks; the
+        # result scores its partition without the gathered kernel
+        chunks = scored[2:]
         # a chunk is whole row tiles, each padded to the widest tile's w
         (w,) = widths
         assert len(chunks) >= 2 and max(chunks) <= engine._CHUNK

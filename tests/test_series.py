@@ -293,6 +293,13 @@ class TestMatrixTable:
                 TINY_LOSS, 0.0],
                [0.0, 0.0, 0.0, 0.0, 0.0, 0.02, 0.02, 0.02, 0.02, 0.02]],
               3, 0.0))
+    # rows lacking a witness near the left edge, near the right edge, and
+    # neither: each side's mask holds on some rows and fails on others
+    @example(([[0.01] * 5 + [0.02, -0.01, 0.03, -0.02, 0.01],
+               [0.02, -0.01, 0.03, -0.02, 0.01] + [0.01] * 5,
+               [0.01, -0.02, 0.015, 0.0, -0.01, 0.02, -0.005, 0.01, -0.015,
+                0.005]],
+              2, 0.0))
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(matrix_cases())
     def test_split_scan_matches_each_row(self, case):
