@@ -71,7 +71,7 @@ def factor_report(series: ReturnSeries, lookback_years: float = 40.0,
     res = _result(win, table, _search(table, 1, d, kind)[1], d, kind)
     return FactorReport(
         label=series.label,
-        full_sharpe=float(_scores(table, np.array([0, len(win)]), kind)[0]),
+        full_sharpe=float(_scores(table, 0, np.array([len(win)]), kind)[0]),
         mrp1=res.value,
         left_sr=res.segment_metrics[0],
         right_sr=res.segment_metrics[1],
@@ -145,7 +145,7 @@ def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
             row[k] = cut[_first_min(cut)]
         elif fits[k]:
             row[k] = _search(table, s, d, kind)[0]
-    full = float(_scores(table, np.array([0, n]), kind)[0])
+    full = float(_scores(table, 0, np.array([n]), kind)[0])
     return [value - full for value in row]
 
 
@@ -188,9 +188,9 @@ def robustness_correlations(labels: Sequence[str],
     names = list(metric_vectors)
     if len(names) < 2:
         raise ValueError("need at least two metric vectors")
-    mat = np.array([np.asarray(metric_vectors[k], dtype=float) for k in names])
-    if mat.shape[1] != len(labels):
+    if any(len(metric_vectors[k]) != len(labels) for k in names):
         raise ValueError("need one value per factor in each vector")
+    mat = np.array([np.asarray(metric_vectors[k], dtype=float) for k in names])
     if len(labels) < 3:
         raise DegenerateVector(f"correlations need >= 3 factors, got "
                                f"{len(labels)}")

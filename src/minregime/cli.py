@@ -41,9 +41,7 @@ from .series import (
 
 
 def _fmt(value: float) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "Infeasible"
-    return f"{value:.6f}"
+    return "Infeasible" if math.isnan(value) else f"{value:.6f}"
 
 
 def _mmddyy(day: datetime.date) -> str:

@@ -22,12 +22,12 @@ Partitions containing a segment with an undefined metric (zero variance,
 or no return below ``mar`` for Sortino) are infeasible rather than scored
 at -inf; a constant sub-window must not hijack the minimum. One rule says
 which segments are defined: [a, b) is exactly when b >= e[a], with e from
-``series.defined_ends``, read by gathered bounds and the window scan; the
-split scan reads e[0] and the last a with e[a] <= n via ``_witness_span``,
-and ``_scores`` does not re-check a chosen partition. A defined metric
-stays defined as its segment grows in either direction, so [a, b) is
-feasible exactly when b >= max(a + d, e[a]), and whether a prefix or
-suffix can be cut into k feasible segments reduces to one threshold per k.
+``series.defined_ends``, read by gathered bounds and once by the window
+scan; the split scan reads e[0] and the last a with e[a] <= n via
+``_witness_span``; ``_scores`` re-checks no segment proven feasible. A
+defined metric stays defined as its segment grows in either direction,
+so [a, b) is feasible exactly when b >= max(a + d, e[a]), and whether a
+prefix or suffix can be cut into k feasible segments is one threshold per k.
 """
 
 from __future__ import annotations
@@ -132,10 +132,9 @@ def _splits_array(n: int, s: int, d: int) -> np.ndarray:
     return w + d * np.arange(1, s + 1, dtype=np.int64)
 
 
-def _scores(table: PrefixTable, bounds: np.ndarray, kind: MetricKind):
-    """Metrics of the segments between consecutive int ``bounds``, a
-    search's feasible partition or a window holding one: not re-checked."""
-    start, end = bounds[:-1], bounds[1:]
+def _scores(table: PrefixTable, start, end, kind: MetricKind):
+    """Metrics of the segments [start, end), broadcast int bounds, each
+    proven feasible by the caller (see ``_search``): not re-checked."""
     return _score(table, True, *_parts(table, start, end, kind)[1:], kind,
                   start, end)
 
@@ -146,7 +145,7 @@ def _result(series: ReturnSeries, table: PrefixTable, splits, d: int,
     search's feasible partition: its segments are scored on its prefix
     ``table`` by ``_scores``, the first least reported."""
     bounds = np.array((0, *splits, len(series)), dtype=np.int64)
-    metrics = _scores(table, bounds, kind)
+    metrics = _scores(table, bounds[:-1], bounds[1:], kind)
     argmin = int(np.argmin(metrics))
     return MrpResult(
         value=float(metrics[argmin]),
@@ -340,25 +339,26 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
     amount: an excess that cancels to rounding noise keeps its tile. The
     Sortino spread sums are differences of a nondecreasing stored prefix,
     monotone as stored, and the spread gets a relative 4 u. The Sharpe
-    spread sums come from sum2 - sum1^2 / L, and only the exact ones are
-    monotone. The stored prefixes drift from the exact sums by up to n u
-    times their magnitude, so a computed Q is within E = (2n + 10) u
-    sum2[n] + 2 max|r| e + e^2, e = 2 n u sum|r|, of the exact one; the
-    window's Q and the core's (or hull's) each carry E, and the spread
-    moves by 4 E / (L - 1), which also covers the division's rounding
-    (2 u Q <= 2 u sum2[n]). Both move in the safe direction, and the
-    finished bound is lowered by 64 u of itself. Where the lowered spread
-    is not > 0 (a cancelled or constant core) the tile is kept, and so
-    is every window the kernel would recompute directly.
+    spread sums come from q - sum1^2 / L, q its spread prefix (of r^2),
+    and only the exact ones are monotone. The stored prefixes drift from
+    the exact sums by up to n u times their magnitude, so a computed Q is
+    within E = (2n + 10) u q[n] + 2 max|r| e + e^2, e = 2 n u sum|r|, of
+    the exact one; the window's Q and the core's (or hull's) each carry
+    E, and the spread moves by 4 E / (L - 1), which also covers the
+    division's rounding (2 u Q <= 2 u q[n]). Both move in the safe
+    direction, and the finished bound is lowered by 64 u of itself. Where
+    the lowered spread is not > 0 (a cancelled or constant core) the tile
+    is kept, and so is every window the kernel would recompute directly.
     """
     n = table.n
     sharpe = kind.name == "sharpe"
-    r = table.returns
     p = table.sum1 if sharpe else table.sum1 - kind.mar * np.arange(n + 1)
     n_margin = 32 * _U * float(np.max(np.abs(p)))
-    e_t = 2 * n * _U * float(np.sum(np.abs(r)))
-    q_margin = 4 * ((2 * n + 10) * _U * float(table.sum2[n])
-                    + 2 * float(np.max(np.abs(r))) * e_t + e_t * e_t)
+    if sharpe:  # Sortino's spread takes a relative margin, below
+        r, q = table.returns, _kind_arrays(table, kind)[0]
+        e_t = 2 * n * _U * float(np.sum(np.abs(r)))
+        q_margin = 4 * ((2 * n + 10) * _U * float(q[n])
+                        + 2 * float(np.max(np.abs(r))) * e_t + e_t * e_t)
 
     def may_beat(i0, i1, j0, j1, n_lo):
         """Whether a window [i, j), i0 <= i <= i1, j0 <= j <= j1, whose
@@ -406,7 +406,7 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
     return i[order], j0[order], j1[order]
 
 
-#: the most windows per ``metric_many`` call of the window scan, bar one
+#: the most windows per ``_scores`` call of the window scan, bar one
 #: wider row tile; a larger chunk raises peak memory for little speed
 _CHUNK = 2 ** 14
 
@@ -431,19 +431,23 @@ def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
 
     At s = 1 one O(n) split scan covers every row, and each row takes its
     first least worse side. At s >= 2 each row is searched on its own
-    table, which reads that row of the matrix table's prefix arrays: the
-    answer is the least window that can be a segment of a valid
-    partition, read off ``defined_ends`` and greedy cuts, so brute force
-    is never needed; windows cost O(1) each via prefix sums. A tile
+    table of that row's ``sum1`` and returns: the answer is the least
+    window that can be a segment of a valid partition, read off f[a] =
+    max(a + d, e[a]), e = ``defined_ends``, and greedy cuts, so brute
+    force is never needed; windows cost O(1) each via prefix sums. A tile
     certificate (``_certified_ends``) first skips every block of windows
     that provably scores above an incumbent, the least window of least
     length per start or of the windows ending at n. The kept row tiles
-    are scored in (i, j) order, as many whole tiles per ``metric_many``
-    call as fit ``_CHUNK`` windows at the widest tile's width. On the
+    are scored in (i, j) order, as many whole tiles per ``_scores`` call
+    as fit ``_CHUNK`` windows at the widest tile's width. On the
     benchmark's clean two-regime series it scores under 0.1% of the
     windows; where nothing can be pruned (a positive minimum on
     large-offset data), all O(n^2). Ties go to the least (i, j), and
-    ``_complete_partition`` builds a partition around it.
+    ``_complete_partition`` builds a partition around it. f is the scan's
+    one read of definedness: each window [i, j) it scores has j >= f[i] >=
+    e[i], so ``_scores`` checks none. Windows [i, n) have i <= hi[1], so
+    f[i] <= n as f is nondecreasing; the incumbent's windows end at f[i];
+    a chunk's ends lie in [j0, j1], j0 >= f[i], padding included.
     """
     if s == 1:
         worse = np.minimum(*_split_scan(table, d, kind))
@@ -452,7 +456,7 @@ def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
     if table.returns.ndim > 1:
         found = [_search(PrefixTable(*row, table.periods_per_year, table.n),
                          s, d, kind)
-                 for row in zip(table.sum1, table.sum2, table.returns)]
+                 for row in zip(table.sum1, table.returns)]
         return tuple(np.array(v) for v in zip(*found))
     n = table.n
     f = np.maximum(np.arange(n, dtype=np.int64) + d, defined_ends(table, kind)[:n])
@@ -463,12 +467,12 @@ def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
 
     # windows [i, n): the prefix [0, i) takes all s splits
     is_ = np.arange(lo[s], hi[1] + 1, dtype=np.int64)
-    vals = metric_many(table, is_, np.full_like(is_, n), kind)
+    vals = _scores(table, is_, n, kind)
     k = int(np.argmin(vals))
     best = (float(vals[k]), int(is_[k]), n)  # (value, i, j): ties go to (i, j)
     j_hi = _window_ends(n, s, lo, hi)
     rows = np.flatnonzero(f <= j_hi)
-    incumbent = min(best[0], float(np.min(metric_many(table, rows, f[rows], kind))))
+    incumbent = min(best[0], float(np.min(_scores(table, rows, f[rows], kind))))
     i, j0, j1 = _certified_ends(table, kind, d, f, j_hi, incumbent)
     # each chunk is a block of whole row tiles, one per row, padded to the
     # widest by copies of the tile's last window: they score bit-equal to
@@ -478,7 +482,7 @@ def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
     for c in range(0, i.size, step):
         start = i[c:c + step, None]
         end = np.minimum(j0[c:c + step, None] + np.arange(width), j1[c:c + step, None])
-        vals = metric_many(table, start, end, kind)
+        vals = _scores(table, start, end, kind)
         t, k = np.unravel_index(np.argmin(vals), vals.shape)
         best = min(best, (float(vals[t, k]), int(start[t, 0]), int(end[t, k])))
     if not math.isfinite(best[0]):

@@ -114,10 +114,10 @@ class ReturnSeries:
             object.__setattr__(self, "dates", dates)
         rets = np.asarray(self.returns, dtype=float)
         object.__setattr__(self, "returns", rets)
-        if len(dates) != rets.shape[0]:
-            raise ValueError("dates and returns must have equal length")
         if rets.ndim != 1:
             raise ValueError("returns must be one-dimensional")
+        if len(dates) != rets.shape[0]:
+            raise ValueError("dates and returns must have equal length")
         finite = np.isfinite(rets)
         if not finite.all():
             raise NonFiniteReturn(f"series {self.label!r}: return on "
@@ -134,11 +134,10 @@ class ReturnSeries:
     def periods_per_year(self) -> int:
         return self.frequency.periods_per_year
 
-    def window(self, start: int, end_exclusive: int, label: str | None = None) -> "ReturnSeries":
-        """Contiguous sub-series on [start, end_exclusive)."""
+    def window(self, start: int, end_exclusive: int) -> "ReturnSeries":
+        """Contiguous sub-series on [start, end_exclusive), same label."""
         return replace(self, dates=self.dates[start:end_exclusive],
-                       returns=self.returns[start:end_exclusive],
-                       label=self.label if label is None else label)
+                       returns=self.returns[start:end_exclusive])
 
     def reversed(self) -> "ReturnSeries":
         """Series with the return sequence reversed (dates kept in order)."""
@@ -153,13 +152,12 @@ class PrefixTable:
     """Cumulative sums enabling O(1) segment statistics, of one series or
     of each row of a replicate matrix (rows along the last axis).
 
-    ``sum1[..., k]`` / ``sum2[..., k]`` hold the sum of the first k
-    returns and squared returns. Each ``MetricKind`` caches its arrays on
-    first use, so Sharpe-only work never pays for the Sortino arrays.
+    ``sum1[..., k]`` holds the sum of the first k returns. Each
+    ``MetricKind`` caches its own arrays, its spread prefix among them, on
+    first use (``_kind_arrays``), so a kind never pays for another's.
     """
 
     sum1: np.ndarray
-    sum2: np.ndarray
     returns: np.ndarray
     periods_per_year: int
     n: int
@@ -180,7 +178,7 @@ def _prefix_table(r: np.ndarray, periods_per_year: int) -> PrefixTable:
     """The prefix table of the returns ``r`` along its last axis: of one
     series, or of each row of a return matrix, a row's arrays those of
     the row on its own, bit for bit."""
-    return PrefixTable(sum1=_prefix(r), sum2=_prefix(r * r), returns=r,
+    return PrefixTable(sum1=_prefix(r), returns=r,
                        periods_per_year=periods_per_year, n=r.shape[-1])
 
 
@@ -193,8 +191,8 @@ def build_prefix_sums(series: ReturnSeries) -> PrefixTable:
 
 def _kind_arrays(table: PrefixTable, kind: MetricKind):
     """``kind``'s spread prefix, witness mask and lag, built once per kind
-    and cached in the table. The spread prefix sums the terms of the
-    spread: squared returns (Sharpe, ``sum2`` itself) or squared
+    and cached in the table: the one place a spread prefix is built. It
+    sums the terms of the spread: squared returns (Sharpe) or squared
     shortfalls min(r - mar, 0)^2 (Sortino). The mask marks, of n entries,
     each k where a ``defined_ends`` witness starts: [k, k + lag) holds it."""
     if kind not in table._cache:
@@ -206,7 +204,7 @@ def _kind_arrays(table: PrefixTable, kind: MetricKind):
         else:  # the pair (k, k + 1) differs; k = n - 1 starts no pair
             hit = np.zeros(r.shape, dtype=bool)
             np.not_equal(r[..., 1:], r[..., :-1], out=hit[..., :-1])
-            table._cache[kind] = table.sum2, hit, 2
+            table._cache[kind] = _prefix(r * r), hit, 2
     return table._cache[kind]
 
 

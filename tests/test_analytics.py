@@ -245,6 +245,12 @@ class TestRobustnessCorrelations:
             robustness_correlations(["a", "b", "c"],
                                     {"x": [1, 1, 1], "y": [1, 2, 3]})
 
+    def test_ragged_vectors(self):
+        # each vector's length is checked before they are stacked
+        with pytest.raises(ValueError, match="one value per factor"):
+            robustness_correlations(["a", "b", "c"],
+                                    {"x": [1, 2, 3], "y": [1, 2]})
+
 
 class TestPortfolioMrp:
     def test_single_strategy_weight_one(self):

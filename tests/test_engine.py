@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 from minregime import (
     SHARPE,
     Infeasible,
+    MetricKind,
     NoValidPartition,
+    block_bootstrap_mrp,
     count_valid_partitions,
     enumerate_partitions,
     mrp_brute_force,
     mrp_fast,
     mrp_one_split,
+    sensitivity_grid,
     sortino,
 )
-from minregime import engine
+from minregime import analytics, engine
+from minregime import series as series_module
 from minregime.engine import PartitionSpec
 from minregime.series import build_prefix_sums, defined_ends, metric_many
 
@@ -498,19 +502,21 @@ class TestWindowCertificate:
 
     @pytest.fixture
     def scored(self, monkeypatch):
-        """The number of windows of each call to ``engine.metric_many``."""
+        """The number of windows of each call to ``engine._scores``, the
+        window scan's scoring entry (and the result's)."""
         sizes = []
-        kernel = engine.metric_many
+        kernel = engine._scores
 
         def counting(table, start, end, kind):
-            sizes.append(np.size(end))
+            sizes.append(np.broadcast(start, end).size)
             return kernel(table, start, end, kind)
-        monkeypatch.setattr(engine, "metric_many", counting)
+        monkeypatch.setattr(engine, "_scores", counting)
         return sizes
 
     def test_prunes_clean_two_regime(self, scored):
         series = series_from(two_regime_series(2520, 5))
         res = mrp_fast(series, 2, 252)
+        assert scored and min(scored) > 0
         assert sum(scored) < 0.1 * feasible_window_count(series, 2, 252, SHARPE)
         assert res.value < 0
         assert res == reference_window_scan(series, 2, 252)
@@ -532,9 +538,10 @@ class TestWindowCertificate:
             return i, j0, j1
         monkeypatch.setattr(engine, "_certified_ends", reading_width)
         res = mrp_fast(series, 2, 20, kind)
-        # calls: the windows [i, n), the incumbent, the chunks; the
-        # result scores its partition without the gathered kernel
-        chunks = scored[2:]
+        # calls: the windows [i, n), the incumbent, the chunks, and last
+        # the result's scoring of its partition
+        chunks = scored[2:-1]
+        assert scored[-1] == 3
         # a chunk is whole row tiles, each padded to the widest tile's w
         (w,) = widths
         assert len(chunks) >= 2 and max(chunks) <= engine._CHUNK
@@ -562,6 +569,44 @@ class TestWindowCertificate:
         finally:
             tracemalloc.stop()
         assert peak < 6_000_000
+
+
+class TestScanReadsOnlyItsKind:
+    """The window scan reads definedness once, through f, and a search
+    builds only the arrays of the kind it scores."""
+
+    def test_searches_at_s2_never_gather(self, monkeypatch):
+        def gathering(*args):
+            raise AssertionError("metric_many called")
+        monkeypatch.setattr(engine, "metric_many", gathering)
+        monkeypatch.setattr(series_module, "metric_many", gathering)
+        series = series_from(two_regime_series(600, 3))
+        for kind in (SHARPE, sortino(1e-4)):
+            mrp_fast(series, 2, 40, kind)
+            mrp_fast(series, 3, 40, kind)
+            sensitivity_grid(series, (1.0, 2.0), (0.2, 0.4), s=2, kind=kind)
+            block_bootstrap_mrp(series, 20, 4, s=2, d=40, kind=kind)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_sortino_search_builds_no_sharpe_arrays(self, s, monkeypatch):
+        tables = []
+        search = engine._search
+
+        def recording(table, *args):
+            tables.append(table)
+            return search(table, *args)
+        monkeypatch.setattr(engine, "_search", recording)
+        monkeypatch.setattr(analytics, "_search", recording)
+        series = series_from(two_regime_series(300, 4))
+        kind = sortino(1e-4)
+        mrp_fast(series, s, 30, kind)
+        mrp_one_split(series, 30, kind)
+        block_bootstrap_mrp(series, 20, 3, s=s, d=30, kind=kind)
+        # at s = 2 the bootstrap's rows are searched on tables of their own
+        assert len(tables) == (3 if s == 1 else 6)
+        kinds = [key if isinstance(key, MetricKind) else key[0]
+                 for table in tables for key in table._cache]
+        assert kinds and set(kinds) == {kind}
 
 
 class TestPartitionSpec:

@@ -51,7 +51,7 @@ class TestPrefixSums:
         s = series_from(np.ones(5))
         table = build_prefix_sums(s)
         assert table.sum1.tolist() == [0, 1, 2, 3, 4, 5]
-        assert table.sum2.tolist() == [0, 1, 2, 3, 4, 5]
+        assert _kind_arrays(table, SHARPE)[0].tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_empty_series_rejected(self):
         s = series_from([])
@@ -197,12 +197,18 @@ class TestSortinoPrefix:
         assert math.isnan(got[2])        # length 1
 
     def test_one_entry_per_kind(self):
-        table = build_prefix_sums(make_series(50))
+        series = make_series(50)
+        table = build_prefix_sums(series)
         # a kind's spread prefix and witness mask are one entry, built
         # once; its defined ends another, built on the first gathered call
+        assert not table._cache  # the table holds no kind's arrays yet
         segment_metric(table, 0, 50)  # Sharpe only: no Sortino entry
         assert set(table._cache) == {SHARPE, (SHARPE, "ends")}
-        assert table._cache[SHARPE][0] is table.sum2
+        sharpe = table._cache[SHARPE]
+        assert np.array_equal(sharpe[0], np.concatenate(
+            ([0.0], np.cumsum(series.returns ** 2))))
+        segment_metric(table, 10, 40)
+        assert table._cache[SHARPE] is sharpe
         low, high = sortino(0.0), sortino(0.001)
         entry = _kind_arrays(table, low)
         assert (low, "ends") not in table._cache
@@ -517,6 +523,11 @@ class TestReturnSeries:
             series_from([0.01, -0.02, np.inf, np.nan])
         # callers that catch ValueError still catch it
         assert isinstance(info.value, ValueError)
+
+    def test_scalar_returns_rejected(self):
+        # the shape is checked before the lengths, which a 0-d array lacks
+        with pytest.raises(ValueError, match="returns must be one-dimensional"):
+            ReturnSeries(dates=[datetime.date(2000, 1, 3)], returns=0.5)
 
     def test_frequency_periods(self):
         assert Frequency.DAILY.periods_per_year == 252
