@@ -19,6 +19,7 @@ from .errors import (
     NonFiniteReturn,
     ParseError,
     QuadratureFailed,
+    ReturnOverflow,
     SegmentTooShort,
     SeriesTooShort,
     WealthNonPositive,

@@ -161,10 +161,24 @@ def _log_uniforms(trials: int, seed: int) -> np.ndarray:
 
 
 def _min_draws(model: BiasModel, log_v: np.ndarray) -> np.ndarray:
-    """The inverse-CDF transform: one draw of Z per entry of ``log_v``."""
+    """Inverse-CDF draws of Z, one per ``log_v``; InvalidModel on overflow."""
     from scipy.special import ndtri_exp
 
-    return model.mu - model.sigma * ndtri_exp(log_v / model.N)
+    with np.errstate(over="ignore"):
+        z = model.mu - model.sigma * ndtri_exp(log_v / model.N)
+    if not np.isfinite(z).all():
+        raise InvalidModel("a draw of Z overflows: mu or sigma too large")
+    return z
+
+
+def _mean_se(sample: np.ndarray) -> tuple[float, float]:
+    """A sample's mean and standard error; InvalidModel if either overflows."""
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(sample))
+        se = float(np.std(sample, ddof=1) / math.sqrt(sample.size))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise InvalidModel("simulated mean or standard error overflows")
+    return mean, se
 
 
 @dataclass(frozen=True)
@@ -204,6 +218,5 @@ def gumbel_limit_diagnostic(model: BiasModel, trials: int,
     for idx, n in enumerate(decades):
         sub = BiasModel(mu=model.mu, sigma=model.sigma, s=1, n_s=n)
         sample = simulate_min_model(sub, trials, seed=seed + 1 + idx)
-        drift.append((n, float(np.mean(sample)),
-                      float(np.std(sample, ddof=1) / math.sqrt(trials))))
+        drift.append((n, *_mean_se(sample)))
     return GumbelDiagnostic(ks_distance=float(ks), drift=tuple(drift))

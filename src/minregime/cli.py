@@ -25,8 +25,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analytics, bias as bias_mod, ingest
 from .errors import MinRegimeError
 from .series import (
@@ -281,14 +279,11 @@ def cmd_bias(args) -> None:
         model = bias_mod.BiasModel(mu=args.mu, sigma=args.sigma, s=1, n_s=n)
         # the extreme-value form only exists for N >= 3; leave the cell blank
         asym = _fmt(bias_mod.bias_asymptotic(model)) if n >= 3 else ""
-        sample = bias_mod._min_draws(model, log_v)
-        rows.append({
-            "N": str(n),
-            "exact_bias": _fmt(bias_mod.bias_exact(model)),
-            "asymptotic_bias": asym,
-            "simulated_mean": _fmt(float(np.mean(sample))),
-            "se": _fmt(float(np.std(sample, ddof=1) / math.sqrt(args.trials))),
-        })
+        mean, se = bias_mod._mean_se(bias_mod._min_draws(model, log_v))
+        rows.append({"N": str(n),
+                     "exact_bias": _fmt(bias_mod.bias_exact(model)),
+                     "asymptotic_bias": asym, "simulated_mean": _fmt(mean),
+                     "se": _fmt(se)})
     _emit(rows, args.out, args.format)
 
 

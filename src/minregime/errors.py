@@ -27,6 +27,10 @@ class NonFiniteReturn(MinRegimeError, ValueError):
     """A return of a series is NaN or infinite."""
 
 
+class ReturnOverflow(MinRegimeError, ValueError):
+    """Finite returns whose sum, or sum of squared terms, overflows."""
+
+
 class WealthNonPositive(MinRegimeError):
     """A return of -100% or worse makes the wealth path non-positive."""
 

@@ -22,6 +22,7 @@ from .errors import (
     DateOrderError,
     EmptySeries,
     NonFiniteReturn,
+    ReturnOverflow,
     SegmentTooShort,
     SeriesTooShort,
     WealthNonPositive,
@@ -178,8 +179,9 @@ def _prefix_table(r: np.ndarray, periods_per_year: int) -> PrefixTable:
     """The prefix table of the returns ``r`` along its last axis: of one
     series, or of each row of a return matrix, a row's arrays those of
     the row on its own, bit for bit."""
-    return PrefixTable(sum1=_prefix(r), returns=r,
-                       periods_per_year=periods_per_year, n=r.shape[-1])
+    with np.errstate(over="ignore"):  # ``_kind_arrays`` checks the ends
+        return PrefixTable(sum1=_prefix(r), returns=r,
+                           periods_per_year=periods_per_year, n=r.shape[-1])
 
 
 def build_prefix_sums(series: ReturnSeries) -> PrefixTable:
@@ -194,17 +196,22 @@ def _kind_arrays(table: PrefixTable, kind: MetricKind):
     and cached in the table: the one place a spread prefix is built. It
     sums the terms of the spread: squared returns (Sharpe) or squared
     shortfalls min(r - mar, 0)^2 (Sortino). The mask marks, of n entries,
-    each k where a ``defined_ends`` witness starts: [k, k + lag) holds it."""
+    each k where a ``defined_ends`` witness starts: [k, k + lag) holds it.
+    ReturnOverflow if a row's ``sum1`` or spread prefix ends in an inf."""
     if kind not in table._cache:
         r = table.returns
-        if kind.name == "sortino":
-            shortfall = np.minimum(r - kind.mar, 0.0)
-            terms = shortfall * shortfall
-            table._cache[kind] = _prefix(terms), terms > 0.0, 1
-        else:  # the pair (k, k + 1) differs; k = n - 1 starts no pair
-            hit = np.zeros(r.shape, dtype=bool)
-            np.not_equal(r[..., 1:], r[..., :-1], out=hit[..., :-1])
-            table._cache[kind] = _prefix(r * r), hit, 2
+        with np.errstate(over="ignore"):
+            if kind.name == "sortino":
+                shortfall = np.minimum(r - kind.mar, 0.0)
+                terms = shortfall * shortfall
+                entry = _prefix(terms), terms > 0.0, 1
+            else:  # the pair (k, k + 1) differs; k = n - 1 starts no pair
+                hit = np.zeros(r.shape, dtype=bool)
+                np.not_equal(r[..., 1:], r[..., :-1], out=hit[..., :-1])
+                entry = _prefix(r * r), hit, 2
+        if not np.isfinite((table.sum1[..., -1], entry[0][..., -1])).all():
+            raise ReturnOverflow(f"{kind.name} sums of the returns overflow")
+        table._cache[kind] = entry
     return table._cache[kind]
 
 
@@ -260,7 +267,7 @@ def _moments(length, total, spread_sum, kind: MetricKind):
     Sharpe's spread is the sample variance, Sortino's the mean squared
     shortfall. It writes in place only into its own new results, never
     into an argument, which may be a view of a table."""
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         mean = total / length
         if kind.name == "sortino":
             mean -= kind.mar

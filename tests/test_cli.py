@@ -319,6 +319,14 @@ class TestBias:
         assert a.read_bytes() == b.read_bytes()
 
 
+#: a model flag at 1e308 and the error it raises: the draws overflow, or
+#: only their mean does
+OVERFLOWING_MODELS = [
+    ("--sigma", "a draw of Z overflows: mu or sigma too large"),
+    ("--mu", "simulated mean or standard error overflows"),
+]
+
+
 class TestOthers:
     def test_frontier(self, factors_csv, tmp_path):
         out = tmp_path / "frontier.json"
@@ -386,6 +394,49 @@ class TestOthers:
         assert code == 1 and out == ""
         assert err == ("error: series 'portfolio': return on 2000-01-04 is "
                        "not finite\n")
+
+    def test_portfolio_overflowing_squares_are_an_error(self, tmp_path,
+                                                        capsys):
+        import datetime
+
+        import numpy as np
+
+        # at weights 1e160 each aggregate return is finite but its square
+        # is not: the run printed mrp 0.000000 after a RuntimeWarning,
+        # where weights 1 and 1e150 give the same negative minimum
+        rets = np.random.default_rng(0).normal(0.0, 0.01, (600, 2))
+        day = datetime.date(2000, 1, 3)
+        lines = ["date,a,b"] + [
+            f"{day + datetime.timedelta(days=i)},{a:.8f},{b:.8f}"
+            for i, (a, b) in enumerate(rets)]
+        path = tmp_path / "scaled.csv"
+        path.write_text("\n".join(lines) + "\n")
+        runs = [main(["portfolio", "--input", str(path), "--weights",
+                      f"a={w},b={w}", "--min-segment", "100p"])
+                for w in ("1", "1e150", "1e160")]
+        out, err = capsys.readouterr()
+        assert runs == [0, 0, 1]
+        small, scaled = out.splitlines()[1::2]
+        assert small == scaled and float(small.split(",")[0]) < 0
+        assert err == "error: sharpe sums of the returns overflow\n"
+
+    @pytest.mark.parametrize("flag, error", OVERFLOWING_MODELS,
+                             ids=["draws", "mean"])
+    def test_bias_overflow_is_an_error(self, flag, error, capsys):
+        # draws that overflow printed -inf and Infeasible; a mean that
+        # overflows printed inf, both with exit 0
+        code = main(["bias", flag, "1e308", "--N", "5", "--trials", "3"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("flag, error", OVERFLOWING_MODELS,
+                             ids=["draws", "mean"])
+    def test_simulate_overflow_is_an_error(self, flag, error, capsys):
+        code = main(["simulate", flag, "1e308", "--N", "10", "--trials", "3"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: {error}\n"
 
     def test_fixture_overflow_is_an_error(self, capsys):
         # returns that overflow ended in a traceback

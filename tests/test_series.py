@@ -12,15 +12,20 @@ from minregime import (
     EmptySeries,
     Frequency,
     NonFiniteReturn,
+    ReturnOverflow,
     ReturnSeries,
     SegmentTooShort,
     SeriesTooShort,
     WealthNonPositive,
     ZeroVariance,
+    block_bootstrap_mrp,
     build_prefix_sums,
     max_drawdown,
+    mrp_brute_force,
+    mrp_fast,
     rolling_sharpe_volatility,
     segment_metric,
+    series_metric,
     sortino,
 )
 from minregime.engine import _split_scan
@@ -523,6 +528,38 @@ class TestReturnSeries:
             series_from([0.01, -0.02, np.inf, np.nan])
         # callers that catch ValueError still catch it
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("kind", [SHARPE, sortino(0.0)],
+                             ids=["sharpe", "sortino"])
+    def test_overflowing_sums_rejected(self, kind):
+        # finite returns whose squares overflow scored 0.0 or -0.0, a
+        # minimum above the -20.5 (Sharpe) and -13.0 (Sortino) of the
+        # same series at scale 1
+        large = make_series(40, seed=5).scaled(1e160)
+        # positive returns whose sum overflows: no shortfall, so only
+        # sum1 ends in an inf under Sortino
+        summed = series_from([1e308, 1e308] + [0.01, -0.02] * 19)
+        calls = [lambda s: mrp_fast(s, 1, 5, kind),
+                 lambda s: mrp_fast(s, 2, 5, kind),
+                 lambda s: mrp_brute_force(s, 1, 5, kind),
+                 lambda s: series_metric(s, kind),
+                 lambda s: block_bootstrap_mrp(s, 5, 4, d=5, kind=kind)]
+        for s in (large, summed):
+            for call in calls:
+                with pytest.raises(ReturnOverflow,
+                                   match=f"{kind.name} sums") as info:
+                    call(s)
+                assert isinstance(info.value, ValueError)
+
+    def test_squared_sum_overflow_is_recomputed(self):
+        # returns near 1.3e153: every prefix is finite, but a window's
+        # squared sum overflows in the kernel, so its spread reads -inf
+        # and the window is scored directly, with no RuntimeWarning
+        base = make_series(100, seed=6, mu=1.0, sigma=0.01)
+        large = base.scaled(1.3e153)
+        value = mrp_fast(large, 1, 10).value
+        assert value == mrp_brute_force(large, 1, 10).value
+        assert value == pytest.approx(mrp_fast(base, 1, 10).value, rel=1e-9)
 
     def test_scalar_returns_rejected(self):
         # the shape is checked before the lengths, which a 0-d array lacks
