@@ -19,7 +19,6 @@ from .errors import (
     NonFiniteReturn,
     ParseError,
     QuadratureFailed,
-    ReturnOverflow,
     SegmentTooShort,
     SeriesTooShort,
     WealthNonPositive,

@@ -276,14 +276,12 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     on the seed. ``jobs`` is accepted for compatibility and has no effect.
 
     Replicates are gathered as rows of a return matrix, from the returns
-    extended by their first ``block_len - 1`` values, ``max(1, 2 *
-    engine._CHUNK // n)`` rows (about 2^15 values) at a time, and each
-    chunk's one ``PrefixTable`` goes to ``engine._search``. Memory is flat
-    in the replicate count, and 13 rows at n = 2520 share a chunk's about
-    60 numpy calls while it fits in cache. That pays once glibc has freed
-    a block of 1 MB or more (loading a 1 MB CSV does), so it keeps the
-    chunk's temporaries mapped. A row's search does not depend on its
-    chunk, so the values are ``mrp_fast``'s on each replicate, bit for bit.
+    extended by their first ``block_len - 1`` values, ``max(1, _CHUNK //
+    n)`` rows at a time, which share the split scan's per-call cost (see
+    CHANGES.md). A row's search in ``engine._search`` does not depend on
+    its chunk: the values are ``mrp_fast``'s, bit for bit. A replicate
+    repeats blocks, so its sums can overflow (NonFiniteReturn) where those
+    of a series that ``mrp_fast`` scores do not.
     """
     n = len(series)
     if not (1 <= block_len <= n):
@@ -297,7 +295,7 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     blocks = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((series.returns, series.returns[:block_len - 1])),
         block_len)
-    step = max(1, 2 * _CHUNK // n)  # rows of a chunk
+    step = max(1, _CHUNK // n)  # rows of a chunk
     values = np.empty(replicates)
     for k in range(0, replicates, step):
         starts = rng.integers(0, n, size=(min(step, replicates - k), nblocks))

@@ -172,13 +172,18 @@ def _min_draws(model: BiasModel, log_v: np.ndarray) -> np.ndarray:
 
 
 def _mean_se(sample: np.ndarray) -> tuple[float, float]:
-    """A sample's mean and standard error; InvalidModel if either overflows."""
-    with np.errstate(over="ignore"):
-        mean = float(np.mean(sample))
-        se = float(np.std(sample, ddof=1) / math.sqrt(sample.size))
-    if not (math.isfinite(mean) and math.isfinite(se)):
+    """A sample's mean and standard error, recomputed at an exact scale of
+    2^-e where numpy's sums overflow; InvalidModel if either is inf."""
+    root_n = math.sqrt(sample.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.array([np.mean(sample), np.std(sample, ddof=1) / root_n])
+        if not np.isfinite(m).all():
+            e = math.frexp(float(np.max(np.abs(sample))))[1]
+            x = np.ldexp(sample, -e)
+            m = np.ldexp([np.mean(x), np.std(x, ddof=1) / root_n], e)
+    if not np.isfinite(m).all():
         raise InvalidModel("simulated mean or standard error overflows")
-    return mean, se
+    return float(m[0]), float(m[1])
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,7 @@ class SeriesTooShort(MinRegimeError):
 
 
 class NonFiniteReturn(MinRegimeError, ValueError):
-    """A return of a series is NaN or infinite."""
-
-
-class ReturnOverflow(MinRegimeError, ValueError):
-    """Finite returns whose sum, or sum of squared terms, overflows."""
+    """A return of a series, or a sum that its metrics take, is not finite."""
 
 
 class WealthNonPositive(MinRegimeError):

@@ -22,7 +22,6 @@ from .errors import (
     DateOrderError,
     EmptySeries,
     NonFiniteReturn,
-    ReturnOverflow,
     SegmentTooShort,
     SeriesTooShort,
     WealthNonPositive,
@@ -197,7 +196,7 @@ def _kind_arrays(table: PrefixTable, kind: MetricKind):
     sums the terms of the spread: squared returns (Sharpe) or squared
     shortfalls min(r - mar, 0)^2 (Sortino). The mask marks, of n entries,
     each k where a ``defined_ends`` witness starts: [k, k + lag) holds it.
-    ReturnOverflow if a row's ``sum1`` or spread prefix ends in an inf."""
+    NonFiniteReturn if a row's ``sum1`` or spread prefix ends in an inf."""
     if kind not in table._cache:
         r = table.returns
         with np.errstate(over="ignore"):
@@ -210,7 +209,7 @@ def _kind_arrays(table: PrefixTable, kind: MetricKind):
                 np.not_equal(r[..., 1:], r[..., :-1], out=hit[..., :-1])
                 entry = _prefix(r * r), hit, 2
         if not np.isfinite((table.sum1[..., -1], entry[0][..., -1])).all():
-            raise ReturnOverflow(f"{kind.name} sums of the returns overflow")
+            raise NonFiniteReturn(f"{kind.name} sums of the returns overflow")
         table._cache[kind] = entry
     return table._cache[kind]
 

@@ -406,25 +406,25 @@ class TestBlockBootstrap:
         for module in (series_module, analytics_module, engine_module):
             monkeypatch.setattr(module, "_prefix_table", counting,
                                 raising=False)
-        replicates = 600
+        replicates = 300
         block_bootstrap_mrp(s, 10, replicates, s=2, d=20, seed=3)
-        rows = 2 * analytics_module._CHUNK // len(s)
+        rows = analytics_module._CHUNK // len(s)
         assert len(built) == -(-replicates // rows) == 3
 
     @pytest.mark.parametrize("kind", [SHARPE, sortino(0.0)],
                              ids=["sharpe", "sortino"])
     def test_values_do_not_depend_on_chunk_rows(self, kind, monkeypatch):
-        # 10 years daily: the rule gives 13 rows a chunk; 40 replicates
+        # 10 years daily: the rule gives 6 rows a chunk; 40 replicates
         # then end in a partial chunk at every size tried
         s = make_series(2520, seed=24)
         got = []
-        for rows in (1, 3, 13):
-            monkeypatch.setattr(analytics_module, "_CHUNK", 1260 * rows)
+        for rows in (1, 3, 6, 13):
+            monkeypatch.setattr(analytics_module, "_CHUNK", 2520 * rows)
             got.append(block_bootstrap_mrp(s, 21, 40, d=252, kind=kind,
                                            seed=9).values.tobytes())
-        assert got[0] == got[1] == got[2]
+        assert len(set(got)) == 1
         monkeypatch.undo()
-        assert 2 * analytics_module._CHUNK // len(s) == 13
+        assert analytics_module._CHUNK // len(s) == 6
 
     def test_memory_flat_in_replicates(self):
         # the block starts are drawn chunk by chunk: 20,000 replicates of
@@ -540,9 +540,8 @@ class TestBootstrapReplicateOracle:
             except NoValidPartition:
                 want = None
             with pytest.MonkeyPatch.context() as mp:
-                # the chunk rule, 2 * _CHUNK // n, gives ``rows`` back
-                mp.setattr(analytics_module, "_CHUNK",
-                           (len(series) * rows + 1) // 2)
+                # the chunk rule, _CHUNK // n, gives ``rows`` back
+                mp.setattr(analytics_module, "_CHUNK", len(series) * rows)
                 if s == 1:
                     mp.setattr(series_module, "_direct", counted)
                 if want is None:

@@ -319,12 +319,22 @@ class TestBias:
         assert a.read_bytes() == b.read_bytes()
 
 
-#: a model flag at 1e308 and the error it raises: the draws overflow, or
-#: only their mean does
-OVERFLOWING_MODELS = [
-    ("--sigma", "a draw of Z overflows: mu or sigma too large"),
-    ("--mu", "simulated mean or standard error overflows"),
-]
+#: (subcommand, N, trials) of the overflow cases
+MODEL_RUNS = [("bias", "5", "3"), ("simulate", "10", "3")]
+
+#: (subcommand, mu, sigma, N, trials) of models whose sample sums or
+#: squared deviations overflow while their mean and standard error fit
+LARGE_MODELS = [("bias", 1e200, 1e200, "5", "50"),
+                ("simulate", 8e307, 1e307, "100", "50")]
+
+
+def moments(capsys, command, mu, sigma, n, trials):
+    """The (simulated_mean, se) pairs that a run prints."""
+    assert main([command, "--mu", repr(mu), "--sigma", repr(sigma), "--N", n,
+                 "--trials", trials, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    return [(float(r["simulated_mean"]), float(r["se"]))
+            for r in rows if r["se"]]
 
 
 class TestOthers:
@@ -420,23 +430,37 @@ class TestOthers:
         assert small == scaled and float(small.split(",")[0]) < 0
         assert err == "error: sharpe sums of the returns overflow\n"
 
-    @pytest.mark.parametrize("flag, error", OVERFLOWING_MODELS,
-                             ids=["draws", "mean"])
-    def test_bias_overflow_is_an_error(self, flag, error, capsys):
-        # draws that overflow printed -inf and Infeasible; a mean that
-        # overflows printed inf, both with exit 0
-        code = main(["bias", flag, "1e308", "--N", "5", "--trials", "3"])
+    @pytest.mark.parametrize("command, n, trials", MODEL_RUNS,
+                             ids=["bias", "simulate"])
+    def test_model_overflow_is_an_error(self, command, n, trials, capsys):
+        # draws that overflow printed -inf and Infeasible with exit 0
+        code = main([command, "--sigma", "1e308", "--N", n, "--trials",
+                     trials])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert err == f"error: {error}\n"
+        assert err == "error: a draw of Z overflows: mu or sigma too large\n"
 
-    @pytest.mark.parametrize("flag, error", OVERFLOWING_MODELS,
-                             ids=["draws", "mean"])
-    def test_simulate_overflow_is_an_error(self, flag, error, capsys):
-        code = main(["simulate", flag, "1e308", "--N", "10", "--trials", "3"])
-        out, err = capsys.readouterr()
-        assert code == 1 and out == ""
-        assert err == f"error: {error}\n"
+    @pytest.mark.parametrize("command, n, trials", MODEL_RUNS,
+                             ids=["bias", "simulate"])
+    def test_large_mean_is_finite(self, command, n, trials, capsys):
+        # every draw is 1e308, whose sum overflowed: inf, inf was printed
+        assert moments(capsys, command, 1e308, 1.0, n, trials) == [
+            (1e308, 0.0)]
+
+    @pytest.mark.parametrize("command, mu, sigma, n, trials", LARGE_MODELS,
+                             ids=["bias", "simulate"])
+    def test_large_moments_scale(self, command, mu, sigma, n, trials,
+                                 capsys):
+        # np.std's squared deviations (bias) or np.mean's sum (simulate)
+        # overflowed, so se or both columns read inf; they are the moments
+        # of the same model at a scale of 1e-200 or 1e-307, scaled back
+        scale = sigma
+        large = moments(capsys, command, mu, sigma, n, trials)
+        small = moments(capsys, command, mu / scale, 1.0, n, trials)
+        assert len(large) == len(small) >= 1
+        for (m, se), (m1, se1) in zip(large, small):
+            assert m == pytest.approx(m1 * scale, rel=1e-4)
+            assert se == pytest.approx(se1 * scale, rel=1e-4)
 
     def test_fixture_overflow_is_an_error(self, capsys):
         # returns that overflow ended in a traceback

@@ -12,7 +12,6 @@ from minregime import (
     EmptySeries,
     Frequency,
     NonFiniteReturn,
-    ReturnOverflow,
     ReturnSeries,
     SegmentTooShort,
     SeriesTooShort,
@@ -546,10 +545,24 @@ class TestReturnSeries:
                  lambda s: block_bootstrap_mrp(s, 5, 4, d=5, kind=kind)]
         for s in (large, summed):
             for call in calls:
-                with pytest.raises(ReturnOverflow,
+                with pytest.raises(NonFiniteReturn,
                                    match=f"{kind.name} sums") as info:
                     call(s)
                 assert isinstance(info.value, ValueError)
+
+    def test_bootstrap_replicate_overflow(self):
+        # one return near 1.2e154: the series' squared sum is finite and
+        # mrp_fast scores it, but a replicate that draws that return twice
+        # holds a squared sum of about 2.9e308, which overflows: an error,
+        # not a replicate scored from an infinite prefix
+        values = [0.01, -0.02] * 20
+        values[7] = 1.2e154
+        s = series_from(values)
+        assert np.isfinite(mrp_fast(s, 1, 5).value)
+        for splits in (1, 2):
+            with pytest.raises(NonFiniteReturn,
+                               match="sharpe sums of the returns overflow"):
+                block_bootstrap_mrp(s, 1, 50, s=splits, d=5, seed=1)
 
     def test_squared_sum_overflow_is_recomputed(self):
         # returns near 1.3e153: every prefix is finite, but a window's
