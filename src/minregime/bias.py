@@ -174,6 +174,8 @@ def _min_draws(model: BiasModel, log_v: np.ndarray) -> np.ndarray:
 def _mean_se(sample: np.ndarray) -> tuple[float, float]:
     """A sample's mean and standard error, recomputed at an exact scale of
     2^-e where numpy's sums overflow; InvalidModel if either is inf."""
+    if sample.size < 2:
+        raise InvalidModel(f"a standard error needs >= 2 draws, got {sample.size}")
     root_n = math.sqrt(sample.size)
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.array([np.mean(sample), np.std(sample, ddof=1) / root_n])

@@ -298,11 +298,7 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_fixture(args) -> None:
-    spec = ingest.FixtureSpec(
-        label=args.label, n_pre=args.n_pre, n_post=args.n_post,
-        drift_pre=args.drift_pre, drift_post=args.drift_post,
-        vol_pre=args.vol_pre, vol_post=args.vol_post,
-    )
+    spec = ingest.FixtureSpec(**{f: getattr(args, f) for f, _ in FIXTURE})
     series = ingest.make_fixture(args.seed, spec)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -335,6 +331,10 @@ FLAGS = {
 INPUT = ("--input", "--start-date", "--frequency", "--percent", "--metric",
          "--mar")
 OUTPUT = ("--out", "--format")
+#: the ``FixtureSpec`` fields that ``fixture`` takes as flags, with their types
+FIXTURE = (("label", str), ("n_pre", int_at_least(1)),
+           ("n_post", int_at_least(1)), ("drift_pre", finite),
+           ("drift_post", finite), ("vol_pre", finite), ("vol_post", finite))
 
 
 def _add_flags(p: argparse.ArgumentParser, *names: str,
@@ -399,13 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixture")
     _add_flags(p, "--seed", "--out")
-    p.add_argument("--label", default="synthetic")
-    p.add_argument("--n-pre", type=int_at_least(1), default=252, dest="n_pre")
-    p.add_argument("--n-post", type=int_at_least(1), default=252, dest="n_post")
-    p.add_argument("--drift-pre", type=finite, default=0.0008, dest="drift_pre")
-    p.add_argument("--drift-post", type=finite, default=-0.0008, dest="drift_post")
-    p.add_argument("--vol-pre", type=finite, default=0.01, dest="vol_pre")
-    p.add_argument("--vol-post", type=finite, default=0.01, dest="vol_post")
+    for name, type_ in FIXTURE:
+        p.add_argument("--" + name.replace("_", "-"), type=type_,
+                       default=getattr(ingest.FixtureSpec, name))
     p.set_defaults(func=cmd_fixture)
 
     for p in sub.choices.values():  # for checks of more than one flag

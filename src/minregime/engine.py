@@ -430,24 +430,24 @@ def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
     that s and d fit (``_check_feasible``).
 
     At s = 1 one O(n) split scan covers every row, and each row takes its
-    first least worse side. At s >= 2 each row is searched on its own
-    table of that row's ``sum1`` and returns: the answer is the least
-    window that can be a segment of a valid partition, read off f[a] =
-    max(a + d, e[a]), e = ``defined_ends``, and greedy cuts, so brute
-    force is never needed; windows cost O(1) each via prefix sums. A tile
-    certificate (``_certified_ends``) first skips every block of windows
-    that provably scores above an incumbent, the least window of least
-    length per start or of the windows ending at n. The kept row tiles
-    are scored in (i, j) order, as many whole tiles per ``_scores`` call
-    as fit ``_CHUNK`` windows at the widest tile's width. On the
-    benchmark's clean two-regime series it scores under 0.1% of the
-    windows; where nothing can be pruned (a positive minimum on
-    large-offset data), all O(n^2). Ties go to the least (i, j), and
-    ``_complete_partition`` builds a partition around it. f is the scan's
-    one read of definedness: each window [i, j) it scores has j >= f[i] >=
-    e[i], so ``_scores`` checks none. Windows [i, n) have i <= hi[1], so
-    f[i] <= n as f is nondecreasing; the incumbent's windows end at f[i];
-    a chunk's ends lie in [j0, j1], j0 >= f[i], padding included.
+    first least worse side. At s >= 2 each row is searched on its own: the
+    answer is the least window that can be a segment of a valid partition,
+    read off f[a] = max(a + d, e[a]), e = ``defined_ends``, and greedy cuts,
+    so brute force is never needed; windows cost O(1) each via prefix sums. A
+    tile certificate (``_certified_ends``) first skips every block of windows
+    that provably scores above an incumbent, the least window of least length
+    per start or of the windows ending at n. The kept row tiles are scored in
+    (i, j) order, as many whole tiles per ``_scores`` call as fit ``_CHUNK``
+    windows at the widest tile's width. On the benchmark's clean two-regime
+    series it scores under 0.1% of the windows; where nothing can be pruned (a
+    positive minimum on large-offset data), all O(n^2). Ties go to the least
+    (i, j), and ``_complete_partition`` builds a partition around it. f is the
+    scan's one read of definedness: each window [i, j) it scores has j >= f[i]
+    >= e[i], so ``_scores`` checks none. Once lo[s + 1] <= n the windows [i,
+    n), i in [lo[s], hi[1]], exist and are defined (f[i] <= n, f being
+    nondecreasing), so the least is never NaN; it is +inf, as in brute force,
+    only where every ratio overflows. The incumbent's windows end at f[i]; a
+    chunk's ends lie in [j0, j1], j0 >= f[i], padding included.
     """
     if s == 1:
         worse = np.minimum(*_split_scan(table, d, kind))
@@ -485,7 +485,5 @@ def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
         vals = _scores(table, start, end, kind)
         t, k = np.unravel_index(np.argmin(vals), vals.shape)
         best = min(best, (float(vals[t, k]), int(start[t, 0]), int(end[t, k])))
-    if not math.isfinite(best[0]):
-        raise NoValidPartition("no window with a defined metric")
     value, i, j = best
     return value, np.array(_complete_partition(f, s, lo, hi, i, j))

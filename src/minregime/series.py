@@ -280,7 +280,7 @@ def _moments(length, total, spread_sum, kind: MetricKind):
 
 def _ratio(excess, spread, periods_per_year: int) -> np.ndarray:
     """Annualized ratio of an excess mean to the root of its spread."""
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out = excess / np.sqrt(spread)
         out *= math.sqrt(periods_per_year)
         return out
@@ -290,11 +290,11 @@ def _direct(seg: np.ndarray, kind: MetricKind, periods_per_year: int) -> float:
     """Two-pass metric of the segment of >= 2 returns ``seg``; NaN if its
     spread is not > 0.
 
-    Where the spread of a defined segment underflows (returns, or
-    shortfalls, within about 1e-154 of each other), its excess and
-    deviations are rescaled by a power of two, exactly, and the spread is
-    taken again: the ratio does not depend on scale, so a segment that
-    ``defined_ends`` calls defined never scores NaN.
+    Where the spread of a defined segment underflows (deviations below
+    about 1e-154, subnormal ones too), its excess and deviations are
+    rescaled by an exact power of two and the spread taken again. The
+    ratio does not depend on scale: a segment ``defined_ends`` calls
+    defined never scores NaN, and one whose excess overflows scores +-inf.
     """
     mean = float(np.mean(seg))
     if kind.name == "sortino":
@@ -303,8 +303,9 @@ def _direct(seg: np.ndarray, kind: MetricKind, periods_per_year: int) -> float:
         excess, dev, dof = mean, seg - mean, 1
     spread = float(np.sum(dev * dev)) / (seg.size - dof)
     if spread < 2.0 ** -1022 and np.any(dev):  # zero or subnormal
-        scale = 2.0 ** -math.frexp(float(np.max(np.abs(dev))))[1]
-        excess, dev = excess * scale, dev * scale
+        e = math.frexp(float(np.max(np.abs(dev))))[1]
+        with np.errstate(over="ignore"):
+            excess, dev = np.ldexp(excess, -e), np.ldexp(dev, -e)
         spread = float(np.sum(dev * dev)) / (seg.size - dof)
     if not spread > 0.0:
         return math.nan

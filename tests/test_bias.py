@@ -227,6 +227,12 @@ class TestGumbelLimitDiagnostic:
         with pytest.raises(InvalidModel):
             gumbel_limit_diagnostic(BiasModel(0, 1, 1, 5), trials=100)
 
+    def test_one_draw_has_no_standard_error(self):
+        # the drift table's standard error needs two draws; the error
+        # names the count, and numpy's ddof warning never runs
+        with pytest.raises(InvalidModel, match="needs >= 2 draws, got 1"):
+            gumbel_limit_diagnostic(BiasModel(0, 1, 1, 100), trials=1)
+
 
 class TestBiasModel:
     def test_effective_count(self):

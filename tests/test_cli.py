@@ -430,6 +430,33 @@ class TestOthers:
         assert small == scaled and float(small.split(",")[0]) < 0
         assert err == "error: sharpe sums of the returns overflow\n"
 
+    def test_subnormal_returns_print_as_their_scaled_twin(self, tmp_path,
+                                                          capsys):
+        import datetime
+
+        import numpy as np
+
+        # every spread of returns near 1e-310 underflows and is rescaled
+        # by 2^-e; e below -1023 made 2.0 ** -e raise OverflowError, a
+        # traceback. The ratios do not depend on scale: the output is that
+        # of the same values times 2^1030, exactly.
+        small = np.random.default_rng(3).normal(0.0, 1.0, 40) * 1e-310
+        day = datetime.date(2000, 1, 3)
+        outs = []
+        for values in (small, np.ldexp(small, 1030)):
+            lines = ["date,a"] + [f"{day + datetime.timedelta(days=i)},{v!r}"
+                                  for i, v in enumerate(values.tolist())]
+            path = tmp_path / "a.csv"
+            path.write_text("\n".join(lines) + "\n")
+            runs = [main(["report", "--input", str(path), "--min-segment",
+                          "5p"]),
+                    main(["portfolio", "--input", str(path), "--weights",
+                          "a=1", "--splits", "2", "--min-segment", "5p"])]
+            assert runs == [0, 0]
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "a,-0.555379,-7.427308,0.880143,-7.427308,02/06/00" in outs[0]
+
     @pytest.mark.parametrize("command, n, trials", MODEL_RUNS,
                              ids=["bias", "simulate"])
     def test_model_overflow_is_an_error(self, command, n, trials, capsys):

@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minregime import (
     SHARPE,
     Infeasible,
     MetricKind,
+    MinRegimeError,
     NoValidPartition,
     block_bootstrap_mrp,
     count_valid_partitions,
@@ -355,6 +356,77 @@ class TestDegenerateData:
         res = mrp_fast(series, 3, 252)
         assert_valid_result(series, 3, 252, SHARPE, res)
         assert res.optimal_splits.splits[0] > 252
+
+
+#: Sortino segments whose every ratio overflows: 1e300 over a tiny
+#: shortfall; at s = 3 some segment has no shortfall
+ALL_INF = np.where(np.isin(np.arange(12), [1, 5, 9]), -1e-160, 1e300)
+#: returns whose deviations are subnormal, as is every spread
+SUBNORMAL = np.random.default_rng(3).normal(0.0, 1.0, 40) * 1e-310
+
+
+def outcome(search, series, s, d, kind):
+    """A search's MRP value, or the class of the error it raised."""
+    try:
+        return search(series, s, d, kind).value
+    except MinRegimeError as exc:
+        return type(exc)
+
+
+@st.composite
+def float_range_cases(draw):
+    """Short series whose returns take one or two magnitudes within 1e-320
+    to 1e300, so that sums overflow and spreads underflow."""
+    s = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 16 // (s + 1)))
+    n = draw(st.integers((s + 1) * d, 16))
+    edges = st.sampled_from([-320, -310, -160, -150, 150, 160, 300])
+    scales = draw(st.lists(st.one_of(edges, st.integers(-320, 300)),
+                           min_size=1, max_size=2))
+    unit = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1.5, 1.5))
+    values = [draw(unit) * 10.0 ** draw(st.sampled_from(scales))
+              for _ in range(n)]
+    kind = draw(st.sampled_from([SHARPE, sortino(0.0)]))
+    return values, s, d, kind
+
+
+class TestFloatRange:
+    """A ratio beyond the float range is +-inf on every path, and a spread
+    that underflows is rescaled exactly, so the engines agree there too."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_overflowing_ratios_agree(self, s):
+        # the window scan raised NoValidPartition at s = 2, where brute
+        # force returns +inf, and every call warned of the overflow
+        series = series_from(ALL_INF)
+        for search in (mrp_fast, mrp_brute_force):
+            if s == 3:
+                with pytest.raises(NoValidPartition):
+                    search(series, s, 2, sortino(0.0))
+                continue
+            res = search(series, s, 2, sortino(0.0))
+            assert res.value == math.inf
+            assert res.optimal_splits.splits == (2, 6)[:s]
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_subnormal_spreads_are_rescaled(self, s):
+        # the rescale by 2.0 ** -e raised OverflowError once e <= -1024
+        series = series_from(SUBNORMAL)
+        res = mrp_fast(series, s, 5)
+        assert math.isfinite(res.value)
+        assert res.value == mrp_brute_force(series, s, 5).value
+        twin = mrp_fast(series_from(np.ldexp(SUBNORMAL, 1030)), s, 5)
+        assert res.value == pytest.approx(twin.value, rel=1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(float_range_cases())
+    @example((ALL_INF.tolist(), 2, 2, sortino(0.0)))
+    @example((SUBNORMAL[:16].tolist(), 2, 5, SHARPE))
+    def test_fast_equals_brute_force(self, case):
+        values, s, d, kind = case
+        series = series_from(values)
+        assert (outcome(mrp_fast, series, s, d, kind)
+                == outcome(mrp_brute_force, series, s, d, kind))
 
 
 def reference_window_scan(series, s, d, kind=SHARPE):

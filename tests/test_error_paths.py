@@ -16,6 +16,7 @@ from minregime import (
     InvalidModel,
     MetricKind,
     PortfolioSpec,
+    ReturnSeries,
     SegmentTooShort,
     SeriesTooShort,
     block_bootstrap_mrp,
@@ -68,6 +69,9 @@ CASES = {
             make_series(20),
             make_series(20, 1, frequency=Frequency.MONTHLY))), 1, 5),
         DateMismatch, "strategies have mixed frequencies"),
+    "misaligned dates": (
+        lambda: ReturnSeries(make_series(3).dates, [0.01, 0.02]),
+        ValueError, "dates and returns must have equal length"),
     "unknown kind": (lambda: MetricKind("x"),
                      ValueError, "unknown metric kind 'x'"),
     "segment out of range": (
