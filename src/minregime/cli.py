@@ -61,13 +61,6 @@ def parse_duration(text: str, frequency: Frequency) -> int:
         f"duration {text!r} needs a 'y' or 'p' suffix")
 
 
-def duration(text: str) -> str:
-    """argparse type of a duration flag: only the syntax is checked here;
-    ``main`` works out the period count once ``--frequency`` is known."""
-    parse_duration(text, Frequency.DAILY)
-    return text
-
-
 def int_at_least(low: int):
     """argparse type of an integer flag that must be >= ``low``."""
     def parse(text: str) -> int:
@@ -317,7 +310,7 @@ FLAGS = {
     "--metric": dict(choices=["sharpe", "sortino"], default="sharpe"),
     "--mar": dict(type=finite, help="minimum acceptable per-period return, "
                   "read only with --metric sortino (default 0)"),
-    "--min-segment": dict(default="2y", type=duration, dest="min_segment",
+    "--min-segment": dict(default="2y", dest="min_segment",
                           help="minimum segment length, e.g. 2y or 504p"),
     "--lookback": dict(default="40y", type=parse_years),
     "--splits": dict(type=int_at_least(1), default=1),
@@ -423,7 +416,10 @@ def main(argv: list[str] | None = None) -> int:
                               "frequency")
         return count
     if "min_segment" in args:
-        count = parse_duration(args.min_segment, Frequency(args.frequency))
+        try:
+            count = parse_duration(args.min_segment, Frequency(args.frequency))
+        except argparse.ArgumentTypeError as exc:
+            args.parser.error(f"argument --min-segment: {exc}")
         args.min_segment = at_least_2("--min-segment", args.min_segment, count)
     for years in getattr(args, "ds", ()):
         at_least_2("--ds", f"{years!r}y",

@@ -105,7 +105,7 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
         else:  # a repeated label is read once, and repeated below
             read_once = {label: _column_values(_take(column(label), live), config)
                          for label in dict.fromkeys(labels)}
-    except (AttributeError, ValueError, OverflowError):
+    except (AttributeError, ValueError):
         raise _first_bad_cell(config, column, labels) from None
 
     if config.long_format:
@@ -184,7 +184,7 @@ def _column_values(cells, config: IngestConfig) -> tuple:
     ``float`` pass, then vectorized checks. Cells are stripped only if
     ``float`` fails on one. These are the return-cell rules: a cell that
     breaks one raises ValueError naming it ("missing value", "bad
-    number", "non-finite return"), or ``math.expm1``'s OverflowError.
+    number", "non-finite return", also where ``math.expm1`` overflows).
     Run on one cell, they raise that cell's error."""
     n = len(cells)
     keep = (np.flatnonzero(np.fromiter(map(bool, cells), bool, n))
@@ -207,8 +207,11 @@ def _column_values(cells, config: IngestConfig) -> tuple:
         values /= 100.0
     if config.log_returns:
         # np.expm1 differs from math.expm1 in the last bit on some inputs
-        values = np.fromiter(map(math.expm1, values.tolist()), float,
-                             keep.size)
+        try:
+            values = np.fromiter(map(math.expm1, values.tolist()), float,
+                                 keep.size)
+        except OverflowError:
+            raise ValueError("non-finite return") from None
     return keep, values
 
 
@@ -218,7 +221,7 @@ def _first_bad_cell(config: IngestConfig, column, labels) -> ParseError:
     and a row before ``start_date`` is skipped; then, in the long layout,
     its series name; then its cell of each value column, in order of
     first position in ``labels``. A cell is read by its column's rule run
-    on that one cell; ``expm1``'s OverflowError propagates."""
+    on that one cell."""
     start = np.datetime64(config.start_date, "D")
     names = column(config.name_column) if config.long_format else None
     values = {name: column(name) for name in

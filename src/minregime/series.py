@@ -327,11 +327,10 @@ def _score(table: PrefixTable, defined, excess, spread, kind: MetricKind,
         np.copyto(out, np.nan, where=~defined)
     if np.minimum.reduce(spread, None, initial=np.inf) > 0:  # a NaN fails too
         return out
-    for k in np.flatnonzero(defined & ~(spread > 0)).tolist():
-        at = np.unravel_index(k, out.shape)
-        a, b = (np.broadcast_to(v, out.shape)[at] for v in (start, end))
+    start, end = (np.broadcast_to(v, out.shape) for v in (start, end))
+    for at in zip(*np.nonzero(defined & ~(spread > 0))):
         row = table.returns[at[:table.returns.ndim - 1]]
-        out[at] = _direct(row[a:b], kind, table.periods_per_year)
+        out[at] = _direct(row[start[at]:end[at]], kind, table.periods_per_year)
     return out
 
 

@@ -109,6 +109,22 @@ class TestLoadCsv:
         (s,) = load_csv(IngestConfig(path, log_returns=True))
         assert s.returns == pytest.approx(np.expm1([0.01, -0.02]))
 
+    def test_overflowing_log_return_wide(self, tmp_path):
+        # math.expm1(800) overflows: the cell is named like any bad cell
+        path = write(tmp_path, "date,a\n1990-01-01,0.01\n1990-01-02,800\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(IngestConfig(path, log_returns=True))
+        assert (info.value.row, info.value.column) == (3, "a")
+        assert str(info.value) == "row 3, column 'a': non-finite return '800'"
+
+    def test_overflowing_log_return_long(self, tmp_path):
+        path = write(tmp_path, "name,date,ret\nmom,1990-01-01,0.01\n"
+                               "mom,1990-01-02,800\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(IngestConfig(path, long_format=True, log_returns=True))
+        assert (info.value.row, info.value.column) == (3, "ret")
+        assert str(info.value) == "row 3, column 'ret': non-finite return '800'"
+
     def test_long_format(self, tmp_path):
         text = ("name,date,ret\n"
                 "mom,1990-01-01,0.01\n"
@@ -259,7 +275,11 @@ def reference_load_wide(config):
                 if config.percent:
                     value /= 100.0
                 if config.log_returns:
-                    value = math.expm1(value)
+                    try:
+                        value = math.expm1(value)
+                    except OverflowError:
+                        raise ParseError(rownum, col, "non-finite return "
+                                         f"{cell!r}") from None
                 per_factor[col].append((day, value))
     out = []
     for label, rows in per_factor.items():
@@ -391,7 +411,7 @@ def outcome(load, config):
     """Per series (label, ISO dates, return bits), or the error raised."""
     try:
         result = load(config)
-    except (MinRegimeError, OverflowError) as exc:
+    except MinRegimeError as exc:
         where = (exc.row, exc.column) if isinstance(exc, ParseError) else None
         return type(exc), where, str(exc)
     return result
@@ -464,7 +484,11 @@ def reference_load_long(config):
             if config.percent:
                 value /= 100.0
             if config.log_returns:
-                value = math.expm1(value)
+                try:
+                    value = math.expm1(value)
+                except OverflowError:
+                    raise ParseError(rownum, col,
+                                     f"non-finite return {cell!r}") from None
             per_factor.setdefault(name, []).append((day, value))
     out = []
     for label, rows in per_factor.items():
