@@ -27,11 +27,13 @@ from .errors import (
     DegenerateVector,
     Infeasible,
     InvalidBlock,
+    NonFiniteReturn,
 )
 from .series import (
     SHARPE,
     MetricKind,
     ReturnSeries,
+    _kind_arrays,
     _prefix_table,
     build_prefix_sums,
 )
@@ -279,9 +281,10 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     extended by their first ``block_len - 1`` values, ``max(1, _CHUNK //
     n)`` rows at a time, which share the split scan's per-call cost (see
     CHANGES.md). A row's search in ``engine._search`` does not depend on
-    its chunk: the values are ``mrp_fast``'s, bit for bit. A replicate
-    repeats blocks, so its sums can overflow (NonFiniteReturn) where those
-    of a series that ``mrp_fast`` scores do not.
+    its chunk: the values are ``mrp_fast``'s, bit for bit. A series whose
+    own sums overflow raises NonFiniteReturn as ``mrp_fast`` does, before
+    any draw. A replicate repeats blocks, so its sums can overflow where
+    the series' do not: that NonFiniteReturn names the first such replicate.
     """
     n = len(series)
     if not (1 <= block_len <= n):
@@ -289,6 +292,8 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     _check_feasible(n, s, d)
+    ppy = series.periods_per_year
+    _kind_arrays(build_prefix_sums(series), kind)  # the series' own sums
     rng = np.random.Generator(np.random.Philox(seed))
     nblocks = -(-n // block_len)
     # row k of ``blocks`` is the block starting at k, wrapped at the end
@@ -300,8 +305,17 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     for k in range(0, replicates, step):
         starts = rng.integers(0, n, size=(min(step, replicates - k), nblocks))
         x = blocks[starts].reshape(-1, nblocks * block_len)[:, :n]
-        values[k:k + step] = _search(_prefix_table(x, series.periods_per_year),
-                                     s, d, kind)[0]
+        try:
+            values[k:k + step] = _search(_prefix_table(x, ppy), s, d, kind)[0]
+        except NonFiniteReturn as err:
+            for t, row in enumerate(x, k):  # the first whose sums overflow
+                try:
+                    _kind_arrays(_prefix_table(row, ppy), kind)
+                except NonFiniteReturn:
+                    raise NonFiniteReturn(
+                        f"{kind.name} sums of bootstrap replicate {t} "
+                        "overflow; the series' own do not") from err
+            raise
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     quants = {q: float(np.quantile(values, q)) for q in qs}
     return BootstrapSummary(

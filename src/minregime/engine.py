@@ -331,12 +331,22 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
     g(L_hull) / sqrt(Q_hull). Neither needs a window to split into
     better parts, so the rule holds for both metrics and either sign.
 
-    The bound is computed as the kernel scores a window, by ``_ratio`` of
-    N_lo / L and the spread Q / (L - dof) from ``_parts``, with margins
-    for the kernel's computed values, not exact ones. The kernel's excess
-    sum differs from P[j] - P[i] by a few ulps of the largest |P|, so
-    N_lo is lowered by 32 u max|P| (u the unit roundoff), an absolute
-    amount: an excess that cancels to rounding noise keeps its tile. The
+    A second bound, taken where the first keeps a tile, pivots on the mean
+    excess pbar = P[n] / n: the excess mean is pbar + M / L, M = T[j] -
+    T[i] >= M_lo from the block extremes of T = P - pbar k, so it is >=
+    m_lo = pbar + M_lo / L_hull (/ L_core if M_lo < 0). As S = mean sqrt(L
+    - dof) / sqrt(Q), S >= m_lo sqrt(L_core - dof) / sqrt(Q_hull) (m_lo
+    sqrt(L_hull - dof) / sqrt(Q_core) if m_lo < 0), for L_core >= 2. N_lo
+    pays a drift's whole L_core / L_hull; M_lo does not.
+
+    Both are computed as the kernel scores a window, by ``_ratio`` of a
+    mean and a spread from ``_parts``, with margins for the kernel's
+    computed values. With A = max|P| + |mar| n and u the unit roundoff,
+    the computed P, T, N_lo and M_lo are within 14 u A of exact sums of
+    the stored sum1, and the kernel's mean (from sum1, then mar) and m_lo
+    (where pbar and M_lo / L cancel) within 11 u A / L bar relative
+    errors, so N_lo and M_lo are lowered by 32 u A: an excess that cancels
+    to rounding noise keeps its tile. The
     Sortino spread sums are differences of a nondecreasing stored prefix,
     monotone as stored, and the spread gets a relative 4 u. The Sharpe
     spread sums come from q - sum1^2 / L, q its spread prefix (of r^2),
@@ -345,37 +355,55 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
     within E = (2n + 10) u q[n] + 2 max|r| e + e^2, e = 2 n u sum|r|, of
     the exact one; the window's Q and the core's (or hull's) each carry
     E, and the spread moves by 4 E / (L - 1), which also covers the
-    division's rounding (2 u Q <= 2 u q[n]). Both move in the safe
-    direction, and the finished bound is lowered by 64 u of itself. Where
-    the lowered spread is not > 0 (a cancelled or constant core) the tile
-    is kept, and so is every window the kernel would recompute directly.
+    division's rounding (2 u Q <= 2 u q[n]). All move in the safe
+    direction, and the finished bounds are lowered by 64 u of themselves.
+    Where the lowered spread is not > 0 (a cancelled or constant core) the
+    tile is kept, and so is every window the kernel would recompute.
     """
     n = table.n
     sharpe = kind.name == "sharpe"
+    dof = 1 if sharpe else 0
     p = table.sum1 if sharpe else table.sum1 - kind.mar * np.arange(n + 1)
-    n_margin = 32 * _U * float(np.max(np.abs(p)))
+    margin = 32 * _U * (float(np.max(np.abs(p))) + abs(kind.mar) * n)
+    pbar = float(p[n]) / n
+    pt = p - pbar * np.arange(n + 1)
     if sharpe:  # Sortino's spread takes a relative margin, below
         r, q = table.returns, _kind_arrays(table, kind)[0]
         e_t = 2 * n * _U * float(np.sum(np.abs(r)))
         q_margin = 4 * ((2 * n + 10) * _U * float(q[n])
                         + 2 * float(np.max(np.abs(r))) * e_t + e_t * e_t)
 
-    def may_beat(i0, i1, j0, j1, n_lo):
-        """Whether a window [i, j), i0 <= i <= i1, j0 <= j <= j1, whose
-        excess sum is >= n_lo can score <= ``incumbent``."""
-        n_lo = n_lo - n_margin
-        neg = n_lo < 0
-        # the core or the hull
-        length, _, spread = _parts(table, np.where(neg, i1, i0),
-                                   np.where(neg, j0, j1), kind)
+    def parts(start, end, core):
+        """Length and spread of [start, end), a core's margin down."""
+        length, _, spread = _parts(table, start, end, kind)
+        side = np.where(core, -1.0, 1.0)
+        return length, (spread + side * q_margin / (length - 1) if sharpe
+                        else spread * (1 + side * 4 * _U))
+
+    def beats(mean, length, spread):
+        """Where the bound of ``mean`` and ``spread`` exceeds ``incumbent``."""
+        bound = _ratio(mean, spread, table.periods_per_year)
+        bound -= 64 * _U * np.abs(bound)
+        return (length >= 2) & (spread > 0) & (bound > incumbent)
+
+    def may_beat(i0, i1, j0, j1, n_lo, t_lo):
+        """Whether a window [i, j), i0 <= i <= i1, j0 <= j <= j1, with sums
+        over P and T >= n_lo and t_lo can score <= ``incumbent``."""
         with np.errstate(invalid="ignore", divide="ignore"):
-            if sharpe:
-                spread += np.where(neg, -q_margin, q_margin) / (length - 1)
-            else:
-                spread *= np.where(neg, 1 - 4 * _U, 1 + 4 * _U)
-            bound = _ratio(n_lo / length, spread, table.periods_per_year)
-            bound -= 64 * _U * np.abs(bound)
-        return ~((length >= 2) & (spread > 0) & (bound > incumbent))
+            n_lo = n_lo - margin
+            neg = n_lo < 0  # the core or the hull
+            length, spread = parts(np.where(neg, i1, i0),
+                                   np.where(neg, j0, j1), neg)
+            keep = ~beats(n_lo / length, length, spread)
+            at = np.flatnonzero(keep)
+            (l_core, v_core), (l_hull, v_hull) = (parts(i1[at], j0[at], True),
+                                                  parts(i0[at], j1[at], False))
+            t_lo = t_lo[at] - margin
+            m_lo = pbar + t_lo / np.where(t_lo < 0, l_core, l_hull)
+            shrink = (l_core - dof) / (l_hull - dof)  # Q_x / (L_y - dof)
+            keep[at] = ~beats(m_lo, l_core, np.where(
+                m_lo < 0, v_core * shrink, v_hull / shrink))
+        return keep
 
     # a quarter of d, so that tiles next to the diagonal keep a core,
     # within n/128 .. n/64, so that there are at most 128 x 128 tiles
@@ -383,13 +411,15 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
     first = np.arange(0, n, size, dtype=np.int64)
     last = np.minimum(first + size, n) - 1
     p_end = np.minimum.reduceat(p[:n], first)
+    pt_end = np.minimum.reduceat(pt[:n], first)
     # B x B tiles (a, b) that hold a window
     j0 = np.maximum(first[None, :], f[first][:, None])
     j1 = np.minimum(last[None, :], np.maximum.reduceat(j_hi, first)[:, None])
     a, b = np.nonzero(j0 <= j1)
     j0, j1 = j0[a, b], j1[a, b]
     keep = may_beat(first[a], last[a], j0, j1,
-                    p_end[b] - np.maximum.reduceat(p[:n], first)[a])
+                    p_end[b] - np.maximum.reduceat(p[:n], first)[a],
+                    pt_end[b] - np.maximum.reduceat(pt[:n], first)[a])
     a, b = a[keep], b[keep]
     # their rows: 1 x B tiles
     count = last[a] - first[a] + 1
@@ -400,7 +430,7 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
     j1 = np.minimum(last[b], j_hi[i])
     keep = j0 <= j1
     i, b, j0, j1 = i[keep], b[keep], j0[keep], j1[keep]
-    keep = may_beat(i, i, j0, j1, p_end[b] - p[i])
+    keep = may_beat(i, i, j0, j1, p_end[b] - p[i], pt_end[b] - pt[i])
     i, j0, j1 = i[keep], j0[keep], j1[keep]
     order = np.lexsort((j0, i))
     return i[order], j0[order], j1[order]
@@ -439,8 +469,9 @@ def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
     per start or of the windows ending at n. The kept row tiles are scored in
     (i, j) order, as many whole tiles per ``_scores`` call as fit ``_CHUNK``
     windows at the widest tile's width. On the benchmark's clean two-regime
-    series it scores under 0.1% of the windows; where nothing can be pruned (a
-    positive minimum on large-offset data), all O(n^2). Ties go to the least
+    series it scores under 0.1% of the windows, and on its large-offset ones
+    1-12%; where every window scores within a tile's slack of the least (a
+    short periodic pattern), a large share of all O(n^2). Ties go to the least
     (i, j), and ``_complete_partition`` builds a partition around it. f is the
     scan's one read of definedness: each window [i, j) it scores has j >= f[i]
     >= e[i], so ``_scores`` checks none. Once lo[s + 1] <= n the windows [i,

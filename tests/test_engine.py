@@ -544,6 +544,30 @@ class TestWindowCertificate:
             values = offset + 1e-3 * rng.standard_normal(2520)
         assert_same_as_reference(series_from(values), 2, 252, kind)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(certificate_cases(), st.floats(0.0, 1.0))
+    def test_kept_tiles_hold_every_window_at_or_below_any_incumbent(
+            self, case, share):
+        # the certificate's contract holds for any incumbent, not only the
+        # scan's: every feasible window scoring <= it lies in a kept tile
+        series, s, d, kind = case
+        n, table = len(series), build_prefix_sums(series)
+        f = np.maximum(np.arange(n) + d, defined_ends(table, kind)[:n])
+        lo, hi = engine._reach(f, n, s)
+        j_hi = engine._window_ends(n, s, lo, hi)
+        width = np.maximum(j_hi - f + 1, 0)
+        if lo[s + 1] > n or not width.any():
+            return
+        i = np.repeat(np.arange(n), width)
+        j = f[i] + np.arange(i.size) - np.repeat(np.cumsum(width) - width, width)
+        vals = metric_many(table, i, j, kind)
+        incumbent = float(np.sort(vals)[int(share * (vals.size - 1))])
+        kept = np.zeros((n, n), dtype=bool)
+        for row, j0, j1 in zip(*engine._certified_ends(table, kind, d, f, j_hi,
+                                                         incumbent)):
+            kept[row, j0:j1 + 1] = True
+        assert kept[i, j][vals <= incumbent].all()
+
     def test_sharpe_long_window_below_its_parts(self):
         # the sample variance lets [6, 11) score below every feasible
         # split of it, so a scan of short windows alone misses it
@@ -621,25 +645,59 @@ class TestWindowCertificate:
         assert res == reference_window_scan(series, 2, 20, kind)
 
     def test_positive_minimum_on_offset_series(self):
-        # a positive minimum leaves only the loose hull bound
+        # a positive minimum: the excess-sum bound takes the hull's loose
+        # L_core / L_hull, and the mean-pivoted bound does the pruning
         rng = np.random.default_rng(8)
         series = series_from(10.0 + 1e-3 * rng.standard_normal(1000))
         res = mrp_fast(series, 2, 100)
         assert res.value > 0
         assert res == reference_window_scan(series, 2, 100)
 
-    def test_memory_of_unpruned_scan_is_a_chunk(self):
-        # nothing prunes here: about 3.6e5 windows are scored, which at
-        # once would peak near 21 MB; one chunk at a time it peaks near
-        # 2.8 MB, most of it the certificate's tile arrays
+    def test_prunes_offset_ten_years(self, scored):
+        # a drift 1e4 times the noise: the excess-sum bound gives up the
+        # drift's whole L_core / L_hull and keeps about a quarter of the
+        # windows; the mean-pivoted bound keeps only the noise's slack
         rng = np.random.default_rng(21)
         series = series_from(10.0 + 1e-3 * rng.standard_normal(2520))
+        res = mrp_fast(series, 2, 252)
+        assert sum(scored) < 0.1 * feasible_window_count(series, 2, 252, SHARPE)
+        assert res == reference_window_scan(series, 2, 252)
+
+    def test_prunes_sortino_offset_series(self, scored):
+        # mar above the offset: a negative minimum, dof = 0 and mar inside
+        # the pivot; the excess-sum bound alone keeps about a fifth
+        rng = np.random.default_rng(21)
+        series = series_from(1.0 + 1e-3 * rng.standard_normal(2520))
+        kind = sortino(1.001)
+        res = mrp_fast(series, 2, 252, kind)
+        assert sum(scored) < 0.15 * feasible_window_count(series, 2, 252, kind)
+        assert res.value < 0
+        assert res == reference_window_scan(series, 2, 252, kind)
+
+    @pytest.mark.parametrize("seed", [8, 14])
+    def test_sortino_mar_at_large_offset(self, seed):
+        # mar at an offset of 10: the prefix of r - mar is computed from
+        # sums near 10 k, so it and the kernel's excess carry rounding of a
+        # few ulps of |mar| n, far above max|P|; both bounds' margins must
+        # scale with it, or a least window of 5 is skipped
+        rng = np.random.default_rng(seed)
+        series = series_from(10.0 + 1e-3 * rng.standard_normal(300))
+        assert_same_as_reference(series, 2, 5, sortino(10.0))
+
+    def test_memory_of_unpruned_scan_is_a_chunk(self, scored):
+        # every window of this period-4 pattern scores within a few percent
+        # of the least, inside a tile's slack, so the bounds keep a fifth
+        # of the 1.56 M windows: about 3.3e5, which at once would peak near
+        # 19 MB; one chunk at a time it peaks near 4 MB, most of it the
+        # certificate's tile arrays
+        series = series_from(np.resize([0.02, -0.01, 0.0, -0.005], 2520))
         tracemalloc.start()
         try:
             mrp_fast(series, 2, 252)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert sum(scored) > 0.2 * feasible_window_count(series, 2, 252, SHARPE)
         assert peak < 6_000_000
 
 

@@ -553,16 +553,25 @@ class TestReturnSeries:
     def test_bootstrap_replicate_overflow(self):
         # one return near 1.2e154: the series' squared sum is finite and
         # mrp_fast scores it, but a replicate that draws that return twice
-        # holds a squared sum of about 2.9e308, which overflows: an error,
-        # not a replicate scored from an infinite prefix
+        # holds a squared sum of about 2.9e308, which overflows: an error
+        # naming the replicate, not a replicate scored from an infinite
+        # prefix. A series whose own sums overflow gets mrp_fast's error.
         values = [0.01, -0.02] * 20
         values[7] = 1.2e154
         s = series_from(values)
         assert np.isfinite(mrp_fast(s, 1, 5).value)
         for splits in (1, 2):
             with pytest.raises(NonFiniteReturn,
-                               match="sharpe sums of the returns overflow"):
+                               match="^sharpe sums of bootstrap replicate 7 "
+                                     "overflow; the series' own do not$"):
                 block_bootstrap_mrp(s, 1, 50, s=splits, d=5, seed=1)
+        values[7] = 1.2e155
+        s = series_from(values)
+        for call in (lambda: mrp_fast(s, 1, 5),
+                     lambda: block_bootstrap_mrp(s, 1, 50, s=1, d=5, seed=1)):
+            with pytest.raises(NonFiniteReturn,
+                               match="^sharpe sums of the returns overflow$"):
+                call()
 
     def test_squared_sum_overflow_is_recomputed(self):
         # returns near 1.3e153: every prefix is finite, but a window's
