@@ -309,56 +309,57 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
     each kept tile is then cut into its rows, 1 x B tiles of the same
     bound, and the kept row tiles are returned.
 
-    The bound. Write a window's metric as S = N g(L) / sqrt(Q) sqrt(ppy),
-    with N = sum(r - mar) its excess sum, L its length, g(L) = sqrt(L -
-    dof) / L, and Q its spread sum: the sum of squared deviations from
-    the window mean (Sharpe, dof = 1) or of squared shortfalls below mar
-    (Sortino, dof = 0). For every window [i, j) of a tile:
+    The bound. Write a window's metric as S = phi / sqrt(Q) sqrt(ppy),
+    with phi = mean h(L), mean its excess mean, L its length, h(L) =
+    sqrt(L - dof), and Q its spread sum: the sum of squared deviations
+    from the window mean (Sharpe, dof = 1) or of squared shortfalls below
+    mar (Sortino, dof = 0). Pivot the excess on the series' mean pbar =
+    P[n] / n, P the prefix sum of r - mar: with T = P - pbar k and M =
+    T[j] - T[i], mean = pbar + M / L, so phi = pbar h(L) + M g(L), g(L) =
+    h(L) / L. For every window [i, j) of a tile:
 
-    * N = P[j] - P[i], with P the prefix sum of r - mar, so N >= N_lo =
-      min(P over the end block) - max(P over the start block).
+    * M >= M_lo = min(T over the end block) - max(T over the start block).
     * [i, j) contains the core [I1, J0) and lies in the hull [I0, J1).
       (J0 is raised to f[I0] and J1 lowered to the block's greatest
       j_hi, which bound the rows' ends; f is nondecreasing.)
     * Q only grows with the window: a squared shortfall is >= 0, and the
       least sum of squares about any centre of a set is at most that of
       a superset about its own mean. So Q_core <= Q <= Q_hull.
-    * g falls with L for L >= 2 (g^2 = (L - 1) / L^2 has derivative
-      (2 - L) / L^3; 1 / sqrt(L) falls), so g(L_hull) <= g(L) <= g(L_core).
+    * h rises with L, and g falls with L for L >= 2 (g^2 = (L - 1) / L^2
+      has derivative (2 - L) / L^3; 1 / sqrt(L) falls).
 
-    If N_lo < 0, S >= N g(L) / sqrt(Q) >= N_lo g(L_core) / sqrt(Q_core)
-    when N < 0, and S >= 0 above that otherwise. If N_lo >= 0, S >= N_lo
-    g(L_hull) / sqrt(Q_hull). Neither needs a window to split into
-    better parts, so the rule holds for both metrics and either sign.
+    So each term is bounded on its own: phi >= phi_lo = pbar h(L_core if
+    pbar >= 0, else L_hull) + M_lo g(L_hull if M_lo >= 0, else L_core),
+    for L_core >= 2. If phi_lo >= 0, S >= phi_lo / sqrt(Q_hull); if
+    phi_lo < 0, S >= phi_lo / sqrt(Q_core) when phi < 0, and S >= 0 above
+    that otherwise. No window need split into better parts, so the rule
+    holds for both metrics and either sign. At pbar = 0 it is the bound
+    on the excess sum P[j] - P[i]; where returns drift far above their
+    noise, pivoting keeps the drift off the core-to-hull slack.
 
-    A second bound, taken where the first keeps a tile, pivots on the mean
-    excess pbar = P[n] / n: the excess mean is pbar + M / L, M = T[j] -
-    T[i] >= M_lo from the block extremes of T = P - pbar k, so it is >=
-    m_lo = pbar + M_lo / L_hull (/ L_core if M_lo < 0). As S = mean sqrt(L
-    - dof) / sqrt(Q), S >= m_lo sqrt(L_core - dof) / sqrt(Q_hull) (m_lo
-    sqrt(L_hull - dof) / sqrt(Q_core) if m_lo < 0), for L_core >= 2. N_lo
-    pays a drift's whole L_core / L_hull; M_lo does not.
-
-    Both are computed as the kernel scores a window, by ``_ratio`` of a
-    mean and a spread from ``_parts``, with margins for the kernel's
-    computed values. With A = max|P| + |mar| n and u the unit roundoff,
-    the computed P, T, N_lo and M_lo are within 14 u A of exact sums of
-    the stored sum1, and the kernel's mean (from sum1, then mar) and m_lo
-    (where pbar and M_lo / L cancel) within 11 u A / L bar relative
-    errors, so N_lo and M_lo are lowered by 32 u A: an excess that cancels
-    to rounding noise keeps its tile. The
-    Sortino spread sums are differences of a nondecreasing stored prefix,
-    monotone as stored, and the spread gets a relative 4 u. The Sharpe
-    spread sums come from q - sum1^2 / L, q its spread prefix (of r^2),
-    and only the exact ones are monotone. The stored prefixes drift from
-    the exact sums by up to n u times their magnitude, so a computed Q is
-    within E = (2n + 10) u q[n] + 2 max|r| e + e^2, e = 2 n u sum|r|, of
-    the exact one; the window's Q and the core's (or hull's) each carry
-    E, and the spread moves by 4 E / (L - 1), which also covers the
-    division's rounding (2 u Q <= 2 u q[n]). All move in the safe
-    direction, and the finished bounds are lowered by 64 u of themselves.
-    Where the lowered spread is not > 0 (a cancelled or constant core) the
-    tile is kept, and so is every window the kernel would recompute.
+    It is computed as the kernel scores a window, by ``_ratio`` of phi_lo
+    / h(L_x) and the spread Q_x / (L_x - dof) from ``_parts``, with
+    margins for the kernel's computed values. With A = max|P| + |mar| n
+    and u the unit roundoff, the computed T and M_lo are within 14 u A of
+    exact sums of the stored sum1 (T with the computed pbar), and the
+    kernel's mean (from sum1, then mar) within 11 u A / L; so the
+    kernel's mean h(L) is >= phi - 25 u A g(L), and g(L) <= g(L_core).
+    The pbar term is at most sqrt(2) A g(L_core), so phi_lo's own
+    rounding is within 6 u A g(L_core) and a few u of phi_lo: phi_lo is
+    lowered by 32 u A g(L_core), and an excess that cancels to rounding
+    noise keeps its tile. The Sortino spread sums are differences of a
+    nondecreasing stored prefix, monotone as stored, and the spread gets
+    a relative 4 u. The Sharpe spread sums come from q - sum1^2 / L, q
+    its spread prefix (of r^2), and only the exact ones are monotone. The
+    stored prefixes drift from the exact sums by up to n u times their
+    magnitude, so a computed Q is within E = (2n + 10) u q[n] + 2 max|r|
+    e + e^2, e = 2 n u sum|r|, of the exact one; the window's Q and the
+    core's (or hull's) each carry E, and the spread moves by 4 E / (L -
+    1), which also covers the division's rounding (2 u Q <= 2 u q[n]).
+    All move in the safe direction, and the finished bound is lowered by
+    64 u of itself. Where the lowered spread is not > 0 (a cancelled or
+    constant core) the tile is kept, and so is every window the kernel
+    would recompute.
     """
     n = table.n
     sharpe = kind.name == "sharpe"
@@ -373,44 +374,36 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
         q_margin = 4 * ((2 * n + 10) * _U * float(q[n])
                         + 2 * float(np.max(np.abs(r))) * e_t + e_t * e_t)
 
-    def parts(start, end, core):
-        """Length and spread of [start, end), a core's margin down."""
+    def parts(start, end, side):
+        """Length, h and spread of [start, end), a core's (side -1)
+        margin down and a hull's (side 1) up."""
         length, _, spread = _parts(table, start, end, kind)
-        side = np.where(core, -1.0, 1.0)
-        return length, (spread + side * q_margin / (length - 1) if sharpe
-                        else spread * (1 + side * 4 * _U))
+        return length, np.sqrt(length - dof), (
+            spread + side * q_margin / (length - 1) if sharpe
+            else spread * (1 + side * 4 * _U))
 
-    def beats(mean, length, spread):
-        """Where the bound of ``mean`` and ``spread`` exceeds ``incumbent``."""
-        bound = _ratio(mean, spread, table.periods_per_year)
-        bound -= 64 * _U * np.abs(bound)
-        return (length >= 2) & (spread > 0) & (bound > incumbent)
-
-    def may_beat(i0, i1, j0, j1, n_lo, t_lo):
-        """Whether a window [i, j), i0 <= i <= i1, j0 <= j <= j1, with sums
-        over P and T >= n_lo and t_lo can score <= ``incumbent``."""
+    def may_beat(i0, i1, j0, j1, m_lo):
+        """Whether a window [i, j), i0 <= i <= i1, j0 <= j <= j1, with
+        T[j] - T[i] >= m_lo can score <= ``incumbent``."""
         with np.errstate(invalid="ignore", divide="ignore"):
-            n_lo = n_lo - margin
-            neg = n_lo < 0  # the core or the hull
-            length, spread = parts(np.where(neg, i1, i0),
-                                   np.where(neg, j0, j1), neg)
-            keep = ~beats(n_lo / length, length, spread)
-            at = np.flatnonzero(keep)
-            (l_core, v_core), (l_hull, v_hull) = (parts(i1[at], j0[at], True),
-                                                  parts(i0[at], j1[at], False))
-            t_lo = t_lo[at] - margin
-            m_lo = pbar + t_lo / np.where(t_lo < 0, l_core, l_hull)
-            shrink = (l_core - dof) / (l_hull - dof)  # Q_x / (L_y - dof)
-            keep[at] = ~beats(m_lo, l_core, np.where(
-                m_lo < 0, v_core * shrink, v_hull / shrink))
-        return keep
+            l_core, h_core, v_core = parts(i1, j0, -1.0)
+            l_hull, h_hull, v_hull = parts(i0, j1, 1.0)
+            g_core = h_core / l_core
+            phi = (pbar * (h_core if pbar >= 0 else h_hull)
+                   + m_lo * np.where(m_lo >= 0, h_hull / l_hull, g_core)
+                   - margin * g_core)
+            hull = phi >= 0
+            spread = np.where(hull, v_hull, v_core)
+            bound = _ratio(phi / np.where(hull, h_hull, h_core), spread,
+                           table.periods_per_year)
+            bound -= 64 * _U * np.abs(bound)
+            return ~((l_core >= 2) & (spread > 0) & (bound > incumbent))
 
     # a quarter of d, so that tiles next to the diagonal keep a core,
     # within n/128 .. n/64, so that there are at most 128 x 128 tiles
     size = max(-(-n // 128), min(-(-d // 4), -(-n // 64)))
     first = np.arange(0, n, size, dtype=np.int64)
     last = np.minimum(first + size, n) - 1
-    p_end = np.minimum.reduceat(p[:n], first)
     pt_end = np.minimum.reduceat(pt[:n], first)
     # B x B tiles (a, b) that hold a window
     j0 = np.maximum(first[None, :], f[first][:, None])
@@ -418,7 +411,6 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
     a, b = np.nonzero(j0 <= j1)
     j0, j1 = j0[a, b], j1[a, b]
     keep = may_beat(first[a], last[a], j0, j1,
-                    p_end[b] - np.maximum.reduceat(p[:n], first)[a],
                     pt_end[b] - np.maximum.reduceat(pt[:n], first)[a])
     a, b = a[keep], b[keep]
     # their rows: 1 x B tiles
@@ -430,7 +422,7 @@ def _certified_ends(table: PrefixTable, kind: MetricKind, d: int,
     j1 = np.minimum(last[b], j_hi[i])
     keep = j0 <= j1
     i, b, j0, j1 = i[keep], b[keep], j0[keep], j1[keep]
-    keep = may_beat(i, i, j0, j1, p_end[b] - p[i], pt_end[b] - pt[i])
+    keep = may_beat(i, i, j0, j1, pt_end[b] - pt[i])
     i, j0, j1 = i[keep], j0[keep], j1[keep]
     order = np.lexsort((j0, i))
     return i[order], j0[order], j1[order]
@@ -469,7 +461,7 @@ def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
     per start or of the windows ending at n. The kept row tiles are scored in
     (i, j) order, as many whole tiles per ``_scores`` call as fit ``_CHUNK``
     windows at the widest tile's width. On the benchmark's clean two-regime
-    series it scores under 0.1% of the windows, and on its large-offset ones
+    series it scores 0.01-0.25% of the windows, and on its large-offset ones
     1-12%; where every window scores within a tile's slack of the least (a
     short periodic pattern), a large share of all O(n^2). Ties go to the least
     (i, j), and ``_complete_partition`` builds a partition around it. f is the

@@ -483,11 +483,33 @@ def assert_same_as_reference(series, s, d, kind):
     assert got == want
 
 
+def assert_kept_tiles_hold(series, s, d, kind, share):
+    """Every feasible window scoring <= the incumbent, the value at
+    ``share`` of the sorted feasible windows, lies in a kept tile."""
+    n, table = len(series), build_prefix_sums(series)
+    f = np.maximum(np.arange(n) + d, defined_ends(table, kind)[:n])
+    lo, hi = engine._reach(f, n, s)
+    j_hi = engine._window_ends(n, s, lo, hi)
+    width = np.maximum(j_hi - f + 1, 0)
+    if lo[s + 1] > n or not width.any():
+        return
+    i = np.repeat(np.arange(n), width)
+    j = f[i] + np.arange(i.size) - np.repeat(np.cumsum(width) - width, width)
+    vals = metric_many(table, i, j, kind)
+    incumbent = float(np.sort(vals)[int(share * (vals.size - 1))])
+    kept = np.zeros((n, n), dtype=bool)
+    for row, j0, j1 in zip(*engine._certified_ends(table, kind, d, f, j_hi,
+                                                     incumbent)):
+        kept[row, j0:j1 + 1] = True
+    assert kept[i, j][vals <= incumbent].all()
+
+
 @st.composite
 def certificate_cases(draw):
     """Series for s = 2, 3 and d = 2..8 of up to 120 observations: a small
     alphabet with ties, periodic data, or a large offset at vol 1e-3,
-    with injected constant runs (zero runs among them)."""
+    with injected constant runs (zero runs among them); a Sortino mar
+    within 2e-3 of the offset is drawn for the offset shape too."""
     s = draw(st.sampled_from([2, 3]))
     d = draw(st.integers(2, 8))
     n = draw(st.integers((s + 1) * d, 120))
@@ -507,8 +529,12 @@ def certificate_cases(draw):
         start = draw(st.integers(0, n - 1))
         stop = min(n, start + draw(st.integers(2, 15)))
         values[start:stop] = [draw(st.sampled_from(ALPHABET))] * (stop - start)
-    kind = draw(st.sampled_from([SHARPE, sortino(0.0), sortino(0.005),
-                                 sortino(-0.005)]))
+    if shape == "offset" and draw(st.booleans()):
+        # mar near the offset: P = sum1 - mar k rounds at u |mar| n
+        kind = sortino(offset + draw(st.floats(-2e-3, 2e-3)))
+    else:
+        kind = draw(st.sampled_from([SHARPE, sortino(0.0), sortino(0.005),
+                                     sortino(-0.005)]))
     return series_from(values), s, d, kind
 
 
@@ -550,23 +576,14 @@ class TestWindowCertificate:
             self, case, share):
         # the certificate's contract holds for any incumbent, not only the
         # scan's: every feasible window scoring <= it lies in a kept tile
-        series, s, d, kind = case
-        n, table = len(series), build_prefix_sums(series)
-        f = np.maximum(np.arange(n) + d, defined_ends(table, kind)[:n])
-        lo, hi = engine._reach(f, n, s)
-        j_hi = engine._window_ends(n, s, lo, hi)
-        width = np.maximum(j_hi - f + 1, 0)
-        if lo[s + 1] > n or not width.any():
-            return
-        i = np.repeat(np.arange(n), width)
-        j = f[i] + np.arange(i.size) - np.repeat(np.cumsum(width) - width, width)
-        vals = metric_many(table, i, j, kind)
-        incumbent = float(np.sort(vals)[int(share * (vals.size - 1))])
-        kept = np.zeros((n, n), dtype=bool)
-        for row, j0, j1 in zip(*engine._certified_ends(table, kind, d, f, j_hi,
-                                                         incumbent)):
-            kept[row, j0:j1 + 1] = True
-        assert kept[i, j][vals <= incumbent].all()
+        assert_kept_tiles_hold(*case, share)
+
+    def test_deviation_term_at_the_hull_where_it_is_positive(self):
+        # at this incumbent a tile with M_lo >= 0 holds a window scoring
+        # at or below it: its M term is bounded at the hull's g, since
+        # g(L_core) >= g(L) would bound it from above
+        values = np.random.default_rng(0).choice(ALPHABET, 120)
+        assert_kept_tiles_hold(series_from(values), 2, 7, SHARPE, 0.75)
 
     def test_sharpe_long_window_below_its_parts(self):
         # the sample variance lets [6, 11) score below every feasible
@@ -595,6 +612,19 @@ class TestWindowCertificate:
         rng = np.random.default_rng(8)
         series = series_from(-100.0 + 1e-5 * rng.standard_normal(120))
         assert_same_as_reference(series, 2, 10, SHARPE)
+
+    def test_core_of_one_keeps_its_tile(self):
+        # at n >= 128 d tiles are wider than d: here 8 at d = 2, and the
+        # tile of starts 496..503 by ends 504..511 has a core of one
+        # observation, where g(1) = 0 does not bound g(L) from above.
+        # It holds the least window [502, 504) and must be kept
+        rng = np.random.default_rng(3)
+        values = 0.01 + 1e-3 * rng.standard_normal(1024)
+        values[502:507] = [-0.02, -0.021, -0.019, -0.02, -0.022]
+        series = series_from(values)
+        res = mrp_fast(series, 2, 2)
+        assert res.optimal_splits.splits == (502, 504)
+        assert res == reference_window_scan(series, 2, 2)
 
     @pytest.fixture
     def scored(self, monkeypatch):
@@ -645,27 +675,29 @@ class TestWindowCertificate:
         assert res == reference_window_scan(series, 2, 20, kind)
 
     def test_positive_minimum_on_offset_series(self):
-        # a positive minimum: the excess-sum bound takes the hull's loose
-        # L_core / L_hull, and the mean-pivoted bound does the pruning
+        # a positive minimum: the pivoted mean pbar = 10 > 0 bounds its
+        # term at the core's h, and the pivot does the pruning
         rng = np.random.default_rng(8)
         series = series_from(10.0 + 1e-3 * rng.standard_normal(1000))
         res = mrp_fast(series, 2, 100)
         assert res.value > 0
         assert res == reference_window_scan(series, 2, 100)
 
-    def test_prunes_offset_ten_years(self, scored):
-        # a drift 1e4 times the noise: the excess-sum bound gives up the
-        # drift's whole L_core / L_hull and keeps about a quarter of the
-        # windows; the mean-pivoted bound keeps only the noise's slack
+    @pytest.mark.parametrize("offset", [10.0, -10.0])
+    def test_prunes_offset_ten_years(self, offset, scored):
+        # a drift 1e4 times the noise: a bound on the raw excess sum gives
+        # up the drift's whole L_core / L_hull and keeps about a quarter
+        # of the windows; pivoted on the mean, only the noise's slack is
+        # kept. At -10 pbar < 0 takes the hull's h
         rng = np.random.default_rng(21)
-        series = series_from(10.0 + 1e-3 * rng.standard_normal(2520))
+        series = series_from(offset + 1e-3 * rng.standard_normal(2520))
         res = mrp_fast(series, 2, 252)
         assert sum(scored) < 0.1 * feasible_window_count(series, 2, 252, SHARPE)
         assert res == reference_window_scan(series, 2, 252)
 
     def test_prunes_sortino_offset_series(self, scored):
         # mar above the offset: a negative minimum, dof = 0 and mar inside
-        # the pivot; the excess-sum bound alone keeps about a fifth
+        # the pivot; a bound on the raw excess sum keeps about a fifth
         rng = np.random.default_rng(21)
         series = series_from(1.0 + 1e-3 * rng.standard_normal(2520))
         kind = sortino(1.001)
@@ -678,7 +710,7 @@ class TestWindowCertificate:
     def test_sortino_mar_at_large_offset(self, seed):
         # mar at an offset of 10: the prefix of r - mar is computed from
         # sums near 10 k, so it and the kernel's excess carry rounding of a
-        # few ulps of |mar| n, far above max|P|; both bounds' margins must
+        # few ulps of |mar| n, far above max|P|; the bound's margin must
         # scale with it, or a least window of 5 is skipped
         rng = np.random.default_rng(seed)
         series = series_from(10.0 + 1e-3 * rng.standard_normal(300))
@@ -686,7 +718,7 @@ class TestWindowCertificate:
 
     def test_memory_of_unpruned_scan_is_a_chunk(self, scored):
         # every window of this period-4 pattern scores within a few percent
-        # of the least, inside a tile's slack, so the bounds keep a fifth
+        # of the least, inside a tile's slack, so the bound keeps a fifth
         # of the 1.56 M windows: about 3.3e5, which at once would peak near
         # 19 MB; one chunk at a time it peaks near 4 MB, most of it the
         # certificate's tile arrays
