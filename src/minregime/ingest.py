@@ -6,8 +6,9 @@ ret) is read the same way, as one value column split by name. A leading
 byte-order mark is dropped. Rows before ``start_date`` are dropped
 (factor histories are truncated so every factor is live at the start).
 
-A plain file (no quote, no overlong line, rows as wide as the header)
-is split by ``str.split``, any other by ``csv.reader``: the same rows.
+The text is read in blocks of rows. A plain block (no quote, no
+overlong line, rows as wide as the header) is split by ``str.split``,
+any other by ``csv.reader``: the same rows.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import datetime
 import io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
@@ -24,6 +26,9 @@ import numpy as np
 
 from .errors import EmptySeries, MinRegimeError, ParseError
 from .series import Frequency, ReturnSeries, _as_days
+
+_BLOCK = 1 << 17  # characters of text per block of rows, see _blocks
+_EOL = re.compile(r"\r\n?|\n|\Z")  # a line end, as csv.reader's, or the end
 
 
 @dataclass(frozen=True)
@@ -54,18 +59,23 @@ def _dates(cells) -> list[datetime.date]:
 def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     """Load one ReturnSeries per factor column (or long-format name).
 
-    Both layouts are read column by column, with the result and errors
-    of a row-by-row read. The rows are ``csv.reader``'s, which a plain
-    file (see ``_split``) gets from ``str.split``; a file that is not
-    UTF-8, or has a field over the ``csv`` field size limit, raises a
-    MinRegimeError that names it. Blank lines are skipped; a short row's
-    absent cells read as empty and its absent date as missing; a long
-    row's extra cells are dropped; a repeated header name means its last
-    column. Rows before ``start_date`` are dropped. In the long layout a
-    name column splits the rows of one value column, and series come in
-    order of each name's first appearance. If a column-wise step fails,
-    one row-by-row read (``_first_bad_cell``) raises the first bad cell's
-    ParseError: a row's date, then its name, then its values, each cell
+    Both layouts are read column by column, one block of rows at a time
+    (``_blocks``), with the result and errors of a row-by-row read. The
+    rows are ``csv.reader``'s, which a plain block (see ``_split``) gets
+    from ``str.split``. Blank lines are skipped; a short row's absent
+    cells read as empty and its absent date as missing; a long row's extra
+    cells are dropped; a repeated header name means its last column. Rows
+    before ``start_date`` are dropped. In the long layout a name column
+    splits the rows of one value column, and series come in order of each
+    name's first appearance.
+
+    Errors come in file order. A file that is not UTF-8 raises a
+    MinRegimeError that names it, before any row is read. Then each block
+    is read in turn: a field over the ``csv`` field size limit raises a
+    MinRegimeError that names it; if a column-wise step fails, one
+    row-by-row read of that block (``_first_bad_cell``) raises the first
+    bad cell's ParseError, which is the file's first, as every earlier
+    block passed: a row's date, then its name, then its values, each cell
     read by the same rules (``_dates``, ``_column_values``) run on that
     cell alone. Then series are checked in label order for emptiness
     (EmptySeries), then for date order (``ReturnSeries`` raises
@@ -74,56 +84,37 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     path = Path(config.path)
     try:  # a byte-order mark is not part of the first header name
         text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
-        if not text:
-            raise EmptySeries(f"{path}: no header row")
-        header, table, nrows = (_split(text)
-                                or _columns(text, config.date_column))
-        del text  # the file's text goes before the columns are read
     except UnicodeDecodeError as exc:
         raise MinRegimeError(f"{path}: not UTF-8 text ({exc.reason}) at byte "
                              f"{exc.start}") from None
+    if not text:
+        raise EmptySeries(f"{path}: no header row")
+    parts = None  # label: the (dates, returns) of each block's kept cells
+    done = 0  # non-blank rows of the earlier blocks
+    try:
+        for block in _blocks(text):
+            header, table, nrows = (_split(block)
+                                    or _columns(block, config.date_column))
+            if parts is None:
+                labels = config.value_columns
+                if labels is None:
+                    labels = tuple(c for c in header if c != config.date_column)
+                if not labels and not config.long_format:
+                    raise EmptySeries("no value columns")
+                parts = ({} if config.long_format else
+                         {label: [] for label in dict.fromkeys(labels)})
+            for label, day, ret in _read_block(config, labels, table,
+                                               nrows, done):
+                parts.setdefault(label, []).append((day, ret))
+            done += nrows
     except csv.Error as exc:  # a field over the field size limit
         raise MinRegimeError(f"{path}: {exc}") from None
-    labels = config.value_columns
-    if labels is None:
-        labels = tuple(c for c in header if c != config.date_column)
-    if not labels and not config.long_format:
-        raise EmptySeries("no value columns")
 
-    def column(name: str, absent: str | None = "") -> tuple:
-        return table.get(name, (absent,) * nrows)
-
-    try:
-        dates = _as_days(_dates(column(config.date_column, None)))
-        live = np.flatnonzero(dates >= np.datetime64(config.start_date, "D"))
-        if config.long_format:
-            names = list(map(str.strip, _take(column(config.name_column), live)))
-            if "" in names:
-                raise ValueError("missing series name")
-            keep, values = _column_values(_take(column(config.return_column),
-                                                live), config)
-        else:  # a repeated label is read once, and repeated below
-            read_once = {label: _column_values(_take(column(label), live), config)
-                         for label in dict.fromkeys(labels)}
-    except (AttributeError, ValueError):
-        raise _first_bad_cell(config, column, labels) from None
-
-    if config.long_format:
-        names = _take(names, keep)
-        labels = list(dict.fromkeys(names))  # order of first appearance
-        code = np.fromiter(map(dict(zip(labels, range(len(labels)))).get,
-                               names), np.intp, len(names))
-        order = np.argsort(code, kind="stable")
-        cuts = np.cumsum(np.bincount(code))[:-1]
-        per_factor = zip(labels, np.split(dates[live[keep]][order], cuts),
-                         np.split(values[order], cuts))
-    else:
-        # a label named m times reads each of its cells m times, row by row
-        per_factor = [(label, np.repeat(dates[live[keep]], labels.count(label)),
-                       np.repeat(values, labels.count(label)))
-                      for label, (keep, values) in read_once.items()]
     out = []
-    for label, day, ret in per_factor:
+    for label, pieces in parts.items():
+        # a label named m times reads each of its cells m times, row by row
+        times = 1 if config.long_format else labels.count(label)
+        day, ret = (np.repeat(np.concatenate(a), times) for a in zip(*pieces))
         if not day.size:
             raise EmptySeries(f"{path}: series {label!r} empty after truncation")
         out.append(ReturnSeries(dates=day, returns=ret,
@@ -131,6 +122,61 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     if not out:
         raise EmptySeries(f"{path}: no factor columns found")
     return out
+
+
+def _read_block(config: IngestConfig, labels, table: dict, nrows: int,
+                done: int):
+    """(label, dates, returns) of the kept cells of one block, whose
+    ``nrows`` non-blank rows follow ``done`` of earlier blocks: each label
+    once, or each name in order of first appearance. Its first bad cell
+    raises a ParseError."""
+    def column(name: str, absent: str | None = "") -> tuple:
+        return table.get(name, (absent,) * nrows)
+
+    try:
+        dates = _as_days(_dates(column(config.date_column, None)))
+        live = np.flatnonzero(dates >= np.datetime64(config.start_date, "D"))
+        if not config.long_format:
+            read = []
+            for label in dict.fromkeys(labels):
+                keep, values = _column_values(_take(column(label), live),
+                                              config)
+                read.append((label, dates[live[keep]], values))
+            return read
+        names = list(map(str.strip, _take(column(config.name_column), live)))
+        if "" in names:
+            raise ValueError("missing series name")
+        keep, values = _column_values(
+            _take(column(config.return_column), live), config)
+    except (AttributeError, ValueError):
+        raise _first_bad_cell(config, column, labels, done) from None
+    names = _take(names, keep)
+    found = list(dict.fromkeys(names))  # order of first appearance
+    code = np.fromiter(map(dict(zip(found, range(len(found)))).get, names),
+                       np.intp, len(names))
+    order = np.argsort(code, kind="stable")
+    cuts = np.cumsum(np.bincount(code))[:-1]
+    return zip(found, np.split(dates[live[keep]][order], cuts),
+               np.split(values[order], cuts))
+
+
+def _blocks(text: str):
+    """The text in blocks of whole rows, each behind the header line, so a
+    block reads as a file of its own. A block ends at the first line end
+    ``_BLOCK`` characters or more after it starts. A quote can hide a line
+    end, so the block that holds the text's first quote runs to the end."""
+    quote = text.find('"') % (len(text) + 1)  # len(text) where none
+    pos = _EOL.search(text).end()
+    header = text[:pos]
+    while True:
+        cut = _EOL.search(text, pos + _BLOCK).end()
+        if cut > quote:
+            cut = len(text)
+        # the first block is the text's start, so one block is not copied
+        yield text[:cut] if pos == len(header) else header + text[pos:cut]
+        if cut == len(text):
+            return
+        pos = cut
 
 
 def _split(text: str) -> tuple[list[str], dict, int] | None:
@@ -215,9 +261,11 @@ def _column_values(cells, config: IngestConfig) -> tuple:
     return keep, values
 
 
-def _first_bad_cell(config: IngestConfig, column, labels) -> ParseError:
+def _first_bad_cell(config: IngestConfig, column, labels,
+                    done: int) -> ParseError:
     """The error of a row-by-row read of the cells ``column(name)`` gives,
-    once a column-wise step has failed. Each row's date is read first,
+    once a column-wise step has failed, for a block that follows ``done``
+    non-blank rows. Each row's date is read first,
     and a row before ``start_date`` is skipped; then, in the long layout,
     its series name; then its cell of each value column, in order of
     first position in ``labels``. A cell is read by its column's rule run
@@ -227,7 +275,7 @@ def _first_bad_cell(config: IngestConfig, column, labels) -> ParseError:
     values = {name: column(name) for name in
               ((config.return_column,) if config.long_format else labels)}
     for k, text in enumerate(column(config.date_column, None)):
-        row = k + 2
+        row = done + k + 2
         try:
             day = np.datetime64(_dates([text])[0], "D")
         except (AttributeError, ValueError):

@@ -653,3 +653,129 @@ class TestSplitTokenizer:
         assert got[0] == header and got[2] == nrows
         assert {name: list(cells) for name, cells in got[1].items()} == {
             name: list(table.get(name, ())) for name in header}
+
+
+# ------------------------------------------------------------- row blocks
+
+# blocks end at the first line end 32 characters on: one to three rows of
+# the oracles' files, two for most
+SMALL_BLOCK = 32
+
+
+class TestRowBlocks:
+    """``load_csv`` reads the text in blocks of rows; each block is read as
+    a file of its own, and a failed block is located at its row offset."""
+
+    def test_wide_oracle_in_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK", SMALL_BLOCK)
+        TestColumnWiseReader().test_matches_row_by_row_reference(monkeypatch)
+
+    def test_long_oracle_in_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK", SMALL_BLOCK)
+        TestLongLayoutReader().test_matches_row_by_row_reference(monkeypatch)
+
+    @staticmethod
+    def read(monkeypatch, tmp_path, text, block, **options):
+        """``outcome`` of ``load_csv`` in blocks of ``block`` characters,
+        and the number of blocks."""
+        monkeypatch.setattr(ingest, "_BLOCK", block)
+        path = write(tmp_path, text)
+        blocks = len(list(ingest._blocks(text)))
+        got = outcome(lambda c: [(s.label, np.datetime_as_string(s.dates)
+                                  .tolist(), s.returns.tolist())
+                                 for s in load_csv(c)],
+                      IngestConfig(path, **options))
+        return got, blocks
+
+    def same_in_any_blocks(self, monkeypatch, tmp_path, text, **options):
+        """The outcome, which is the same in blocks of one row, of a few
+        rows and of the whole file, and where ``csv.reader`` reads every
+        block."""
+        whole, _ = self.read(monkeypatch, tmp_path, text, len(text), **options)
+        for block in (1, 24):
+            got, blocks = self.read(monkeypatch, tmp_path, text, block,
+                                    **options)
+            assert blocks > 1 and got == whole
+        monkeypatch.setattr(ingest, "_split", lambda text: None)
+        for block in (1, len(text)):
+            assert self.read(monkeypatch, tmp_path, text, block,
+                             **options)[0] == whole
+        return whole
+
+    def test_bad_cell_in_a_later_block(self, monkeypatch, tmp_path):
+        rows = [f"1990-01-{k:02d},0.01,0.02" for k in range(1, 9)]
+        rows[5] = "1990-01-06,0.01,x"
+        rows[6] = "1990-01-07,y,0.02"
+        text = "date,a,b\n" + "\n".join(rows) + "\n"
+        got = self.same_in_any_blocks(monkeypatch, tmp_path, text)
+        assert got[:2] == (ParseError, (7, "b"))
+        # a bad date after it, in its block or a later one, comes second
+        text = text.replace("1990-01-08", "1990-13-08")
+        got = self.same_in_any_blocks(monkeypatch, tmp_path, text)
+        assert got[:2] == (ParseError, (7, "b"))
+
+    def test_blank_lines_on_block_edges(self, monkeypatch, tmp_path):
+        text = ("date,a\n\n1990-01-01,0.01\n\n\n1990-01-02,0.02\r\n\r\n"
+                "1990-01-03,oops\r\r1990-01-04,0.04\n")
+        got = self.same_in_any_blocks(monkeypatch, tmp_path, text)
+        assert got[:2] == (ParseError, (4, "a"))  # blank lines are not rows
+        text = text.replace("oops", "0.03")
+        (got,) = self.same_in_any_blocks(monkeypatch, tmp_path, text)
+        assert got[2] == [0.01, 0.02, 0.03, 0.04]
+
+    def test_start_date_on_a_block_edge(self, monkeypatch, tmp_path):
+        text = ("date,a,b\n1979-12-30,x,\n1979-12-31,,y\n1980-01-01,0.01,\n"
+                "1980-01-02,0.02,0.03\n")
+        a, b = self.same_in_any_blocks(monkeypatch, tmp_path, text)
+        assert a[1:] == (["1980-01-01", "1980-01-02"], [0.01, 0.02])
+        assert b[1:] == (["1980-01-02"], [0.03])
+        # a block of rows all before start_date leaves no cell of a column
+        got = self.same_in_any_blocks(monkeypatch, tmp_path, text,
+                                      start_date=datetime.date(1980, 1, 2))
+        assert [s[1] for s in got] == [["1980-01-02"]] * 2
+
+    @pytest.mark.parametrize("late, error", [
+        ('1990-01-04,"0.04",0.05', None),
+        ('1990-01-04,"1,5",0.05', (5, "a")),
+        ('1990-01-04,"0.04\n1990-01-05",0.05', (5, "a")),
+        ("1990-01-04,0.04", (5, "b")),  # a short row
+        ("1990-01-04,0.04,0.05,0.06", None),  # a long row
+        ("1990-01-04", (5, "a")),
+    ])
+    def test_quote_or_ragged_row_after_block_one(self, monkeypatch, tmp_path,
+                                                  late, error):
+        rows = "".join(f"1990-01-0{k},0.0{k},0.1{k}\n" for k in (1, 2, 3))
+        text = f"date,a,b\n{rows}{late}\n1990-01-06,0.06,0.16\n"
+        options = dict(missing_policy="error")
+        got = self.same_in_any_blocks(monkeypatch, tmp_path, text, **options)
+        want = outcome(lambda c: [
+            (label, dates, rets.tolist())
+            for label, dates, rets in reference_load_wide(c)],
+            IngestConfig(write(tmp_path, text), **options))
+        assert got == want
+        assert (got[1] if error else None) == error
+
+    def test_header_only(self, monkeypatch, tmp_path):
+        for text, options, message in (
+                ("date,a,b\n", {}, "series 'a' empty"),
+                ("date,a,b", {}, "series 'a' empty"),
+                ("name,date,ret\n\n\n", {"long_format": True},
+                 "no factor columns")):
+            monkeypatch.setattr(ingest, "_BLOCK", 1)
+            with pytest.raises(EmptySeries, match=message):
+                load_csv(IngestConfig(write(tmp_path, text), **options))
+
+    def test_long_names_split_across_blocks(self, monkeypatch, tmp_path):
+        # "val" first has a value in the third row, "mom" in the fourth, so
+        # series come in that order; " mom " is "mom"
+        text = ("name,date,ret\nmom,1990-01-01,\nval,1990-01-01,\n"
+                "val,1990-01-02,0.02\n mom ,1990-01-02,0.01\n"
+                "qmj,1990-01-02,\nmom,1990-01-03,0.03\nval,1990-01-03,0.04\n")
+        got = self.same_in_any_blocks(monkeypatch, tmp_path, text,
+                                      long_format=True)
+        assert got == [("val", ["1990-01-02", "1990-01-03"], [0.02, 0.04]),
+                       ("mom", ["1990-01-02", "1990-01-03"], [0.01, 0.03])]
+        text = text.replace("qmj", "  ")
+        got = self.same_in_any_blocks(monkeypatch, tmp_path, text,
+                                      long_format=True)
+        assert got[:2] == (ParseError, (6, "name"))
