@@ -6,9 +6,9 @@ ret) is read the same way, as one value column split by name. A leading
 byte-order mark is dropped. Rows before ``start_date`` are dropped
 (factor histories are truncated so every factor is live at the start).
 
-The text is read in blocks of rows. A plain block (no quote, no
-overlong line, rows as wide as the header) is split by ``str.split``,
-any other by ``csv.reader``: the same rows.
+The header record is read once, and the body after it in blocks of rows.
+A plain block (no quote, no overlong line, rows as wide as the header)
+is split by ``str.split``, any other by ``csv.reader``: the same rows.
 """
 
 from __future__ import annotations
@@ -59,26 +59,28 @@ def _dates(cells) -> list[datetime.date]:
 def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     """Load one ReturnSeries per factor column (or long-format name).
 
-    Both layouts are read column by column, one block of rows at a time
-    (``_blocks``), with the result and errors of a row-by-row read. The
-    rows are ``csv.reader``'s, which a plain block (see ``_split``) gets
-    from ``str.split``. Blank lines are skipped; a short row's absent
-    cells read as empty and its absent date as missing; a long row's extra
-    cells are dropped; a repeated header name means its last column. Rows
-    before ``start_date`` are dropped. In the long layout a name column
-    splits the rows of one value column, and series come in order of each
-    name's first appearance.
+    Both layouts are read column by column: the header record once, then
+    the body one block of rows at a time (``_blocks``), with the result
+    and errors of a row-by-row read. The rows are ``csv.reader``'s, which
+    a plain block (see ``_split``) gets from ``str.split``. The header is
+    the first line where ``csv.reader`` reads it strictly as one record,
+    else the text's first record, read as a file. Blank lines are skipped;
+    a short row's absent cells read as empty and its absent date as
+    missing; a long row's extra cells are dropped; a repeated header name
+    means its last column. Rows before ``start_date`` are dropped. In the
+    long layout a name column splits the rows of one value column, and
+    series come in order of each name's first appearance.
 
     Errors come in file order. A file that is not UTF-8 raises a
-    MinRegimeError that names it, before any row is read. Then each block
-    is read in turn: a field over the ``csv`` field size limit raises a
-    MinRegimeError that names it; if a column-wise step fails, one
-    row-by-row read of that block (``_first_bad_cell``) raises the first
-    bad cell's ParseError, which is the file's first, as every earlier
-    block passed: a row's date, then its name, then its values, each cell
-    read by the same rules (``_dates``, ``_column_values``) run on that
-    cell alone. Then series are checked in label order for emptiness
-    (EmptySeries), then for date order (``ReturnSeries`` raises
+    MinRegimeError that names it, before any row is read. A field over the
+    ``csv`` field size limit raises a MinRegimeError that names it, when
+    the header or the field's block is read. If a column-wise step fails,
+    one row-by-row read of that block (``_first_bad_cell``) raises the
+    first bad cell's ParseError, which is the file's first, as every
+    earlier block passed: a row's date, then its name, then its values,
+    each cell read by the same rules (``_dates``, ``_column_values``) run
+    on that cell alone. Then series are checked in label order for
+    emptiness (EmptySeries), then for date order (``ReturnSeries`` raises
     DateOrderError).
     """
     path = Path(config.path)
@@ -89,20 +91,27 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
                              f"{exc.start}") from None
     if not text:
         raise EmptySeries(f"{path}: no header row")
-    parts = None  # label: the (dates, returns) of each block's kept cells
-    done = 0  # non-blank rows of the earlier blocks
     try:
-        for block in _blocks(text):
-            header, table, nrows = (_split(block)
-                                    or _columns(block, config.date_column))
-            if parts is None:
-                labels = config.value_columns
-                if labels is None:
-                    labels = tuple(c for c in header if c != config.date_column)
-                if not labels and not config.long_format:
-                    raise EmptySeries("no value columns")
-                parts = ({} if config.long_format else
-                         {label: [] for label in dict.fromkeys(labels)})
+        line = text[:_EOL.search(text).end()]
+        try:  # the header record, where the first line holds all of it
+            header, start = next(csv.reader([line], strict=True)), len(line)
+        except csv.Error:  # a quote hides the line end, or a bad line
+            lines = io.StringIO(text, newline="")
+            header, start = next(csv.reader(lines)), lines.tell()
+        width = len(header)
+        index = {name: k for k, name in enumerate(header)}  # last one wins
+        labels = config.value_columns
+        if labels is None:
+            labels = tuple(c for c in header if c != config.date_column)
+        if not labels and not config.long_format:
+            raise EmptySeries("no value columns")
+        parts = ({} if config.long_format else  # label: blocks' kept cells
+                 {label: [] for label in dict.fromkeys(labels)})
+        done = 0  # non-blank rows of the earlier blocks
+        for block in _blocks(text, start):
+            cells, nrows = (_split(block, width) or _columns(
+                block, width, index.get(config.date_column)))
+            table = {name: cells[k::width] for name, k in index.items()}
             for label, day, ret in _read_block(config, labels, table,
                                                nrows, done):
                 parts.setdefault(label, []).append((day, ret))
@@ -160,64 +169,50 @@ def _read_block(config: IngestConfig, labels, table: dict, nrows: int,
                np.split(values[order], cuts))
 
 
-def _blocks(text: str):
-    """The text in blocks of whole rows, each behind the header line, so a
-    block reads as a file of its own. A block ends at the first line end
-    ``_BLOCK`` characters or more after it starts. A quote can hide a line
-    end, so the block that holds the text's first quote runs to the end."""
-    quote = text.find('"') % (len(text) + 1)  # len(text) where none
-    pos = _EOL.search(text).end()
-    header = text[:pos]
+def _blocks(text: str, pos: int):
+    """The text from ``pos`` on in blocks of whole rows, each ended by the
+    first line end ``_BLOCK`` characters or more after its start. A quote
+    can hide a line end, so the block with the first quote runs to the end."""
+    quote = text.find('"', pos) % (len(text) + 1)  # len(text) where none
     while True:
         cut = _EOL.search(text, pos + _BLOCK).end()
         if cut > quote:
             cut = len(text)
-        # the first block is the text's start, so one block is not copied
-        yield text[:cut] if pos == len(header) else header + text[pos:cut]
+        yield text[pos:cut]
         if cut == len(text):
             return
         pos = cut
 
 
-def _split(text: str) -> tuple[list[str], dict, int] | None:
-    """``_columns``'s result by ``str.split``, where that gives the rows of
-    ``csv.reader``: no quote, no line over the field size limit, and each
-    non-blank body line (ended by \\n, \\r\\n or \\r) as wide as the
-    header. None for any other text."""
+def _split(text: str, width: int) -> tuple[list[str], int] | None:
+    """``_columns``'s result by ``str.split`` where that gives the rows of
+    ``csv.reader``: no quote, no line over the field size limit, each
+    non-blank line (ended by \\n, \\r\\n or \\r) ``width`` cells wide.
+    None for any other text."""
     if "\r" in text:  # one scan, where the replaces take two
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    header = lines[0].split(",")
-    width = len(header)
-    body = [line for line in lines[1:] if line]
-    if ('"' in text or not lines[0]
-            or max(map(len, lines)) > csv.field_size_limit()
-            or any(line.count(",") != width - 1 for line in body)):
+    lines = [line for line in text.split("\n") if line]
+    if ('"' in text or any(line.count(",") != width - 1 for line in lines)
+            or max(map(len, lines), default=0) > csv.field_size_limit()):
         return None
-    nrows, joined = len(body), ",".join(body)
-    del lines, body  # the line strings go before the cells are made
-    cells = joined.split(",") if nrows else []
-    columns = (cells[k::width] for k in range(width))
-    return header, dict(zip(header, columns)), nrows
+    nrows, joined = len(lines), ",".join(lines)
+    del lines  # the line strings go before the cells are made
+    return (joined.split(",") if nrows else []), nrows
 
 
-def _columns(text: str, date_column: str) -> tuple:
-    """Header, cells by header name and count of the non-blank rows of a
-    non-empty text, read by ``csv.reader``. Each row is cut or padded to
-    the header's width: a short row's absent cells read as empty, its
-    absent date as None. A repeated header name means its last column."""
-    rows = csv.reader(io.StringIO(text, newline=""))
-    header = next(rows)
-    width = len(header)
-    di = {name: k for k, name in enumerate(header)}.get(date_column)
-
+def _columns(text: str, width: int, date: int | None) -> tuple[list, int]:
+    """The cells, row after row, and the count of the non-blank rows of a
+    text, read by ``csv.reader``. Each row is cut or padded to ``width``
+    cells: a short row's absent cells read as empty, and its absent date
+    (the cell at index ``date``) as None."""
     def pad(row: list[str]) -> list:
         cut = row[:width] + [""] * (width - len(row))
-        if di is not None and len(row) <= di:
-            cut[di] = None
+        if date is not None and len(row) <= date:
+            cut[date] = None
         return cut
-    rows = [row if len(row) == width else pad(row) for row in rows if row]
-    return header, dict(zip(header, zip(*rows))), len(rows)
+    rows = [row if len(row) == width else pad(row)
+            for row in csv.reader(io.StringIO(text, newline="")) if row]
+    return [cell for row in rows for cell in row], len(rows)
 
 
 def _take(cells, at: np.ndarray):

@@ -1,5 +1,6 @@
 import csv
 import datetime
+import io
 import math
 import tempfile
 from collections import Counter
@@ -340,8 +341,8 @@ def count_tokenizers(monkeypatch) -> Counter:
     counts = Counter()
     split = ingest._split
 
-    def spy(text):
-        got = split(text)
+    def spy(text, width):
+        got = split(text, width)
         counts["split" if got is not None else "csv.reader"] += 1
         return got
     monkeypatch.setattr(ingest, "_split", spy)
@@ -636,23 +637,38 @@ def token_texts(draw):
     return text, not (ragged or too_long or blank_first)
 
 
+def first_record(text):
+    """The first record of a text as ``csv.reader`` reads a file ([] where
+    there is none), and the index of the body's start after it."""
+    lines = io.StringIO(text, newline="")
+    return next(csv.reader(lines), []), lines.tell()
+
+
 class TestSplitTokenizer:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(token_texts())
-    @example(("", False))
+    @example(("", True))  # an empty body under an empty header
     @example(("\na\nb\n", False))  # csv.reader's header is [] here
     @example(("a\n\n b\r\rc\r\n", True))
     @example(("a,b\r\n1,2", True))
     def test_matches_csv_reader(self, case):
         text, readable = case
-        got = ingest._split(text)
+        try:
+            header, start = first_record(text)
+        except csv.Error:  # a header cell over the field size limit
+            assert not readable
+            return
+        # the header rule of load_csv: the first line, where it reads
+        # strictly as one record, is that record
+        line = text[:ingest._EOL.search(text).end()]
+        assert next(csv.reader([line], strict=True)) == header
+        assert len(line) == start
+        body, width = text[start:], len(header)
+        got = ingest._split(body, width)
         assert (got is not None) == readable
         if got is None:
             return
-        header, table, nrows = ingest._columns(text, "date")
-        assert got[0] == header and got[2] == nrows
-        assert {name: list(cells) for name, cells in got[1].items()} == {
-            name: list(table.get(name, ())) for name in header}
+        assert got == ingest._columns(body, width, None)
 
 
 # ------------------------------------------------------------- row blocks
@@ -680,7 +696,7 @@ class TestRowBlocks:
         and the number of blocks."""
         monkeypatch.setattr(ingest, "_BLOCK", block)
         path = write(tmp_path, text)
-        blocks = len(list(ingest._blocks(text)))
+        blocks = len(list(ingest._blocks(text, first_record(text)[1])))
         got = outcome(lambda c: [(s.label, np.datetime_as_string(s.dates)
                                   .tolist(), s.returns.tolist())
                                  for s in load_csv(c)],
@@ -696,7 +712,7 @@ class TestRowBlocks:
             got, blocks = self.read(monkeypatch, tmp_path, text, block,
                                     **options)
             assert blocks > 1 and got == whole
-        monkeypatch.setattr(ingest, "_split", lambda text: None)
+        monkeypatch.setattr(ingest, "_split", lambda text, width: None)
         for block in (1, len(text)):
             assert self.read(monkeypatch, tmp_path, text, block,
                              **options)[0] == whole
@@ -779,3 +795,54 @@ class TestRowBlocks:
         got = self.same_in_any_blocks(monkeypatch, tmp_path, text,
                                       long_format=True)
         assert got[:2] == (ParseError, (6, "name"))
+
+    # header lines: quoted as R's write.csv quotes names, a quoted line end
+    # in a name, lines the strict read of one line rejects (read as
+    # csv.reader reads a file), a byte-order mark, a lone "\r" end, and a
+    # blank first line, whose header is []
+    ROWS = "".join(f"1990-01-0{k},0.0{k},0.1{k}\n" for k in range(1, 7))
+
+    @pytest.mark.parametrize("text, options", [
+        ('"date","a","b"\n' + ROWS, {}),
+        ('"date","a","b"\r\n' + ROWS.replace("\n", "\r\n"), {}),
+        ('date,"a\r\nb",b\n' + ROWS, {}),
+        ('date,"a"b,c\n' + ROWS, {}),
+        ('date,a"b,"c\n' + ROWS[:42] + '"\n' + ROWS[42:], {}),
+        ('\ufeff"date","a","b"\n' + ROWS, {}),
+        ('"date","a","b"\r' + ROWS.replace("\n", "\r"), {}),
+        ('"date",a,b\r' + ROWS, {"missing_policy": "error"}),
+        ('"date","a"' + "\r\n" * 20, {}),
+        ("\ndate,a,b\n" + ROWS, {}),
+        ("\nname,date,ret\n" + ROWS, {"long_format": True}),
+        ('"name","date","ret"\n' + "".join(
+            f"{n},1990-01-0{k},0.0{k}\n" for k in range(1, 7) for n in "ab"),
+         {"long_format": True}),
+    ], ids=["quoted", "quoted-crlf", "line-end-in-name", "text-after-quote",
+            "open-quote", "bom", "lone-cr", "lone-cr-half-quoted",
+            "header-only", "blank-first", "blank-first-long", "long-quoted"])
+    def test_header_rule(self, monkeypatch, tmp_path, text, options):
+        got = self.same_in_any_blocks(monkeypatch, tmp_path, text, **options)
+        # the reference reads a byte-order mark into the first name
+        path = write(tmp_path, text.removeprefix("\ufeff"))
+        reference = (reference_load_long if options.get("long_format")
+                     else reference_load_wide)
+        assert got == outcome(lambda c: [
+            (label, dates, rets.tolist())
+            for label, dates, rets in reference(c)],
+            IngestConfig(path, **options))
+
+    def test_quoted_header_over_plain_rows(self, monkeypatch, tmp_path):
+        tokenizers = count_tokenizers(monkeypatch)
+        got, blocks = self.read(monkeypatch, tmp_path,
+                                '"date","a","b"\n' + self.ROWS, 24)
+        assert blocks > 1 and [s[0] for s in got] == ["a", "b"]
+        assert tokenizers == {"split": blocks}
+
+    @pytest.mark.parametrize("text", ['"date","a"\n', '"date","a"',
+                                      '"date","a"\r'])
+    def test_quoted_header_only(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with pytest.raises(EmptySeries, match="series 'a' empty"):
+            reference_load_wide(IngestConfig(path))
+        with pytest.raises(EmptySeries, match="series 'a' empty"):
+            load_csv(IngestConfig(path))
