@@ -6,8 +6,9 @@ ret) is read the same way, as one value column split by name. A leading
 byte-order mark is dropped. Rows before ``start_date`` are dropped
 (factor histories are truncated so every factor is live at the start).
 
-The header record is read once, and the body after it in blocks of rows.
-A plain block (no quote, no overlong line, rows as wide as the header)
+The header record is read once, and the body after it in blocks of rows
+(a quoted field may lengthen one, at worst to the end of the file). A
+plain block (no quote, NUL or overlong line; rows as wide as the header)
 is split by ``str.split``, any other by ``csv.reader``: the same rows.
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import EmptySeries, MinRegimeError, ParseError
 from .series import Frequency, ReturnSeries, _as_days
 
-_BLOCK = 1 << 17  # characters of text per block of rows, see _blocks
+_BLOCK = 1 << 17  # least characters of text per block of rows
 _EOL = re.compile(r"\r\n?|\n|\Z")  # a line end, as csv.reader's, or the end
 
 
@@ -60,28 +61,30 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     """Load one ReturnSeries per factor column (or long-format name).
 
     Both layouts are read column by column: the header record once, then
-    the body one block of rows at a time (``_blocks``), with the result
-    and errors of a row-by-row read. The rows are ``csv.reader``'s, which
-    a plain block (see ``_split``) gets from ``str.split``. The header is
-    the first line where ``csv.reader`` reads it strictly as one record,
-    else the text's first record, read as a file. Blank lines are skipped;
-    a short row's absent cells read as empty and its absent date as
-    missing; a long row's extra cells are dropped; a repeated header name
-    means its last column. Rows before ``start_date`` are dropped. In the
-    long layout a name column splits the rows of one value column, and
-    series come in order of each name's first appearance.
+    the body in blocks of rows, with the rows of ``csv.reader`` and the
+    result and errors of a row-by-row read. A block ends at the first line
+    end ``_BLOCK`` characters on; one that may end inside a quoted field
+    (``_columns``) is read again, cut at least twice as long: at worst,
+    where each record's last cell ends in a quoted line end, to the end of
+    the file. The header is the first line where ``csv.reader`` reads it
+    strictly as one record, else the text's first record, read as a file.
+    Blank lines are skipped; a short row's absent cells read as empty and
+    its absent date as missing; a long row's extra cells are dropped; a
+    repeated header name means its last column. Rows before ``start_date``
+    are dropped. In the long layout a name column splits the rows of one
+    value column, and series come in the order their names first appear.
 
     Errors come in file order. A file that is not UTF-8 raises a
     MinRegimeError that names it, before any row is read. A field over the
-    ``csv`` field size limit raises a MinRegimeError that names it, when
-    the header or the field's block is read. If a column-wise step fails,
-    one row-by-row read of that block (``_first_bad_cell``) raises the
-    first bad cell's ParseError, which is the file's first, as every
-    earlier block passed: a row's date, then its name, then its values,
-    each cell read by the same rules (``_dates``, ``_column_values``) run
-    on that cell alone. Then series are checked in label order for
-    emptiness (EmptySeries), then for date order (``ReturnSeries`` raises
-    DateOrderError).
+    ``csv`` field size limit (or a NUL, on Python 3.10) raises a
+    MinRegimeError that names it, when the header or its block is read. If
+    a column-wise step fails, one row-by-row read of that block
+    (``_first_bad_cell``) raises the first bad cell's ParseError, which is
+    the file's first, as every earlier block passed: a row's date, then
+    its name, then its values, each cell read by the same rules
+    (``_dates``, ``_column_values``) run on that cell alone. Then series
+    are checked in label order for emptiness (EmptySeries), then for date
+    order (``ReturnSeries`` raises DateOrderError).
     """
     path = Path(config.path)
     try:  # a byte-order mark is not part of the first header name
@@ -107,16 +110,23 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
             raise EmptySeries("no value columns")
         parts = ({} if config.long_format else  # label: blocks' kept cells
                  {label: [] for label in dict.fromkeys(labels)})
-        done = 0  # non-blank rows of the earlier blocks
-        for block in _blocks(text, start):
-            cells, nrows = (_split(block, width) or _columns(
-                block, width, index.get(config.date_column)))
+        done, pos, cut, size = 0, start, -1, _BLOCK  # rows before the block
+        while cut < len(text):
+            cut = _EOL.search(text, pos + size).end()
+            block = text[pos:cut]
+            read = _split(block, width) or _columns(
+                block, width, index.get(config.date_column), cut == len(text))
+            if read is None:  # a quoted field may run on past the cut
+                size = 2 * (cut - pos)
+                continue
+            cells, nrows = read
             table = {name: cells[k::width] for name, k in index.items()}
             for label, day, ret in _read_block(config, labels, table,
                                                nrows, done):
                 parts.setdefault(label, []).append((day, ret))
             done += nrows
-    except csv.Error as exc:  # a field over the field size limit
+            pos, size = cut, _BLOCK
+    except csv.Error as exc:  # a field over the size limit; NUL on 3.10
         raise MinRegimeError(f"{path}: {exc}") from None
 
     out = []
@@ -169,30 +179,17 @@ def _read_block(config: IngestConfig, labels, table: dict, nrows: int,
                np.split(values[order], cuts))
 
 
-def _blocks(text: str, pos: int):
-    """The text from ``pos`` on in blocks of whole rows, each ended by the
-    first line end ``_BLOCK`` characters or more after its start. A quote
-    can hide a line end, so the block with the first quote runs to the end."""
-    quote = text.find('"', pos) % (len(text) + 1)  # len(text) where none
-    while True:
-        cut = _EOL.search(text, pos + _BLOCK).end()
-        if cut > quote:
-            cut = len(text)
-        yield text[pos:cut]
-        if cut == len(text):
-            return
-        pos = cut
-
-
 def _split(text: str, width: int) -> tuple[list[str], int] | None:
     """``_columns``'s result by ``str.split`` where that gives the rows of
-    ``csv.reader``: no quote, no line over the field size limit, each
-    non-blank line (ended by \\n, \\r\\n or \\r) ``width`` cells wide.
-    None for any other text."""
+    ``csv.reader``: no quote, no NUL (3.10's ``csv.reader`` rejects it), no
+    line over the field size limit, each non-blank line (ended by \\n,
+    \\r\\n or \\r) ``width`` cells wide. None for any other text."""
+    if '"' in text or "\0" in text:
+        return None
     if "\r" in text:  # one scan, where the replaces take two
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = [line for line in text.split("\n") if line]
-    if ('"' in text or any(line.count(",") != width - 1 for line in lines)
+    if (any(line.count(",") != width - 1 for line in lines)
             or max(map(len, lines), default=0) > csv.field_size_limit()):
         return None
     nrows, joined = len(lines), ",".join(lines)
@@ -200,18 +197,21 @@ def _split(text: str, width: int) -> tuple[list[str], int] | None:
     return (joined.split(",") if nrows else []), nrows
 
 
-def _columns(text: str, width: int, date: int | None) -> tuple[list, int]:
+def _columns(text: str, width: int, date: int | None,
+             last: bool) -> tuple[list, int] | None:
     """The cells, row after row, and the count of the non-blank rows of a
-    text, read by ``csv.reader``. Each row is cut or padded to ``width``
-    cells: a short row's absent cells read as empty, and its absent date
-    (the cell at index ``date``) as None."""
-    def pad(row: list[str]) -> list:
-        cut = row[:width] + [""] * (width - len(row))
-        if date is not None and len(row) <= date:
-            cut[date] = None
-        return cut
-    rows = [row if len(row) == width else pad(row)
-            for row in csv.reader(io.StringIO(text, newline="")) if row]
+    text, read by ``csv.reader``, each row cut or padded to ``width``
+    cells: absent cells read as empty, an absent date (index ``date``) as
+    None. None if the text, not the file's ``last``, may end in a quoted
+    field, as ``csv.reader`` then ends its last cell with a line end."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    if not last and rows and rows[-1][-1].endswith(("\n", "\r")):
+        return None
+    for k, row in enumerate(rows):
+        if len(row) != width:
+            rows[k] = row[:width] + [""] * (width - len(row))
+            if date is not None and len(row) <= date:
+                rows[k][date] = None
     return [cell for row in rows for cell in row], len(rows)
 
 

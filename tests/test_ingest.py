@@ -3,6 +3,7 @@ import datetime
 import io
 import math
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -613,8 +614,8 @@ TOKEN_CELLS = st.text("a1.- \t\0\x0b\x0c\x1c\x85\xa0 ", max_size=3)
 def token_texts(draw):
     """(text, whether ``_split`` may read it): a header and rows of cells,
     with blank lines, ended as ``ended`` ends them. The rows may be ragged,
-    one cell may be longer than the field size limit, and the first line
-    may be blank; such a text is for ``csv.reader``."""
+    one cell may be longer than the field size limit, the first line may
+    be blank and a row may hold a NUL; such a text is for ``csv.reader``."""
     header = draw(st.lists(TOKEN_CELLS.filter(bool), min_size=1, max_size=4))
     width = len(header)
     rows = draw(st.lists(st.lists(TOKEN_CELLS, min_size=width,
@@ -634,7 +635,8 @@ def token_texts(draw):
     lines[1:] = [line for row in lines[1:] for line in
                  [row] + [""] * draw(st.integers(0, 1))]
     text = ended(lines, lambda items: draw(st.sampled_from(items)))
-    return text, not (ragged or too_long or blank_first)
+    nul = any("\0" in cell for row in rows for cell in row)
+    return text, not (ragged or too_long or blank_first or nul)
 
 
 def first_record(text):
@@ -655,8 +657,9 @@ class TestSplitTokenizer:
         text, readable = case
         try:
             header, start = first_record(text)
-        except csv.Error:  # a header cell over the field size limit
-            assert not readable
+        except csv.Error:  # a header cell over the field size limit, or a
+            # NUL, which csv.reader rejects on Python 3.10
+            assert not readable or "\0" in text
             return
         # the header rule of load_csv: the first line, where it reads
         # strictly as one record, is that record
@@ -668,10 +671,38 @@ class TestSplitTokenizer:
         assert (got is not None) == readable
         if got is None:
             return
-        assert got == ingest._columns(body, width, None)
+        assert got == ingest._columns(body, width, None, True)
 
 
 # ------------------------------------------------------------- row blocks
+
+
+def count_blocks(text, block):
+    """The number of blocks of rows the body of ``text`` makes with
+    ``_BLOCK`` at ``block``, whether or not a read stops in one. Each ends
+    at the first line end ``block`` characters on, unless its last record,
+    as ``csv.reader`` reads the block, ends in a cell that ends in a line
+    end (a quoted field may run on past the cut) and it is not the last
+    block: then it is cut again, at least twice as long. A block that
+    ``csv.reader`` rejects is the last."""
+    pos, size, blocks = first_record(text)[1], block, 0
+    while True:
+        cut = ingest._EOL.search(text, pos + size).end()
+        lines = io.StringIO(text[pos:cut], newline="")
+        try:
+            rows = [row for row in csv.reader(lines) if row]
+        except csv.Error:
+            return blocks + 1
+        if cut < len(text) and rows and rows[-1][-1][-1:] in ("\n", "\r"):
+            size = 2 * (cut - pos)
+            continue
+        blocks += 1
+        if cut == len(text):
+            return blocks
+        pos, size = cut, block
+
+
+READ_BLOCK = ingest._read_block
 
 # blocks end at the first line end 32 characters on: one to three rows of
 # the oracles' files, two for most
@@ -693,15 +724,32 @@ class TestRowBlocks:
     @staticmethod
     def read(monkeypatch, tmp_path, text, block, **options):
         """``outcome`` of ``load_csv`` in blocks of ``block`` characters,
-        and the number of blocks."""
+        and the number of blocks the cut rule makes of the body, which
+        ``load_csv`` reads all of unless it raises first."""
         monkeypatch.setattr(ingest, "_BLOCK", block)
         path = write(tmp_path, text)
-        blocks = len(list(ingest._blocks(text, first_record(text)[1])))
+        reads = []
+        monkeypatch.setattr(ingest, "_read_block", lambda *args: (
+            reads.append(None) or READ_BLOCK(*args)))
         got = outcome(lambda c: [(s.label, np.datetime_as_string(s.dates)
                                   .tolist(), s.returns.tolist())
                                  for s in load_csv(c)],
                       IngestConfig(path, **options))
+        blocks = count_blocks(text, block)
+        assert len(reads) == blocks or (isinstance(got, tuple)
+                                        and len(reads) < blocks)
         return got, blocks
+
+    @staticmethod
+    def reference(tmp_path, text, **options):
+        """``outcome`` of the row-by-row reference of the layout on a text,
+        as ``read`` gives it."""
+        reference = (reference_load_long if options.get("long_format")
+                     else reference_load_wide)
+        return outcome(lambda c: [
+            (label, dates, rets.tolist())
+            for label, dates, rets in reference(c)],
+            IngestConfig(write(tmp_path, text), **options))
 
     def same_in_any_blocks(self, monkeypatch, tmp_path, text, **options):
         """The outcome, which is the same in blocks of one row, of a few
@@ -764,12 +812,103 @@ class TestRowBlocks:
         text = f"date,a,b\n{rows}{late}\n1990-01-06,0.06,0.16\n"
         options = dict(missing_policy="error")
         got = self.same_in_any_blocks(monkeypatch, tmp_path, text, **options)
-        want = outcome(lambda c: [
-            (label, dates, rets.tolist())
-            for label, dates, rets in reference_load_wide(c)],
-            IngestConfig(write(tmp_path, text), **options))
-        assert got == want
+        assert got == self.reference(tmp_path, text, **options)
         assert (got[1] if error else None) == error
+
+    # a line end inside quotes on a cut, ended by "\n", "\r\n" or a lone
+    # "\r", or after a doubled quote; a quoted last cell that does end in a
+    # line end, on a cut after its record; every name quoted
+    @pytest.mark.parametrize("text, options", [
+        ("date,a,b\n" + "".join(
+            f'1990-01-0{k},"0.0{k}{end}",0.1{k}\n' if k in (2, 5) else
+            f"1990-01-0{k},0.0{k},0.1{k}\n" for k in range(1, 7)), {})
+        for end in ("\n", "\r\n", "\r")] + [
+        ("name,date,ret\n" + "".join(
+            f'"{n}""\n",1990-01-0{k},0.0{k}\n' for k in range(1, 7)
+            for n in "ab"), {"long_format": True}),
+        ("date,a,b\n" + "".join(
+            f"1990-01-0{k},0.0{k},0.1{k}\n" for k in range(1, 7)
+        ).replace(",0.13\n", ',"0.135\n"\n'), {}),
+        ('"name","date","ret"\n' + "".join(
+            f'"{n}",1990-01-0{k},0.0{k}\n' for k in range(1, 7)
+            for n in "ab"), {"long_format": True}),
+    ], ids=["lf", "crlf", "lone-cr", "doubled-quote", "last-cell-line-end",
+            "long-all-quoted"])
+    def test_quoted_line_ends(self, monkeypatch, tmp_path, text, options):
+        got = self.same_in_any_blocks(monkeypatch, tmp_path, text, **options)
+        assert got == self.reference(tmp_path, text, **options)
+        assert not isinstance(got, tuple)
+
+    def test_every_record_ends_in_a_quoted_line_end(self, monkeypatch,
+                                                    tmp_path):
+        # every cut may fall inside a quoted field, so each block is read
+        # again, at least twice as long, up to the end: the text read stays
+        # under three times the body's
+        text = "date,a\n" + "".join(f'1990-01-{k:02d},"0.{k:02d}\n"\n'
+                                    for k in range(1, 29))
+        sizes = []
+        columns = ingest._columns
+        monkeypatch.setattr(ingest, "_columns", lambda text, *args: (
+            sizes.append(len(text)) or columns(text, *args)))
+        for block in (1, 24):
+            sizes.clear()
+            got, blocks = self.read(monkeypatch, tmp_path, text, block)
+            assert blocks == 1 and 1 < len(sizes)
+            assert sum(sizes) < 3 * len(text)
+            assert got == self.reference(tmp_path, text)
+
+    def test_bad_cell_before_an_overlong_field(self, monkeypatch, tmp_path):
+        # a quote before the bad cell does not join its block to the
+        # overlong field's, so the bad cell raises first, as row by row;
+        # where both are in one block, the field raises as it is read
+        limit = csv.field_size_limit()
+        text = ('date,a,b\n1990-01-01,"0.01",0.11\n1990-01-02,x,0.12\n'
+                + "".join(f"1990-01-0{k},0.0{k},0.1{k}\n" for k in range(3, 9))
+                + f"1990-01-09,{'1' * (limit + 1)},0.19\n")
+        want = self.reference(tmp_path, text)
+        assert want[:2] == (ParseError, (3, "a"))
+        for block in (1, 24):
+            assert self.read(monkeypatch, tmp_path, text, block)[0] == want
+        got, _ = self.read(monkeypatch, tmp_path, text, len(text))
+        assert got[:2] == (MinRegimeError, None)
+        assert got[2].endswith(f"field larger than field limit ({limit})")
+
+    def test_nul_on_python_310(self, monkeypatch, tmp_path):
+        # Python 3.10's csv.reader raises on a NUL, where later ones read
+        # it: a NUL raises that error in a plain block as in a quoted one
+        reader = csv.reader
+
+        def reader_310(lines, *args, **kwargs):
+            def checked():
+                for line in lines:
+                    if "\0" in line:
+                        raise csv.Error("line contains NUL")
+                    yield line
+            return reader(checked(), *args, **kwargs)
+        monkeypatch.setattr(csv, "reader", reader_310)
+        for row in ("1990-01-02,0.02\0", '"1990-01-02",0.02\0'):
+            got, _ = self.read(monkeypatch, tmp_path,
+                               f"date,a\n1990-01-01,0.01\n{row}\n", 1)
+            assert got == (MinRegimeError, None,
+                           f"{tmp_path / 'data.csv'}: line contains NUL")
+
+    def test_memory_of_quoted_names(self, tmp_path):
+        # a long file whose names are quoted, as R's write.csv writes them,
+        # is read in blocks, as the same file unquoted is
+        days = [datetime.date(1990, 1, 1) + datetime.timedelta(days=k)
+                for k in range(2_000)]
+        rows = "".join(f"{{q}}f{n}{{q}},{day},0.0{n}1\n" for day in days
+                       for n in range(10))
+        peaks = []
+        for quote in ("", '"'):
+            path = write(tmp_path, "name,date,ret\n" + rows.format(q=quote))
+            tracemalloc.start()
+            try:
+                load_csv(IngestConfig(path, long_format=True))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_header_only(self, monkeypatch, tmp_path):
         for text, options, message in (
@@ -823,13 +962,8 @@ class TestRowBlocks:
     def test_header_rule(self, monkeypatch, tmp_path, text, options):
         got = self.same_in_any_blocks(monkeypatch, tmp_path, text, **options)
         # the reference reads a byte-order mark into the first name
-        path = write(tmp_path, text.removeprefix("\ufeff"))
-        reference = (reference_load_long if options.get("long_format")
-                     else reference_load_wide)
-        assert got == outcome(lambda c: [
-            (label, dates, rets.tolist())
-            for label, dates, rets in reference(c)],
-            IngestConfig(path, **options))
+        assert got == self.reference(tmp_path, text.removeprefix("\ufeff"),
+                                     **options)
 
     def test_quoted_header_over_plain_rows(self, monkeypatch, tmp_path):
         tokenizers = count_tokenizers(monkeypatch)
