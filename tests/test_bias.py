@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from minregime import bias
 from minregime import (
     BiasModel,
     InvalidModel,
+    QuadratureFailed,
     bias_asymptotic,
     bias_exact,
     expected_min_exact,
@@ -63,6 +65,50 @@ class TestExpectedMinExact:
         sample = simulate_min_model(model, 2 * 10 ** 6, seed=17)
         se = sample.std(ddof=1) / math.sqrt(sample.size)
         assert abs(sample.mean() - expected_min_exact(model)) <= 3 * se
+
+
+#: E[min of N std normals]: closed forms (David & Nagaraja, 2003) and
+#: 40-digit mpmath values
+CLOSED_FORMS = {
+    3: -3.0 / (2.0 * math.sqrt(math.pi)),
+    4: -(6.0 / math.pi ** 1.5) * math.atan(math.sqrt(2.0)),
+    5: -(5.0 / (4.0 * math.sqrt(math.pi)))
+       * (1.0 + (6.0 / math.pi) * math.asin(1.0 / 3.0)),
+}
+REFERENCES = {
+    10 ** 6: -4.8628974861964627212,
+    10 ** 12: -7.1124636847674710331,
+    10 ** 30: -11.513375437044343465,
+    10 ** 100: -21.300425915226434765,
+    10 ** 200: -30.224647239363466518,
+    10 ** 300: -37.062646206645245147,
+    2 ** 1023: -37.553183499382771053,
+}
+
+
+class TestStdExpectedMin:
+    @pytest.mark.parametrize("N", list(CLOSED_FORMS))
+    def test_closed_forms(self, N):
+        assert bias._std_expected_min(N) == pytest.approx(CLOSED_FORMS[N],
+                                                          abs=1e-12)
+
+    @pytest.mark.parametrize("N", list(REFERENCES),
+                             ids=["1e6", "1e12", "1e30", "1e100", "1e200",
+                                  "1e300", "2^1023"])
+    def test_high_precision_references(self, N):
+        # the log-density window placed by the Gumbel constants was off
+        # by 5e-8 to 8e-8 from 1e100 up, and overflowed at 2^1023
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bias._std_expected_min(N)
+        assert got == pytest.approx(REFERENCES[N], abs=1e-9)
+
+    def test_inaccurate_quadrature_raises(self, monkeypatch):
+        from scipy import integrate
+        monkeypatch.setattr(integrate, "quad",
+                            lambda *args, **kwargs: (-1.0, 1e-6))
+        with pytest.raises(QuadratureFailed, match="quadrature error 1.00e-06"):
+            bias._std_expected_min(10)
 
 
 class TestBiasExact:

@@ -467,6 +467,15 @@ class TestOthers:
         assert code == 1 and out == ""
         assert err == "error: a draw of Z overflows: mu or sigma too large\n"
 
+    @pytest.mark.parametrize("command", ["bias", "simulate"])
+    def test_n_beyond_float_range_is_an_error(self, command, capsys):
+        # log V / N raised OverflowError, a traceback
+        code = main([command, "--N", str(2 ** 1024), "--trials", "3"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: N = s * n_s is too large for a float\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, n, trials", MODEL_RUNS,
                              ids=["bias", "simulate"])
     def test_large_mean_is_finite(self, command, n, trials, capsys):

@@ -90,6 +90,8 @@ CASES = {
                      ValueError, "regime lengths must be >= 1"),
     "no split groups": (lambda: BiasModel(0, 1, 0, 1),
                         InvalidModel, "s and n_s must be >= 1"),
+    "N beyond floats": (lambda: BiasModel(0, 1, 2 ** 512, 2 ** 512),
+                        InvalidModel, "N = s * n_s is too large for a float"),
     "no trials": (lambda: simulate_min_model(BiasModel(0, 1), trials=0),
                   InvalidModel, "trials must be >= 1"),
 }
