@@ -76,6 +76,10 @@ CLOSED_FORMS = {
        * (1.0 + (6.0 / math.pi) * math.asin(1.0 / 3.0)),
 }
 REFERENCES = {
+    6: -1.2672063606114712976,
+    7: -1.3521783756069043992,
+    100: -2.5075936364416843725,
+    1000: -3.2414357691334408614,
     10 ** 6: -4.8628974861964627212,
     10 ** 12: -7.1124636847674710331,
     10 ** 30: -11.513375437044343465,
@@ -93,20 +97,29 @@ class TestStdExpectedMin:
                                                           abs=1e-12)
 
     @pytest.mark.parametrize("N", list(REFERENCES),
-                             ids=["1e6", "1e12", "1e30", "1e100", "1e200",
-                                  "1e300", "2^1023"])
+                             ids=["6", "7", "100", "1000", "1e6", "1e12",
+                                  "1e30", "1e100", "1e200", "1e300", "2^1023"])
     def test_high_precision_references(self, N):
         # the log-density window placed by the Gumbel constants was off
-        # by 5e-8 to 8e-8 from 1e100 up, and overflowed at 2^1023
+        # by 5e-8 to 8e-8 from 1e100 up, and overflowed at 2^1023;
+        # scipy.integrate.quad over [0, inf) was off by up to 1.1e-10
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = bias._std_expected_min(N)
-        assert got == pytest.approx(REFERENCES[N], abs=1e-9)
+        assert got == pytest.approx(REFERENCES[N], abs=1e-12)
+
+    def test_strictly_decreasing_in_n(self):
+        # positive weights on an integrand that rises with N at every node
+        grid = [*range(2, 3001), *(10 ** k for k in range(4, 308)), 2 ** 1023]
+        values = [bias._std_expected_min(N) for N in grid]
+        assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_inaccurate_quadrature_raises(self, monkeypatch):
-        from scipy import integrate
-        monkeypatch.setattr(integrate, "quad",
-                            lambda *args, **kwargs: (-1.0, 1e-6))
+        # an integrand of 2e-6 on odd nodes and 0 on even ones: the rule on
+        # the even nodes reads 0, the full rule 1e-6, as the odd nodes'
+        # weights times the step sum to half of Int_0^inf e^-t dt
+        monkeypatch.setattr(bias, "_max_of_normals",
+                            lambda log_v, N: 2e-6 * (np.arange(log_v.size) % 2))
         with pytest.raises(QuadratureFailed, match="quadrature error 1.00e-06"):
             bias._std_expected_min(10)
 
@@ -204,13 +217,20 @@ class TestSimulateMinModel:
         direct = direct_min_of_normals(model, 50_000, seed=4)
         assert stats.ks_2samp(sample, direct).pvalue > 0.01
 
-    @pytest.mark.parametrize("N", [1, 10 ** 9])
+    @pytest.mark.parametrize("N", [1, 10 ** 9,
+                                   pytest.param(2 ** 1021, id="2^1021"),
+                                   pytest.param(2 ** 1023, id="2^1023")])
     def test_extreme_uniforms_give_finite_draws(self, monkeypatch, N):
         monkeypatch.setattr(np.random, "Generator", ExtremeUniforms)
         z = simulate_min_model(BiasModel(0, 1, 1, N), 4)
         assert np.isfinite(z).all()
-        # Z falls as V = 1 - U rises, and U = 0 stays the lowest draw
-        assert np.all(np.diff(z) > 0)
+        # Z falls as V = 1 - U rises, and U = 0 stays the lowest draw; from
+        # N = 2^1021 on, log V / N of the top V's underflows to -0.0, held
+        # at -5e-324, so their draws tie
+        if N < 2 ** 1021:
+            assert np.all(np.diff(z) > 0)
+        else:
+            assert np.all(np.diff(z) >= 0)
 
     def test_finite_and_unbiased_at_a_billion(self):
         model = BiasModel(0, 1, 1, 10 ** 9)

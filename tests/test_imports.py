@@ -30,12 +30,15 @@ def test_import_leaves_heavy_modules_unloaded():
 
 
 def test_bias_and_simulate_leave_scipy_stats_unloaded():
-    # the KS statistic is computed without scipy.stats, whose import
-    # takes longer than a simulate call
+    # the KS statistic is computed without scipy.stats, and the exact
+    # expectation without scipy.integrate: each import takes longer than
+    # a simulate call
     code = ("import contextlib, io\n"
+            "from minregime import BiasModel, expected_min_exact\n"
             "from minregime.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    main(['bias', '--trials', '200'])\n"
-            "    main(['simulate', '--N', '1000', '--trials', '200'])")
-    assert loaded_after(code, ("scipy.special", "scipy.stats")) == [
-        "scipy.special"]
+            "    main(['simulate', '--N', '1000', '--trials', '200'])\n"
+            "expected_min_exact(BiasModel(0, 1, 1, 10 ** 6))")
+    assert loaded_after(code, ("scipy.special", "scipy.stats",
+                               "scipy.integrate")) == ["scipy.special"]
