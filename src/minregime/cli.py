@@ -11,6 +11,9 @@ effect is a usage error, as is --mar without --metric sortino. The
 exceptions are kept for compatibility:
 report and sensitivity accept --seed and --jobs, unused (sensitivity
 runs its grid in process).
+
+main builds only the named subcommand's parser (0.2-0.3 ms, against 1.6
+ms for all eight on a 2-vCPU VM); help and usage-error text are unchanged.
 """
 
 from __future__ import annotations
@@ -341,69 +344,75 @@ def _add_flags(p: argparse.ArgumentParser, *names: str,
                                 "accepted for compatibility; has no effect"})
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: every subcommand, in the order the top-level help lists them
+COMMANDS = {"report": cmd_report, "frontier": cmd_frontier,
+            "correlations": cmd_correlations, "sensitivity": cmd_sensitivity,
+            "portfolio": cmd_portfolio, "bias": cmd_bias,
+            "simulate": cmd_simulate, "fixture": cmd_fixture}
+
+
+def parse_counts(text: str) -> list[int]:
+    """argparse type of ``bias --N``: a comma list of integers >= 1."""
+    return [int_at_least(1)(x) for x in text.split(",")]
+
+
+parse_counts.__name__ = "int"  # as int_at_least names its parser
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Given ``command``, only that subcommand's parser
+    is registered and filled; the top-level usage line still lists every
+    subcommand, so its help and error text are the full parser's."""
     parser = argparse.ArgumentParser(
         prog="minregime",
         description="Minimum regime performance analytics")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, fn in (("report", cmd_report), ("frontier", cmd_frontier),
-                     ("correlations", cmd_correlations)):
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
+    for name in COMMANDS if command is None else (command,):
         p = sub.add_parser(name)
-        # report has no randomness and no pool; it keeps accepting --seed
-        # and --jobs so invocations that pass them still run
-        _add_flags(p, *INPUT, "--min-segment", "--lookback", *OUTPUT,
-                   unused=("--seed", "--jobs") if name == "report" else ())
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("sensitivity")
-    _add_flags(p, *INPUT, "--splits", *OUTPUT, unused=("--seed", "--jobs"))
-    p.add_argument("--lookbacks", default="10:40:5y", type=parse_range,
-                   help="lookback grid in years, lo:hi:step or comma list")
-    p.add_argument("--ds", default="1:5:1y", type=parse_range,
-                   help="minimum-segment grid in years")
-    p.set_defaults(func=cmd_sensitivity)
-
-    p = sub.add_parser("portfolio")
-    _add_flags(p, *INPUT, "--splits", "--min-segment", *OUTPUT)
-    p.add_argument("--weights", required=True, type=parse_weights,
-                   help="comma list of label=weight")
-    p.set_defaults(func=cmd_portfolio)
-
-    p = sub.add_parser("bias")
-    _add_flags(p, "--mu", "--sigma", "--seed", *OUTPUT)
-
-    def counts(text: str) -> list[int]:
-        return [int_at_least(1)(x) for x in text.split(",")]
-    counts.__name__ = "int"  # as int_at_least names its parser
-    p.add_argument("--N", default=[1, 2, 5, 10, 100], type=counts,
-                   help="comma list of order-statistic counts")
-    p.add_argument("--trials", type=int_at_least(2), default=100_000,
-                   help="Monte Carlo trials per N (>= 2 for a standard error)")
-    p.set_defaults(func=cmd_bias)
-
-    p = sub.add_parser("simulate")
-    _add_flags(p, "--mu", "--sigma", "--seed", *OUTPUT)
-    p.add_argument("--N", type=int_at_least(10), default=10_000,
-                   help="order-statistic count (>= 10 for the diagnostic)")
-    p.add_argument("--trials", type=int_at_least(2), default=20_000,
-                   help="Monte Carlo trials per N (>= 2 for a standard error)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("fixture")
-    _add_flags(p, "--seed", "--out")
-    for name, type_ in FIXTURE:
-        p.add_argument("--" + name.replace("_", "-"), type=type_,
-                       default=getattr(ingest.FixtureSpec, name))
-    p.set_defaults(func=cmd_fixture)
-
-    for p in sub.choices.values():  # for checks of more than one flag
-        p.set_defaults(parser=p)
+        # parser: for checks of more than one flag
+        p.set_defaults(func=COMMANDS[name], parser=p)
+        if name in ("report", "frontier", "correlations"):
+            # report has no randomness and no pool; it keeps accepting
+            # --seed and --jobs so invocations that pass them still run
+            _add_flags(p, *INPUT, "--min-segment", "--lookback", *OUTPUT,
+                       unused=("--seed", "--jobs") if name == "report" else ())
+        elif name == "sensitivity":
+            _add_flags(p, *INPUT, "--splits", *OUTPUT,
+                       unused=("--seed", "--jobs"))
+            p.add_argument("--lookbacks", default="10:40:5y", type=parse_range,
+                           help="lookback grid in years, lo:hi:step or comma list")
+            p.add_argument("--ds", default="1:5:1y", type=parse_range,
+                           help="minimum-segment grid in years")
+        elif name == "portfolio":
+            _add_flags(p, *INPUT, "--splits", "--min-segment", *OUTPUT)
+            p.add_argument("--weights", required=True, type=parse_weights,
+                           help="comma list of label=weight")
+        elif name == "bias":
+            _add_flags(p, "--mu", "--sigma", "--seed", *OUTPUT)
+            p.add_argument("--N", default=[1, 2, 5, 10, 100], type=parse_counts,
+                           help="comma list of order-statistic counts")
+            p.add_argument("--trials", type=int_at_least(2), default=100_000,
+                           help="Monte Carlo trials per N (>= 2 for a standard error)")
+        elif name == "simulate":
+            _add_flags(p, "--mu", "--sigma", "--seed", *OUTPUT)
+            p.add_argument("--N", type=int_at_least(10), default=10_000,
+                           help="order-statistic count (>= 10 for the diagnostic)")
+            p.add_argument("--trials", type=int_at_least(2), default=20_000,
+                           help="Monte Carlo trials per N (>= 2 for a standard error)")
+        else:
+            _add_flags(p, "--seed", "--out")
+            for field, type_ in FIXTURE:
+                p.add_argument("--" + field.replace("_", "-"), type=type_,
+                               default=getattr(ingest.FixtureSpec, field))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS
+                        else None).parse_args(argv)
     if getattr(args, "mar", None) is not None and args.metric != "sortino":
         args.parser.error("argument --mar: only read with --metric sortino")
 

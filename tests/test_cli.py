@@ -2,9 +2,14 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from minregime import cli
 from minregime.cli import build_parser, main, parse_duration, parse_range
 from minregime.series import Frequency
 
@@ -613,3 +618,99 @@ class TestFlagContract:
                 if code != 2 and out == base:
                     failures.append((name, flag, values[flag]))
         assert not failures
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict:
+    """The registered subparsers of ``parser``, by name."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def outcome(argv: list[str], capsys) -> tuple[object, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+#: per subcommand, a flag value that argparse or ``main`` rejects
+BAD_VALUES = {
+    "report": ["--lookback", "0"], "frontier": ["--format", "xml"],
+    "correlations": ["--frequency", "weekly"],
+    "sensitivity": ["--ds", "1:0:1"], "portfolio": ["--weights", "alpha"],
+    "bias": ["--N", "0"], "simulate": ["--N", "9"],
+    "fixture": ["--n-pre", "0"],
+}
+
+
+class TestNarrowedParser:
+    """``main`` builds only the named subcommand's parser; its help and
+    usage errors are the full parser's, byte for byte. Both sides are
+    formatted in process, as argparse's layout varies across Python
+    versions."""
+
+    def test_every_subcommand_is_in_the_table(self):
+        assert list(subcommands(build_parser())) == list(cli.COMMANDS)
+        assert set(BAD_VALUES) == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_help_and_usage_match_the_full_parser(self, name):
+        narrowed, full = build_parser(name), build_parser()
+        assert list(subcommands(narrowed)) == [name]
+        assert (subcommands(narrowed)[name].format_help()
+                == subcommands(full)[name].format_help())
+        assert narrowed.format_usage() == full.format_usage()
+
+    def test_main_matches_the_full_parser(self, monkeypatch, capsys):
+        argvs = [[], ["bogus"], ["--help"]]
+        for name, bad in BAD_VALUES.items():
+            argvs += [[name, "--bogus"], [name, "-h"], [name, *bad]]
+        narrowed = [outcome(argv, capsys) for argv in argvs]
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert [outcome(argv, capsys) for argv in argvs] == narrowed
+        assert [code for code, _, _ in narrowed] == [
+            0 if {"-h", "--help"} & set(argv) else 2 for argv in argvs]
+
+    def test_main_registers_one_subparser(self, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+
+        def spy(command=None):
+            built.append(real(command))
+            return built[-1]
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert main(["bias", "--N", "2", "--trials", "20"]) == 0
+        for name in cli.COMMANDS:
+            outcome([name, "-h"], capsys)
+        assert [list(subcommands(p)) for p in built] == (
+            [["bias"]] + [[name] for name in cli.COMMANDS])
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m minregime.cli argv``, so ``main`` reads ``sys.argv``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "minregime.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+class TestConsoleScript:
+    def test_run_matches_in_process_main(self, capsys):
+        done = run_module("bias", "--N", "2", "--trials", "20")
+        assert main(["bias", "--N", "2", "--trials", "20"]) == 0
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == capsys.readouterr().out
+
+    def test_usage_error_lists_every_subcommand(self):
+        done = run_module("bias", "--bogus")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("usage: minregime [-h]")
+        assert "{%s}" % ",".join(cli.COMMANDS) in done.stderr
+        assert done.stderr.endswith(
+            "minregime: error: unrecognized arguments: --bogus\n")
