@@ -10,10 +10,12 @@ The header record is read once, and the body after it in blocks of rows
 (a quoted field may lengthen one, at worst to the end of the file). A
 plain block (no quote, NUL or overlong line; rows as wide as the header)
 is split by ``str.split``, any other by ``csv.reader``: the same rows.
+Cells are converted as they stand; the cell rules run only where that fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import io
@@ -53,7 +55,11 @@ class IngestConfig:
 
 def _dates(cells) -> list[datetime.date]:
     """The date-cell rule, ISO-8601 with blanks around ignored: a missing
-    cell (None) raises AttributeError, a bad one ValueError."""
+    cell (None) raises AttributeError, a bad one ValueError. It runs only
+    where a cell fails or holds a blank (3.11 takes "199001020 " as a date)."""
+    with contextlib.suppress(TypeError, ValueError):  # None, or a bad cell
+        if (text := "".join(cells)).split() == [text]:  # no blank in a cell
+            return list(map(datetime.date.fromisoformat, cells))
     return [datetime.date.fromisoformat(t.strip()) for t in cells]
 
 
@@ -221,25 +227,28 @@ def _take(cells, at: np.ndarray):
 
 
 def _column_values(cells, config: IngestConfig) -> tuple:
-    """Indices of a column's non-empty cells and their returns: one
-    ``float`` pass, then vectorized checks. Cells are stripped only if
-    ``float`` fails on one. These are the return-cell rules: a cell that
-    breaks one raises ValueError naming it ("missing value", "bad
-    number", "non-finite return", also where ``math.expm1`` overflows).
-    Run on one cell, they raise that cell's error."""
+    """Indices of a column's non-empty cells and their returns: a ``float``
+    pass over the cells as they stand (where it fails, one more without
+    empty cells, then blank ones), then vectorized checks. These are the
+    return-cell rules: a cell that breaks one raises ValueError naming it
+    ("missing value", "bad number", "non-finite return", also where
+    ``math.expm1`` overflows). Run on one cell, they raise its error."""
     n = len(cells)
-    keep = (np.flatnonzero(np.fromiter(map(bool, cells), bool, n))
-            if "" in cells else np.arange(n))
-    try:
-        values = np.fromiter(map(float, filter(None, cells)), float, keep.size)
+    try:  # float rejects an empty or blank cell, so this keeps every one
+        keep, values = np.arange(n), np.fromiter(map(float, cells), float, n)
     except ValueError:
-        keep = np.flatnonzero(np.fromiter(map(bool, map(str.strip, cells)),
-                                          bool, n))
+        keep = np.flatnonzero(np.fromiter(map(bool, cells), bool, n))
         try:
-            values = np.fromiter(map(float, _take(cells, keep)), float,
+            values = np.fromiter(map(float, filter(None, cells)), float,
                                  keep.size)
         except ValueError:
-            raise ValueError("bad number") from None
+            keep = np.flatnonzero(np.fromiter(
+                map(bool, map(str.strip, cells)), bool, n))
+            try:
+                values = np.fromiter(map(float, _take(cells, keep)), float,
+                                     keep.size)
+            except ValueError:
+                raise ValueError("bad number") from None
     if config.missing_policy == "error" and keep.size < n:
         raise ValueError("missing value")
     if np.count_nonzero(np.isfinite(values)) < keep.size:

@@ -980,3 +980,98 @@ class TestRowBlocks:
             reference_load_wide(IngestConfig(path))
         with pytest.raises(EmptySeries, match="series 'a' empty"):
             load_csv(IngestConfig(path))
+
+    # A column of a block is converted as it stands, by the cell rules only
+    # where that fails. Each cell below is put in every row in turn, so in
+    # blocks of one row, of two and of the whole file it is the first cell
+    # of its block that fails the strict pass, first and last in a block.
+    # " 0.1 " passes it: float strips blanks itself.
+    @pytest.mark.parametrize("options", [{}, {"missing_policy": "error"}],
+                             ids=["skip", "error"])
+    @pytest.mark.parametrize("long_format", [False, True],
+                             ids=["wide", "long"])
+    @pytest.mark.parametrize("cell", ["", "  ", " 0.1 ", "nan", "x"])
+    def test_value_cell_off_the_strict_pass(self, monkeypatch, tmp_path,
+                                            cell, long_format, options):
+        if long_format:
+            rows = [f"{n},1990-01-0{k},0.0{k}" for k in range(1, 7)
+                    for n in "ab"]
+            header, options = "name,date,ret", dict(options, long_format=True)
+        else:
+            rows = [f"1990-01-0{k},0.0{k},0.1{k}" for k in range(1, 7)]
+            header = "date,a,b"
+        for at in range(len(rows)):
+            late = rows.copy()
+            late[at] = late[at].rsplit(",", 1)[0] + "," + cell
+            text = "\n".join([header] + late) + "\n"
+            with monkeypatch.context() as patch:
+                got = self.same_in_any_blocks(patch, tmp_path, text, **options)
+            assert got == self.reference(tmp_path, text, **options)
+            failed = cell in ("nan", "x") or (
+                not cell.strip() and options.get("missing_policy") == "error")
+            assert isinstance(got, tuple) == failed
+
+    # date cells: padded by blanks, absent from a short row, in the basic
+    # format (a date on Python 3.11 and later, a bad one on 3.10), and
+    # "199001020 ", a bad date that Python 3.11's fromisoformat reads as
+    # 1990-01-02 unstripped, so the strict pass must not take it
+    @pytest.mark.parametrize("long_format", [False, True],
+                             ids=["wide", "long"])
+    @pytest.mark.parametrize("cell", [" {iso}", "{iso}\t", "\t{iso} ",
+                                      None, "{basic}", "{basic}0 "],
+                             ids=["space", "tab", "both", "missing", "basic",
+                                  "basic-digit-blank"])
+    def test_date_cell_off_the_strict_pass(self, monkeypatch, tmp_path,
+                                           cell, long_format):
+        # the date column comes last, so a short row leaves it missing
+        days = [(f"1990-01-0{k}", f"1990010{k}") for k in range(1, 7)]
+        if long_format:
+            rows = [(f"{n},0.0{k}", day) for k, day in enumerate(days)
+                    for n in "ab"]
+            header, options = "name,ret,date", {"long_format": True}
+        else:
+            rows = [(f"0.0{k},0.1{k}", day) for k, day in enumerate(days)]
+            header, options = "a,b,date", {}
+        for at in range(len(rows)):
+            lines = [f"{head},{iso}" for head, (iso, _) in rows]
+            head, (iso, basic) = rows[at]
+            lines[at] = (head if cell is None else
+                         f"{head},{cell.format(iso=iso, basic=basic)}")
+            text = "\n".join([header] + lines) + "\n"
+            with monkeypatch.context() as patch:
+                got = self.same_in_any_blocks(patch, tmp_path, text, **options)
+            assert got == self.reference(tmp_path, text, **options)
+            if cell is None or cell.endswith("0 "):
+                assert got[0] is ParseError
+
+
+BLANKS = ("", " ", "\t", "\n", "\x0b", "\x1c", "\x85", "\xa0", "\u3000")
+
+
+@st.composite
+def date_cells(draw):
+    """A date cell: ISO or basic format, or text of date characters, with
+    blanks around it, sometimes with a digit or a dash after the date."""
+    day = draw(st.dates())
+    core = draw(st.sampled_from((
+        day.isoformat(), f"{day.year:04d}{day.month:02d}{day.day:02d}",
+        draw(st.text("0129-WT: ", max_size=12)))))
+    return (draw(st.sampled_from(BLANKS)) + core
+            + draw(st.sampled_from(("", "", "0", "-")))
+            + draw(st.sampled_from(BLANKS)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(date_cells(), st.none()), max_size=5))
+@example(["199001020 "])
+@example(["1990-01-02", " 1990-01-03", None])
+def test_dates_are_the_strip_rule(cells):
+    # _dates, strict pass and all, gives the dates of the date-cell rule
+    # (each cell stripped, then read by fromisoformat) or its error type
+    def result(read):
+        try:
+            return read(cells)
+        except (AttributeError, TypeError, ValueError) as exc:
+            return type(exc)
+    assert result(ingest._dates) == result(
+        lambda cells: [datetime.date.fromisoformat(t.strip()) for t in cells])
