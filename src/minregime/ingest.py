@@ -9,7 +9,9 @@ byte-order mark is dropped. Rows before ``start_date`` are dropped
 The header record is read once, and the body after it in blocks of rows
 (a quoted field may lengthen one, at worst to the end of the file). A
 plain block (no quote, NUL or overlong line; rows as wide as the header)
-is split by ``str.split``, any other by ``csv.reader``: the same rows.
+is split by ``str.split``, any other by ``csv.reader``: the same rows. A
+wide block of digits, ``.,-+eE`` and ``\n`` only, dates first, is read by
+``np.loadtxt`` in C; where that or a later step fails, it is read as before.
 Cells are converted as they stand; the cell rules run only where that fails.
 """
 
@@ -32,6 +34,8 @@ from .series import Frequency, ReturnSeries, _as_days
 
 _BLOCK = 1 << 17  # least characters of text per block of rows
 _EOL = re.compile(r"\r\n?|\n|\Z")  # a line end, as csv.reader's, or the end
+_DATED = re.compile(r"\n*[0-9]{4}-[0-9]{2}-[0-9]{2}[,\n]")  # a dated first row
+_NUMBERS = b"0123456789.,-+eE\n"  # the bytes of a block np.loadtxt may read
 
 
 @dataclass(frozen=True)
@@ -54,13 +58,17 @@ class IngestConfig:
 
 
 def _dates(cells) -> list[datetime.date]:
-    """The date-cell rule, ISO-8601 with blanks around ignored: a missing
-    cell (None) raises AttributeError, a bad one ValueError. It runs only
-    where a cell fails or holds a blank (3.11 takes "199001020 " as a date)."""
+    """The date-cell rule: a cell stripped of blanks is an ASCII ISO-8601
+    date, with "-" at index 4 if 10 long (3.11 takes "1990010299"). A
+    missing cell (None) raises AttributeError, a bad one ValueError. Cells
+    of 10 characters with "-" at index 4 are read as they stand."""
     with contextlib.suppress(TypeError, ValueError):  # None, or a bad cell
-        if (text := "".join(cells)).split() == [text]:  # no blank in a cell
+        text = "".join(cells)
+        if len(text) == 10 * len(cells) and text[4::10] == "-" * len(cells):
             return list(map(datetime.date.fromisoformat, cells))
-    return [datetime.date.fromisoformat(t.strip()) for t in cells]
+    return [datetime.date.fromisoformat(  # "" raises the ValueError
+        t if t.isascii() and (len(t) != 10 or t[4] == "-") else "")
+        for t in (cell.strip() for cell in cells)]
 
 
 def load_csv(config: IngestConfig) -> list[ReturnSeries]:
@@ -84,7 +92,7 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     MinRegimeError that names it, before any row is read. A field over the
     ``csv`` field size limit (or a NUL, on Python 3.10) raises a
     MinRegimeError that names it, when the header or its block is read. If
-    a column-wise step fails, one row-by-row read of that block
+    a column-wise step fails, one row-by-row read of that block's text
     (``_first_bad_cell``) raises the first bad cell's ParseError, which is
     the file's first, as every earlier block passed: a row's date, then
     its name, then its values, each cell read by the same rules
@@ -116,21 +124,27 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
             raise EmptySeries("no value columns")
         parts = ({} if config.long_format else  # label: blocks' kept cells
                  {label: [] for label in dict.fromkeys(labels)})
+        date = index.get(config.date_column)
         done, pos, cut, size = 0, start, -1, _BLOCK  # rows before the block
         while cut < len(text):
             cut = _EOL.search(text, pos + size).end()
             block = text[pos:cut]
-            read = _split(block, width) or _columns(
-                block, width, index.get(config.date_column), cut == len(text))
+            read = _split(block, width) or _columns(block, width, date,
+                                                    cut == len(text))
             if read is None:  # a quoted field may run on past the cut
                 size = 2 * (cut - pos)
                 continue
-            cells, nrows = read
-            table = {name: cells[k::width] for name, k in index.items()}
-            for label, day, ret in _read_block(config, labels, table,
-                                               nrows, done):
+            if ((config.long_format or date) and width > 1
+                    and isinstance(read[0][1], np.ndarray)):
+                read = _columns(block, width, date, True)  # text, not numbers
+            try:
+                got = _read_block(config, labels, _table(read, index))
+            except (AttributeError, ValueError):  # locate it in the text
+                cells = _table(_columns(block, width, date, True), index)
+                raise _first_bad_cell(config, cells, labels, done) from None
+            for label, day, ret in got:
                 parts.setdefault(label, []).append((day, ret))
-            done += nrows
+            done += read[1]
             pos, size = cut, _BLOCK
     except csv.Error as exc:  # a field over the size limit; NUL on 3.10
         raise MinRegimeError(f"{path}: {exc}") from None
@@ -149,32 +163,31 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     return out
 
 
-def _read_block(config: IngestConfig, labels, table: dict, nrows: int,
-                done: int):
-    """(label, dates, returns) of the kept cells of one block, whose
-    ``nrows`` non-blank rows follow ``done`` of earlier blocks: each label
-    once, or each name in order of first appearance. Its first bad cell
-    raises a ParseError."""
-    def column(name: str, absent: str | None = "") -> tuple:
-        return table.get(name, (absent,) * nrows)
+def _table(read: tuple, index: dict):
+    """``column(name, absent)``: the cells of a block's named column, or
+    ``absent`` in each row for a name not in ``index``."""
+    columns, nrows = read
+    return lambda name, absent="": (columns[index[name]] if name in index
+                                    else (absent,) * nrows)
 
-    try:
-        dates = _as_days(_dates(column(config.date_column, None)))
-        live = np.flatnonzero(dates >= np.datetime64(config.start_date, "D"))
-        if not config.long_format:
-            read = []
-            for label in dict.fromkeys(labels):
-                keep, values = _column_values(_take(column(label), live),
-                                              config)
-                read.append((label, dates[live[keep]], values))
-            return read
-        names = list(map(str.strip, _take(column(config.name_column), live)))
-        if "" in names:
-            raise ValueError("missing series name")
-        keep, values = _column_values(
-            _take(column(config.return_column), live), config)
-    except (AttributeError, ValueError):
-        raise _first_bad_cell(config, column, labels, done) from None
+
+def _read_block(config: IngestConfig, labels, column):
+    """(label, dates, returns) of the kept cells of one block, whose
+    columns ``column(name)`` gives: each label once, or each name in order
+    of first appearance. A bad cell raises AttributeError or ValueError."""
+    dates = _as_days(_dates(column(config.date_column, None)))
+    live = np.flatnonzero(dates >= np.datetime64(config.start_date, "D"))
+    if not config.long_format:
+        read = []
+        for label in dict.fromkeys(labels):
+            keep, values = _column_values(_take(column(label), live), config)
+            read.append((label, dates[live[keep]], values))
+        return read
+    names = list(map(str.strip, _take(column(config.name_column), live)))
+    if "" in names:
+        raise ValueError("missing series name")
+    keep, values = _column_values(
+        _take(column(config.return_column), live), config)
     names = _take(names, keep)
     found = list(dict.fromkeys(names))  # order of first appearance
     code = np.fromiter(map(dict(zip(found, range(len(found)))).get, names),
@@ -185,28 +198,47 @@ def _read_block(config: IngestConfig, labels, table: dict, nrows: int,
                np.split(values[order], cuts))
 
 
-def _split(text: str, width: int) -> tuple[list[str], int] | None:
+def _split(text: str, width: int) -> tuple[list, int] | None:
     """``_columns``'s result by ``str.split`` where that gives the rows of
     ``csv.reader``: no quote, no NUL (3.10's ``csv.reader`` rejects it), no
     line over the field size limit, each non-blank line (ended by \\n,
-    \\r\\n or \\r) ``width`` cells wide. None for any other text."""
-    if '"' in text or "\0" in text:
+    \\r\\n or \\r) ``width`` cells wide. None for any other text. A text
+    of ``_NUMBERS`` whose first row starts with a date goes to ``_numbers``."""
+    numbers = _DATED.match(text) and not text.encode().translate(
+        None, _NUMBERS)
+    if not numbers and ('"' in text or "\0" in text):
         return None
-    if "\r" in text:  # one scan, where the replaces take two
+    if not numbers and "\r" in text:  # one scan, where the replaces take two
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = [line for line in text.split("\n") if line]
-    if (any(line.count(",") != width - 1 for line in lines)
-            or max(map(len, lines), default=0) > csv.field_size_limit()):
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if numbers and (read := _numbers(lines, width)):
+        return read
+    lines = [line for line in lines if line]
+    if any(line.count(",") != width - 1 for line in lines):
         return None
     nrows, joined = len(lines), ",".join(lines)
     del lines  # the line strings go before the cells are made
-    return (joined.split(",") if nrows else []), nrows
+    cells = joined.split(",") if nrows else []
+    return [cells[k::width] for k in range(width)], nrows
+
+
+def _numbers(lines: list[str], width: int) -> tuple[list, int] | None:
+    """``_split``'s result by ``np.loadtxt``, each column but the first (cut
+    to 11 characters, still no date) a float64 array of its cells' ``float``:
+    None where a row is not ``width`` cells wide or a cell no number."""
+    with contextlib.suppress(ValueError):
+        dates, *values = np.loadtxt(
+            lines, [("", "U11")] + [("", float)] * (width - 1), delimiter=",",
+            comments=None, ndmin=1, unpack=True)  # an array per field
+        return [dates.tolist(), *values], len(dates)
 
 
 def _columns(text: str, width: int, date: int | None,
              last: bool) -> tuple[list, int] | None:
-    """The cells, row after row, and the count of the non-blank rows of a
-    text, read by ``csv.reader``, each row cut or padded to ``width``
+    """The cells, column by column, and the count of the non-blank rows of
+    a text, read by ``csv.reader``, each row cut or padded to ``width``
     cells: absent cells read as empty, an absent date (index ``date``) as
     None. None if the text, not the file's ``last``, may end in a quoted
     field, as ``csv.reader`` then ends its last cell with a line end."""
@@ -218,7 +250,7 @@ def _columns(text: str, width: int, date: int | None,
             rows[k] = row[:width] + [""] * (width - len(row))
             if date is not None and len(row) <= date:
                 rows[k][date] = None
-    return [cell for row in rows for cell in row], len(rows)
+    return [[row[k] for row in rows] for k in range(width)], len(rows)
 
 
 def _take(cells, at: np.ndarray):
@@ -228,14 +260,17 @@ def _take(cells, at: np.ndarray):
 
 def _column_values(cells, config: IngestConfig) -> tuple:
     """Indices of a column's non-empty cells and their returns: a ``float``
-    pass over the cells as they stand (where it fails, one more without
-    empty cells, then blank ones), then vectorized checks. These are the
-    return-cell rules: a cell that breaks one raises ValueError naming it
+    pass over the cells as they stand, or a float64 array's copy (where it
+    fails, one more without empty cells, then blank ones), then vectorized
+    checks. These are the return-cell rules: a cell that breaks one raises
+    ValueError naming it
     ("missing value", "bad number", "non-finite return", also where
     ``math.expm1`` overflows). Run on one cell, they raise its error."""
     n = len(cells)
     try:  # float rejects an empty or blank cell, so this keeps every one
-        keep, values = np.arange(n), np.fromiter(map(float, cells), float, n)
+        keep, values = np.arange(n), (
+            cells.astype(float) if isinstance(cells, np.ndarray)
+            else np.fromiter(map(float, cells), float, n))
     except ValueError:
         keep = np.flatnonzero(np.fromiter(map(bool, cells), bool, n))
         try:

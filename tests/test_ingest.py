@@ -4,6 +4,7 @@ import io
 import math
 import tempfile
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -1075,3 +1076,251 @@ def test_dates_are_the_strip_rule(cells):
             return type(exc)
     assert result(ingest._dates) == result(
         lambda cells: [datetime.date.fromisoformat(t.strip()) for t in cells])
+
+
+# ------------------------------------------------------ the numbers reader
+
+# cells that stress float parsing: 17 or more significant digits, halfway
+# and subnormal cases, underflow and overflow, and the shapes of a number
+# float takes that are easy to get wrong
+FLOAT_CELLS = ("9007199254740993", "2.4703282292062328e-324", "1e-400",
+               "-1e-400", "-0", ".5", "5.", "+1E5", "1e400", "-1e400",
+               "2.2250738585072011e-308", "4.9406564584124654e-324",
+               "1.7976931348623157e308", "1.7976931348623159e308",
+               "0.10000000000000000555111512312578270211815834045410156251",
+               "123456789012345678901234567890", "00.0100", "+.5e-3", "1E+2")
+# cells of the same bytes that are no number, the empty one among them
+NOT_FLOAT_CELLS = ("", "e5", "1e", "-", ".", "1-2", "+-1", "1e5.5", "--0")
+# date cells of the same bytes: bad ones that look like dates, two that
+# a 10-character field would cut to a good date, and a basic-format one (a
+# date on Python 3.11 and later)
+DATE_CELLS = ("1990010299", "1990-13-01", "1990-01-0100", "1990-01-01-1",
+              "19900102", "1990-1-1", "")
+
+
+@st.composite
+def float_cells(draw):
+    """A cell float reads: an edge case, the text of a double, or a long
+    mantissa with a sign and an exponent."""
+    kind = draw(st.sampled_from(("edge", "double", "digits")))
+    if kind == "edge":
+        return draw(st.sampled_from(FLOAT_CELLS))
+    if kind == "double":
+        x = draw(st.floats(allow_nan=False, allow_infinity=False))
+        return draw(st.sampled_from((repr(x), f"{x:.17e}", f"{x:.12g}")))
+    digits = draw(st.text("0123456789", min_size=17, max_size=40))
+    point = draw(st.integers(0, len(digits)))
+    return (draw(st.sampled_from(("", "-", "+"))) + digits[:point] + "."
+            + digits[point:]
+            + draw(st.sampled_from(("", "e-300", "E+5", "e-330", "e308",
+                                    "e-20"))))
+
+
+@st.composite
+def numeric_csvs(draw):
+    """A wide CSV of dates and numbers only, ended by \\n, and options to
+    read it with. Half the cases may hold blank lines, a cell that is no
+    number, a bad date, a short or a long row."""
+    junk = draw(st.booleans())
+    width = draw(st.integers(1, 3))
+    lines = ["date," + ",".join("abc"[:width])]
+    day = datetime.date(1979, 12, 28)
+    for _ in range(draw(st.integers(1, 12))):
+        day += datetime.timedelta(days=1)
+        row = [day.isoformat()] + [draw(float_cells()) for _ in range(width)]
+        kind = draw(st.sampled_from(("row",) * 6 + (
+            ("blank", "cell", "date", "short", "long") if junk else ())))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "cell":
+            row[draw(st.integers(1, width))] = draw(
+                st.sampled_from(NOT_FLOAT_CELLS))
+        elif kind == "date":
+            row[0] = draw(st.sampled_from(DATE_CELLS))
+        lines.append(",".join(row[:-1] if kind == "short" else
+                              row + ["1"] if kind == "long" else row))
+    options = dict(
+        start_date=draw(st.sampled_from((datetime.date(1979, 12, 1),
+                                         datetime.date(1980, 1, 1)))),
+        missing_policy=draw(st.sampled_from(("skip", "error"))),
+        percent=draw(st.booleans()),
+        log_returns=draw(st.booleans()),
+    )
+    return "\n".join(lines) + draw(st.sampled_from(("\n", ""))), options
+
+
+def exact_outcome(path, **options):
+    """``outcome`` of ``load_csv``, each series' returns as their bytes."""
+    got = outcome(load_csv, IngestConfig(path, **options))
+    if isinstance(got, tuple):
+        return got
+    return [(s.label, np.datetime_as_string(s.dates).tolist(),
+             s.returns.tobytes()) for s in got]
+
+
+def count_numbers(monkeypatch) -> Counter:
+    """Counts, kept as ``load_csv`` runs, of the blocks ``np.loadtxt``
+    reads and of those it fails on."""
+    counts = Counter()
+    numbers = ingest._numbers
+
+    def spy(lines, width):
+        got = numbers(lines, width)
+        counts["read" if got is not None else "failed"] += 1
+        return got
+    monkeypatch.setattr(ingest, "_numbers", spy)
+    return counts
+
+
+class TestNumbersReader:
+    """A block of dates and numbers is read by ``np.loadtxt``; with the same
+    results and errors, in any blocks, as without it."""
+
+    @staticmethod
+    def both_ways(monkeypatch, path, **options):
+        """The outcome with the numbers reader, in blocks of 1 and 24
+        characters and the whole file, each the one without it."""
+        got = []
+        for block in (1, 24, 1 << 17):
+            monkeypatch.setattr(ingest, "_BLOCK", block)
+            got.append(exact_outcome(path, **options))
+            with monkeypatch.context() as patch:
+                patch.setattr(ingest, "_numbers", lambda lines, width: None)
+                assert exact_outcome(path, **options) == got[-1]
+        assert got[0] == got[1] == got[2]
+        return got[0]
+
+    def test_matches_the_split_reader(self, monkeypatch):
+        counts = count_numbers(monkeypatch)
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(numeric_csvs())
+        @example(("date,a\n1990-01-01,1e400\n", {}))
+        @example(("date,a\n1990-01-01,0.1\n1990010299,0.2\n", {}))
+        # a date cell over 11 characters: cut to 10, it would read as a date
+        @example(("date,a\n1990-01-01,0.1\n1990-01-0200,0.2\n", {}))
+        def check(case):
+            text, options = case
+            with tempfile.TemporaryDirectory() as tmp:
+                self.both_ways(monkeypatch, write(Path(tmp), text), **options)
+        check()
+        assert counts["read"] > 500 and counts["failed"] > 100
+
+    @pytest.mark.parametrize("cell", ["1e400", "-1e400", "1.8e308"])
+    def test_overflow_names_its_text(self, monkeypatch, tmp_path, cell):
+        counts = count_numbers(monkeypatch)
+        path = write(tmp_path, f"date,a,b\n1990-01-01,0.1,0.2\n"
+                               f"1990-01-02,0.3,{cell}\n")
+        assert self.both_ways(monkeypatch, path) == (
+            ParseError, (3, "b"), f"row 3, column 'b': non-finite return "
+                                  f"{cell!r}")
+        assert counts["read"] > 0
+
+    def test_reads_a_panel(self, monkeypatch, tmp_path):
+        # dated rows of numbers, the last factor empty for a while: the
+        # blocks after that are read by np.loadtxt
+        rng = np.random.default_rng(5)
+        days = [datetime.date(1990, 1, 1) + datetime.timedelta(days=k)
+                for k in range(3000)]
+        rows = "".join(
+            f"{day}," + ",".join(f"{v:.12g}" for v in rng.normal(0, 0.01, 4))
+            + (",\n" if k < 700 else f",{rng.normal(0, 0.01):.12g}\n")
+            for k, day in enumerate(days))
+        path = write(tmp_path, "date,a,b,c,d,e\n" + rows)
+        counts = count_numbers(monkeypatch)
+        got = exact_outcome(path)
+        assert counts["read"] >= 1 and counts["failed"] >= 1
+        monkeypatch.setattr(ingest, "_numbers", lambda lines, width: None)
+        assert exact_outcome(path) == got
+        assert [len(s[1]) for s in got] == [3000] * 4 + [2300]
+
+    @pytest.mark.parametrize("text, error", [
+        ("date,a\n1990-01-01,0.1\n1990-01-02,0.2,0.3\n1990-01-03,0.4\n", None),
+        ("date,a,b\n1990-01-01,0.1,0.2\n1990-01-02,0.3\n1990-01-03,0.4,0.5\n",
+         (3, "b")),
+        ("date,a,b\n1990-01-01,0.1,0.2\n1990-01-02\n1990-01-03,0.4,0.5\n",
+         (3, "a")),
+    ], ids=["long-row", "short-row", "date-only-row"])
+    def test_width_change_in_a_block(self, monkeypatch, tmp_path, text,
+                                     error):
+        options = dict(missing_policy="error")
+        got = self.both_ways(monkeypatch, write(tmp_path, text), **options)
+        want = TestRowBlocks.reference(tmp_path, text, **options)
+        if error:
+            assert got == want and got[1] == error
+        else:
+            assert [g[:2] for g in got] == [w[:2] for w in want]
+
+    def test_blank_or_one_row_block_warns_nothing(self, monkeypatch,
+                                                  tmp_path):
+        # np.loadtxt warns where a text has no row: a block of blank lines
+        # never reaches it, and one of one row reads that row
+        text = "date,a\n\n\n1990-01-01,0.1\n\n\n\n1990-01-02,0.2\n\n\n"
+        path = write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for block in (1, 2, len(text)):
+                monkeypatch.setattr(ingest, "_BLOCK", block)
+                (got,) = exact_outcome(path)
+                assert got[1] == ["1990-01-01", "1990-01-02"]
+            assert ingest._split("\n\n\n", 2) == ([[], []], 0)
+            assert ingest._split("1990-01-01,0.1\n", 2)[1] == 1
+
+    @pytest.mark.parametrize("text, options", [
+        ("x,date,a\n1990-01-01,19900101,0.1\n1990-01-02,19900102,0.2\n",
+         {"value_columns": ("a",)}),
+        ("name,date,ret\n1990-01-01,19900101,0.1\n1990-01-02,19900102,0.2\n",
+         {"long_format": True}),
+    ], ids=["wide-date-not-first", "long"])
+    def test_numbers_in_a_text_column(self, monkeypatch, tmp_path, text,
+                                      options):
+        # np.loadtxt reads the block, dates in its first column, but the
+        # layout reads text from another one: the block is split again
+        counts = count_numbers(monkeypatch)
+        got = self.both_ways(monkeypatch, write(tmp_path, text), **options)
+        assert counts["read"] > 0
+        # basic-format dates are bad dates on Python 3.10
+        want = TestRowBlocks.reference(tmp_path, text, **options)
+        assert got == want if isinstance(want, tuple) else (
+            [g[:2] for g in got] == [w[:2] for w in want])
+
+
+# bad date cells that Python 3.11's fromisoformat reads as 1990-01-02: a
+# basic date with text after it in a 10-byte string
+@pytest.mark.parametrize("cell", ["1990010299", "19900102 0",
+                                  "19900102\xe9", "1990W01123"])
+@pytest.mark.parametrize("layout", ["numbers", "split", "csv", "long"])
+def test_bad_date_in_ten_bytes(monkeypatch, tmp_path, cell, layout):
+    if layout == "long":
+        text = (f"name,date,ret\na,1990-01-01,0.1\na,{cell},0.2\n"
+                "a,1990-01-03,0.3\na,1990-01-04,0.4\n")
+    else:
+        text = (f"date,a\n1990-01-01,0.1\n{cell},0.2\n1990-01-03,0.3\n"
+                "1990-01-04,0.4\n")
+    if layout == "split":  # a number no np.loadtxt reads, in another row
+        text = text.replace("0.1", "0.1 ")
+    elif layout == "csv":  # csv.reader reads a quoted cell
+        text = text.replace("0.1", '"0.1"')
+    with monkeypatch.context() as patch:
+        got = TestRowBlocks().same_in_any_blocks(
+            patch, tmp_path, text, long_format=layout == "long")
+    assert got == (ParseError, (3, "date"),
+                   f"row 3, column 'date': bad date {cell!r}")
+    # read as one block, np.loadtxt reads the cell "1990010299" only
+    counts = count_numbers(monkeypatch)
+    TestRowBlocks.read(monkeypatch, tmp_path, text, len(text),
+                       long_format=layout == "long")
+    assert counts["read"] == (layout == "numbers" and cell == "1990010299")
+
+
+@pytest.mark.parametrize("cell", ["1990-01-02", "\t1990-01-02 ", "19900102",
+                                  "1990-W01-2", "1990W012", "1990-W01"])
+def test_dates_keep_whole_formats(cell):
+    # a cell fromisoformat reads in full reads as it did
+    def result(read):
+        try:
+            return read()
+        except ValueError:  # Python 3.10 reads YYYY-MM-DD only
+            return ValueError
+    assert result(lambda: ingest._dates([cell])) == result(
+        lambda: [datetime.date.fromisoformat(cell.strip())])
