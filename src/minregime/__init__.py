@@ -69,6 +69,7 @@ from .analytics import (
     portfolio_mrp,
     robustness_correlations,
     sensitivity_grid,
+    sensitivity_grids,
 )
 from .ingest import FixtureSpec, IngestConfig, load_csv, make_fixture
 

@@ -3,18 +3,13 @@
 Per-factor reports, the decay-risk frontier, sensitivity grids over
 (lookback, minimum-segment-length), cross-metric robustness correlations,
 portfolio-level minimum regime performance, and block-bootstrap stability
-checks. Grid cells are milliseconds of numpy work each and run in
-process, in grid order. Every product reaches the minimum through the
-engine's table-level search (``engine._search``) on one ``PrefixTable``:
-a trailing window's, shared by a factor report's or grid row's search
-and full-window metric, or a chunk of bootstrap replicates', drawn as
-rows of a return matrix, with no series per replicate.
+checks, in process, each on one ``PrefixTable``: a factor report's window's,
+or a chunk's of grid windows or bootstrap replicates in ``_replicate_mrp``.
 """
 
 from __future__ import annotations
 
 import datetime
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,14 +22,18 @@ from .errors import (
     DegenerateVector,
     Infeasible,
     InvalidBlock,
+    MinRegimeError,
     NonFiniteReturn,
 )
 from .series import (
     SHARPE,
     MetricKind,
+    PrefixTable,
     ReturnSeries,
     _kind_arrays,
+    _moments,
     _prefix_table,
+    _score,
     build_prefix_sums,
 )
 
@@ -119,36 +118,71 @@ class SensitivityGrid:
     cells: np.ndarray
 
 
-def _grid_row(series: ReturnSeries, lookback: float, ds: list[int], s: int,
-              kind: MetricKind) -> list[float]:
-    """One lookback's cells, (MRP - metric) at each d of ``ds``; NaN where
-    no partition fits.
+def _replicate_mrp(draw, count: int, n: int, ppy: int, s: int,
+                   ds: Sequence[int], kind: MetricKind, full: bool = False):
+    """MRP_s, a (count, len(ds)) array, of ``count`` rows of n returns at
+    each d of ``ds`` (all fit), each row's as its own series', bit for
+    bit; and if ``full`` each row's full-window metric, read off its
+    table's last column unchecked (defined if a partition is), else None.
+    ``draw(k, rows)`` gives rows k..k + rows, in order, ``max(1, _CHUNK //
+    n)`` to a prefix table. At s = 1 the split scan at the least d holds
+    each d's as its columns [d - d0, n - d - d0]; at s >= 2 each d is one
+    ``_search``."""
+    step, d0 = max(1, _CHUNK // n), min(ds)
+    values, metric = np.empty((count, len(ds))), np.empty(count)
+    for k in range(0, count, step):
+        at = slice(k, k + step)
+        table = _prefix_table(draw(k, min(step, count - k)), ppy)
+        if s == 1:
+            pair = np.minimum(*_split_scan(table, d0, kind))
+            for c, cut in enumerate(pair[:, d - d0:n - d - d0 + 1] for d in ds):
+                values[at, c] = cut[np.arange(len(cut)), _first_min(cut)]
+        else:  # a row's table, a view of its chunk's, serves every d
+            ones = (PrefixTable(*row, ppy, n) for row in zip(table.sum1, table.returns))
+            values[at] = [[_search(one, s, d, kind)[0] for d in ds] for one in ones]
+        if full:
+            sums = table.sum1[:, -1], _kind_arrays(table, kind)[0][:, -1]
+            metric[at] = _score(table, True, *_moments(n, *sums, kind), kind, 0, n)
+    return values, metric if full else None
 
-    The trailing window, its prefix table and its metric are computed
-    once; every cell reads that table. At s = 1 one split scan, at the
-    least fitting d, holds every cell: a cell is the first least entry
-    of its slice of that scan, as ``mrp_one_split`` would pick it. At
-    s >= 2 a cell is one ``engine._search``. Cells are computed, and
-    raise, in grid order; the window's metric is then scored unchecked.
+
+def sensitivity_grids(series_list: Sequence[ReturnSeries],
+                      lookbacks_years: Sequence[float] = (10, 15, 20, 25, 30, 35, 40),
+                      d_years: Sequence[float] = (1, 2, 3, 4, 5), s: int = 1,
+                      kind: MetricKind = SHARPE) -> list[SensitivityGrid]:
+    """(MRP - metric) for every lookback/d combination, one grid per series.
+
+    Per lookback, the trailing windows of one length and frequency are the
+    rows of one ``_replicate_mrp`` call. s < 1 raises Infeasible. Where it
+    raises, each series is searched alone, in order: the first error wins.
     """
-    win = _trailing_window(series, lookback)
-    n = len(win)
-    fits = [d >= 2 and n >= (s + 1) * d for d in ds]
-    row = [math.nan] * len(ds)
-    if not any(fits):
-        return row
-    table = build_prefix_sums(win)
-    if s == 1:
-        d0 = min(d for d, ok in zip(ds, fits) if ok)
-        pair = np.minimum(*_split_scan(table, d0, kind))
-    for k, d in enumerate(ds):
-        if fits[k] and s == 1:
-            cut = pair[d - d0:n - d - d0 + 1]
-            row[k] = cut[_first_min(cut)]
-        elif fits[k]:
-            row[k] = _search(table, s, d, kind)[0]
-    full = float(_scores(table, 0, np.array([n]), kind)[0])
-    return [value - full for value in row]
+    if not lookbacks_years or not d_years:
+        raise ValueError("lookback and d grids must be non-empty")
+    if s < 1:
+        raise Infeasible("s must be >= 1")
+    cells = np.full((len(series_list), len(lookbacks_years), len(d_years)), np.nan)
+    try:
+        for j, lookback in enumerate(lookbacks_years):
+            groups: dict = {}
+            for i, x in enumerate(series_list):
+                n = min(len(x), x.frequency.periods(lookback))
+                groups.setdefault((n, x.frequency), []).append(i)
+            for (n, freq), rows in groups.items():
+                ds = [freq.periods(dy) for dy in d_years]
+                fit = [k for k, d in enumerate(ds) if d >= 2 and n >= (s + 1) * d]
+                if fit:
+                    wins = [series_list[i].returns[-n:] for i in rows]
+                    values, full = _replicate_mrp(
+                        lambda k, m: np.stack(wins[k:k + m]), len(rows), n,
+                        freq.periods_per_year, s, [ds[k] for k in fit], kind, True)
+                    cells[np.ix_(rows, [j], fit)] = (values - full[:, None])[:, None]
+    except MinRegimeError:
+        if len(series_list) < 2:
+            raise
+        return [sensitivity_grid(x, lookbacks_years, d_years, s, kind)
+                for x in series_list]
+    years = tuple(map(float, lookbacks_years)), tuple(map(float, d_years))
+    return [SensitivityGrid(x.label, *years, c) for x, c in zip(series_list, cells)]
 
 
 def sensitivity_grid(series: ReturnSeries,
@@ -157,26 +191,8 @@ def sensitivity_grid(series: ReturnSeries,
                      s: int = 1,
                      kind: MetricKind = SHARPE,
                      jobs: int = 1) -> SensitivityGrid:
-    """(MRP - metric) for every lookback/d combination.
-
-    Each lookback's window and its prefix table are built once: at s = 1
-    one split scan is shared by all its d cells, O(n) per lookback; at
-    s >= 2 each cell is one window search of that table; s < 1 raises
-    Infeasible. ``jobs`` is accepted for compatibility and has no effect.
-    """
-    if not lookbacks_years or not d_years:
-        raise ValueError("lookback and d grids must be non-empty")
-    if s < 1:
-        raise Infeasible("s must be >= 1")
-    ds = [series.frequency.periods(dy) for dy in d_years]
-    cells = np.array([_grid_row(series, lb, ds, s, kind)
-                      for lb in lookbacks_years])
-    return SensitivityGrid(
-        label=series.label,
-        lookbacks_years=tuple(float(v) for v in lookbacks_years),
-        d_years=tuple(float(v) for v in d_years),
-        cells=cells,
-    )
+    """``sensitivity_grids`` of one series; ``jobs`` has no effect."""
+    return sensitivity_grids([series], lookbacks_years, d_years, s, kind)[0]
 
 
 def robustness_correlations(labels: Sequence[str],
@@ -278,13 +294,13 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     on the seed. ``jobs`` is accepted for compatibility and has no effect.
 
     Replicates are gathered as rows of a return matrix, from the returns
-    extended by their first ``block_len - 1`` values, ``max(1, _CHUNK //
-    n)`` rows at a time, which share the split scan's per-call cost (see
-    CHANGES.md). A row's search in ``engine._search`` does not depend on
-    its chunk: the values are ``mrp_fast``'s, bit for bit. A series whose
-    own sums overflow raises NonFiniteReturn as ``mrp_fast`` does, before
-    any draw. A replicate repeats blocks, so its sums can overflow where
-    the series' do not: that NonFiniteReturn names the first such replicate.
+    extended by their first ``block_len - 1`` values, and searched by
+    ``_replicate_mrp``, whose chunks share the split scan's per-call cost
+    (see CHANGES.md). A row's search does not depend on its chunk: the
+    values are ``mrp_fast``'s, bit for bit. A series whose own sums
+    overflow raises NonFiniteReturn as ``mrp_fast`` does, before any draw.
+    A replicate repeats blocks, so its sums can overflow where the series'
+    do not: that NonFiniteReturn names the first such replicate.
     """
     n = len(series)
     if not (1 <= block_len <= n):
@@ -300,22 +316,23 @@ def block_bootstrap_mrp(series: ReturnSeries, block_len: int, replicates: int,
     blocks = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((series.returns, series.returns[:block_len - 1])),
         block_len)
-    step = max(1, _CHUNK // n)  # rows of a chunk
-    values = np.empty(replicates)
-    for k in range(0, replicates, step):
-        starts = rng.integers(0, n, size=(min(step, replicates - k), nblocks))
-        x = blocks[starts].reshape(-1, nblocks * block_len)[:, :n]
-        try:
-            values[k:k + step] = _search(_prefix_table(x, ppy), s, d, kind)[0]
-        except NonFiniteReturn as err:
-            for t, row in enumerate(x, k):  # the first whose sums overflow
-                try:
-                    _kind_arrays(_prefix_table(row, ppy), kind)
-                except NonFiniteReturn:
-                    raise NonFiniteReturn(
-                        f"{kind.name} sums of bootstrap replicate {t} "
-                        "overflow; the series' own do not") from err
-            raise
+    drawn = []  # the last chunk's rows and the first one's index
+
+    def draw(k, rows):
+        starts = rng.integers(0, n, size=(rows, nblocks))
+        drawn[:] = blocks[starts].reshape(-1, nblocks * block_len)[:, :n], k
+        return drawn[0]
+    try:
+        values = _replicate_mrp(draw, replicates, n, ppy, s, [d], kind)[0][:, 0]
+    except NonFiniteReturn as err:
+        for t, row in enumerate(*drawn):  # the first whose sums overflow
+            try:
+                _kind_arrays(_prefix_table(row, ppy), kind)
+            except NonFiniteReturn:
+                raise NonFiniteReturn(
+                    f"{kind.name} sums of bootstrap replicate {t} "
+                    "overflow; the series' own do not") from err
+        raise
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     quants = {q: float(np.quantile(values, q)) for q in qs}
     return BootstrapSummary(

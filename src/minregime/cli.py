@@ -207,10 +207,8 @@ def cmd_frontier(args) -> None:
 def cmd_sensitivity(args) -> None:
     kind = _metric_kind(args)
     rows = []
-    for s in _load(args):
-        grid = analytics.sensitivity_grid(
-            s, args.lookbacks, args.ds,
-            s=args.splits, kind=kind)
+    for grid in analytics.sensitivity_grids(_load(args), args.lookbacks,
+                                            args.ds, s=args.splits, kind=kind):
         for i, lb in enumerate(grid.lookbacks_years):
             for j, dy in enumerate(grid.d_years):
                 rows.append({

@@ -446,13 +446,14 @@ def mrp_fast(series: ReturnSeries, s: int, d: int,
 
 
 def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
-    """MRP_s of the table's series, or of each row of a replicate
-    matrix's table as a series on its own, bit for bit, and a partition
-    achieving it: (value, splits), s splits per row. The caller checks
-    that s and d fit (``_check_feasible``).
+    """MRP_s of the table's series, and a partition achieving it: (value,
+    splits). At s = 1 the table may hold a replicate matrix, each row
+    searched as a series on its own, bit for bit, with s splits per row.
+    The caller checks that s and d fit (``_check_feasible``).
 
     At s = 1 one O(n) split scan covers every row, and each row takes its
-    first least worse side. At s >= 2 each row is searched on its own: the
+    first least worse side. At s >= 2 the table is one series' (the
+    replicate driver gives each row a table of its own, a view): the
     answer is the least window that can be a segment of a valid partition,
     read off f[a] = max(a + d, e[a]), e = ``defined_ends``, and greedy cuts,
     so brute force is never needed; windows cost O(1) each via prefix sums. A
@@ -476,11 +477,6 @@ def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
         worse = np.minimum(*_split_scan(table, d, kind))
         i = _first_min(worse)[..., None]
         return np.take_along_axis(worse, i, -1)[..., 0], d + i
-    if table.returns.ndim > 1:
-        found = [_search(PrefixTable(*row, table.periods_per_year, table.n),
-                         s, d, kind)
-                 for row in zip(table.sum1, table.returns)]
-        return tuple(np.array(v) for v in zip(*found))
     n = table.n
     f = np.maximum(np.arange(n, dtype=np.int64) + d, defined_ends(table, kind)[:n])
     lo, hi = _reach(f, n, s)

@@ -10,7 +10,7 @@ The header record is read once, and the body after it in blocks of rows
 (a quoted field may lengthen one, at worst to the end of the file). A
 plain block (no quote, NUL or overlong line; rows as wide as the header)
 is split by ``str.split``, any other by ``csv.reader``: the same rows. A
-wide block of digits, ``.,-+eE`` and ``\n`` only, dates first, is read by
+wide block of digits, ``.,-+eE`` and line ends only, dates first, is read by
 ``np.loadtxt`` in C; where that or a later step fails, it is read as before.
 Cells are converted as they stand; the cell rules run only where that fails.
 """
@@ -153,7 +153,8 @@ def load_csv(config: IngestConfig) -> list[ReturnSeries]:
     for label, pieces in parts.items():
         # a label named m times reads each of its cells m times, row by row
         times = 1 if config.long_format else labels.count(label)
-        day, ret = (np.repeat(np.concatenate(a), times) for a in zip(*pieces))
+        day, ret = (np.repeat(v, times) if times > 1 else v
+                    for v in map(np.concatenate, zip(*pieces)))
         if not day.size:
             raise EmptySeries(f"{path}: series {label!r} empty after truncation")
         out.append(ReturnSeries(dates=day, returns=ret,
@@ -202,14 +203,14 @@ def _split(text: str, width: int) -> tuple[list, int] | None:
     """``_columns``'s result by ``str.split`` where that gives the rows of
     ``csv.reader``: no quote, no NUL (3.10's ``csv.reader`` rejects it), no
     line over the field size limit, each non-blank line (ended by \\n,
-    \\r\\n or \\r) ``width`` cells wide. None for any other text. A text
-    of ``_NUMBERS`` whose first row starts with a date goes to ``_numbers``."""
+    \\r\\n or \\r, all made \\n) ``width`` cells wide. None for any other
+    text. A text of ``_NUMBERS`` with a dated first row goes to ``_numbers``."""
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:  # one scan, where the replaces take two
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     numbers = _DATED.match(text) and not text.encode().translate(
         None, _NUMBERS)
-    if not numbers and ('"' in text or "\0" in text):
-        return None
-    if not numbers and "\r" in text:  # one scan, where the replaces take two
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if max(map(len, lines)) > csv.field_size_limit():
         return None

@@ -122,7 +122,7 @@ class ReturnSeries:
         if not finite.all():
             raise NonFiniteReturn(f"series {self.label!r}: return on "
                                   f"{dates[np.argmin(finite)]} is not finite")
-        late = np.flatnonzero(~(np.diff(dates) > np.timedelta64(0, "D")))
+        late = np.flatnonzero(~(dates[1:] > dates[:-1]))  # NaT compares False
         if late.size:
             raise DateOrderError(f"series {self.label!r}: date "
                                  f"{dates[late[0] + 1]} not after {dates[late[0]]}")

@@ -16,6 +16,7 @@ from minregime import (
     Frequency,
     Infeasible,
     InvalidBlock,
+    NonFiniteReturn,
     NoValidPartition,
     PortfolioSpec,
     ReturnSeries,
@@ -27,15 +28,18 @@ from minregime import (
     mrp_fast,
     portfolio_mrp,
     robustness_correlations,
+    segment_metric,
     sensitivity_grid,
+    sensitivity_grids,
     series_metric,
     sortino,
 )
 import minregime.analytics as analytics_module
 import minregime.engine as engine_module
 import minregime.series as series_module
-from minregime.analytics import FactorReport, _trailing_window
+from minregime.analytics import FactorReport, _replicate_mrp, _trailing_window
 from minregime.engine import mrp_one_split
+from minregime.series import _prefix_table
 
 from conftest import make_series, series_from
 
@@ -157,7 +161,8 @@ class TestSensitivityGrid:
         def counting(*args):
             built.append(args)
             return build(*args)
-        monkeypatch.setattr(series_module, "_prefix_table", counting)
+        for module in (series_module, analytics_module):
+            monkeypatch.setattr(module, "_prefix_table", counting)
         # the 1.0-year window fits d = 0.1 and 0.2 years at s = 2, the
         # 0.5-year window only 0.1; no window fits 1.0
         sensitivity_grid(make_series(400, seed=7), (0.5, 1.0), (0.1, 0.2, 1.0),
@@ -217,6 +222,163 @@ class TestSensitivityGridOracle:
             return
         got = sensitivity_grid(series, GRID_LOOKBACKS, GRID_DS, s, kind).cells
         assert np.array_equal(got, want, equal_nan=True)
+
+
+@st.composite
+def grid_lists(draw):
+    """Two to five monthly series over a small alphabet, of lengths drawn
+    from few values, so that windows of one length are searched together
+    and of others apart, at s = 1 or 2, Sharpe or Sortino."""
+    lengths = draw(st.lists(st.sampled_from([5, 13, 30, 48]), min_size=2,
+                            max_size=5))
+    series = [series_from(draw(st.lists(st.sampled_from(ALPHABET),
+                                        min_size=n, max_size=n)),
+                          frequency=Frequency.MONTHLY, label=f"s{k}")
+              for k, n in enumerate(lengths)]
+    kind = draw(st.sampled_from([SHARPE, sortino(0.0), sortino(0.01)]))
+    return series, draw(st.sampled_from([1, 2])), kind
+
+
+class TestSensitivityGrids:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(grid_lists())
+    def test_matches_per_series_reference(self, case):
+        # bit for bit each series' reference grid, or the first error of
+        # the series in list order, as a loop over single grids raises it
+        series_list, s, kind = case
+        want = []
+        for series in series_list:
+            try:
+                want.append(reference_grid(series, s, kind))
+            except NoValidPartition as exc:
+                with pytest.raises(NoValidPartition) as info:
+                    sensitivity_grids(series_list, GRID_LOOKBACKS, GRID_DS,
+                                      s, kind)
+                assert str(info.value) == str(exc)
+                return
+        got = sensitivity_grids(series_list, GRID_LOOKBACKS, GRID_DS, s, kind)
+        assert [g.label for g in got] == [x.label for x in series_list]
+        for grid, cells in zip(got, want):
+            assert grid.cells.tobytes() == cells.tobytes()
+
+    def test_first_series_error_wins(self, monkeypatch):
+        # a fails at its 3-year window, whose squared sums overflow, and b
+        # at its 1-year one, constant: the batched 1-year call raises b's
+        # error, but a's grid, computed alone, raises before b's
+        values = [0.01, -0.02, 0.03] * 12
+        a = series_from([1e300] + values[1:], Frequency.MONTHLY, "a")
+        b = series_from(values[:12] + [0.01] * 24, Frequency.MONTHLY, "b")
+        searched = []
+
+        def spy(series_list, *args):
+            searched.append([x.label for x in series_list])
+            return sensitivity_grids(series_list, *args)
+        monkeypatch.setattr(analytics_module, "sensitivity_grids", spy)
+        grid = (1, 3), (1 / 12, 2 / 12)
+        with pytest.raises(NonFiniteReturn) as want:
+            sensitivity_grid(a, *grid)
+        with pytest.raises(NoValidPartition):
+            sensitivity_grid(b, *grid)
+        searched.clear()
+        with pytest.raises(NonFiniteReturn) as got:
+            analytics_module.sensitivity_grids([a, b], *grid)
+        assert str(got.value) == str(want.value)
+        assert searched == [["a", "b"], ["a"]]
+        # where none raises, the batched grids are the single ones
+        good = series_from(values, Frequency.MONTHLY, "c")
+        together = sensitivity_grids([good, a], (1,), (1 / 12, 2 / 12))
+        assert [g.cells.tobytes() for g in together] == [
+            sensitivity_grid(x, (1,), (1 / 12, 2 / 12)).cells.tobytes()
+            for x in (good, a)]
+
+
+    def test_memory_flat_in_series(self):
+        # the windows are stacked chunk by chunk: 40 series of 20 years
+        # daily, stacked at once with their prefix sums, would hold 6 MB
+        peaks = []
+        for count in (4, 40):
+            series = [make_series(5040, seed=k) for k in range(count)]
+            tracemalloc.start()
+            try:
+                sensitivity_grids(series, (10, 20), (1, 2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 1_000_000
+
+
+#: returns within a few ulps of -1e3: the full window's variance cancels
+#: in its prefix sums, and its metric is recomputed directly
+CANCELLED_FULL = ([[-1e3 - 2.5e-13 * (k % 3) for k in range(20)]], SHARPE, 1)
+
+
+@st.composite
+def replicate_rows(draw):
+    """A matrix of 1 to 9 rows over a small alphabet, or at a large offset
+    with vol 1e-3 or 1e-12, Sharpe or Sortino, and a chunk of 1 to 4 rows."""
+    n, rows = draw(st.integers(4, 30)), draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        matrix = draw(st.lists(st.lists(st.sampled_from(ALPHABET), min_size=n,
+                                        max_size=n),
+                               min_size=rows, max_size=rows))
+    else:
+        offset = draw(st.floats(1.0, 1e3)) * draw(st.sampled_from([1, -1]))
+        vol = draw(st.sampled_from([1e-3, 1e-12]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        matrix = offset + vol * rng.standard_normal((rows, n))
+    kind = draw(st.sampled_from([SHARPE, sortino(0.0), sortino(0.005)]))
+    return matrix, kind, draw(st.integers(1, 4))
+
+
+class TestReplicateDriver:
+    def test_full_window_metric_is_segment_metric(self):
+        """Each row's full-window metric, read off its chunk's table, is
+        ``segment_metric`` on the row's own table, bit for bit, where the
+        row's search finds a partition; the search raises where a row's
+        does."""
+        recomputed = []
+        direct = series_module._direct
+
+        def counted(*args):
+            recomputed.append(len(args[0]))
+            return direct(*args)
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(replicate_rows())
+        @example(CANCELLED_FULL)
+        def check(case):
+            matrix, kind, rows = case
+            matrix = np.asarray(matrix, dtype=float)
+            count, n = matrix.shape
+            try:
+                for row in matrix:
+                    mrp_fast(series_from(row), 1, 2, kind)
+            except NoValidPartition:
+                want = None
+            else:
+                want = [segment_metric(_prefix_table(row, 252), 0, n, kind)
+                        for row in matrix]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analytics_module, "_CHUNK", n * rows)
+                mp.setattr(series_module, "_direct", counted)
+                drawn = []
+
+                def draw(k, m):
+                    drawn.append((k, m))
+                    return matrix[k:k + m]
+                if want is None:
+                    with pytest.raises(NoValidPartition):
+                        _replicate_mrp(draw, count, n, 252, 1, [2], kind,
+                                       full=True)
+                    return
+                _, full = _replicate_mrp(draw, count, n, 252, 1, [2], kind,
+                                         full=True)
+            assert full.tobytes() == np.array(want).tobytes()
+            assert drawn == [(k, min(rows, count - k))
+                             for k in range(0, count, rows)]
+
+        check()
+        assert 20 in recomputed  # the full window of CANCELLED_FULL
 
 
 class TestRobustnessCorrelations:

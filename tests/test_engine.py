@@ -752,20 +752,25 @@ class TestScanReadsOnlyItsKind:
     @pytest.mark.parametrize("s", [1, 2])
     def test_sortino_search_builds_no_sharpe_arrays(self, s, monkeypatch):
         tables = []
-        search = engine._search
 
-        def recording(table, *args):
-            tables.append(table)
-            return search(table, *args)
-        monkeypatch.setattr(engine, "_search", recording)
-        monkeypatch.setattr(analytics, "_search", recording)
+        def recording(search):
+            def call(table, *args):
+                tables.append(table)
+                return search(table, *args)
+            return call
+        monkeypatch.setattr(engine, "_search", recording(engine._search))
+        monkeypatch.setattr(analytics, "_search", engine._search)
+        # at s = 1 the replicate driver scans the bootstrap's chunks itself
+        monkeypatch.setattr(analytics, "_split_scan",
+                            recording(engine._split_scan))
         series = series_from(two_regime_series(300, 4))
         kind = sortino(1e-4)
         mrp_fast(series, s, 30, kind)
         mrp_one_split(series, 30, kind)
         block_bootstrap_mrp(series, 20, 3, s=s, d=30, kind=kind)
-        # at s = 2 the bootstrap's rows are searched on tables of their own
-        assert len(tables) == (3 if s == 1 else 6)
+        # at s = 2 the bootstrap's 3 rows are searched on tables of their
+        # own, views of the chunk's, which no search is given
+        assert len(tables) == (3 if s == 1 else 5)
         kinds = [key if isinstance(key, MetricKind) else key[0]
                  for table in tables for key in table._cache]
         assert kinds and set(kinds) == {kind}

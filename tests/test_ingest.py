@@ -1234,6 +1234,20 @@ class TestNumbersReader:
         assert exact_outcome(path) == got
         assert [len(s[1]) for s in got] == [3000] * 4 + [2300]
 
+    def test_reads_crlf_line_ends(self, monkeypatch, tmp_path):
+        # the two-regime fixture ends its lines in \r\n: they are made \n
+        # before the byte check, so np.loadtxt reads it as the LF copy
+        crlf = Path(__file__).parent / "data" / "fixture_two_regime.csv"
+        text = crlf.read_bytes().decode()
+        assert text.count("\r\n") == text.count("\n") > 400
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes(text.replace("\r\n", "\n").encode())
+        counts = count_numbers(monkeypatch)
+        got = self.both_ways(monkeypatch, crlf)
+        assert counts["read"] >= 3 and not counts["failed"]
+        assert got == self.both_ways(monkeypatch, lf)
+        assert [len(s[1]) for s in got] == [text.count("\n") - 1]
+
     @pytest.mark.parametrize("text, error", [
         ("date,a\n1990-01-01,0.1\n1990-01-02,0.2,0.3\n1990-01-03,0.4\n", None),
         ("date,a,b\n1990-01-01,0.1,0.2\n1990-01-02,0.3\n1990-01-03,0.4,0.5\n",

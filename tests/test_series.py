@@ -616,3 +616,19 @@ class TestReturnSeries:
             ReturnSeries(dates=s.dates[[0, 2, 1]], returns=s.returns)
         # callers that catch ValueError still catch it
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("days, want", [
+        (["NaT", "2000-01-03", "2000-01-04"], "2000-01-03 not after NaT"),
+        (["2000-01-01", "NaT", "2000-01-04"], "NaT not after 2000-01-01"),
+        (["2000-01-01", "2000-01-03", "NaT"], "NaT not after 2000-01-03"),
+        (["2000-01-01", "2000-01-04", "2000-01-04"],
+         "2000-01-04 not after 2000-01-04"),
+        (["2000-01-01", "2000-01-04", "2000-01-03"],
+         "2000-01-03 not after 2000-01-04"),
+    ], ids=["nat-first", "nat-middle", "nat-last", "equal", "decreasing"])
+    def test_date_order_messages(self, days, want):
+        # NaT is after no date and no date is after it; the message names
+        # the first pair out of order
+        with pytest.raises(DateOrderError, match=f"^series 't': date {want}$"):
+            ReturnSeries(dates=np.array(days, dtype="datetime64[D]"),
+                         returns=[0.0] * 3, label="t")
