@@ -6,11 +6,12 @@ seed; numbers are serialized with 6 decimal places in CSV, and the JSON
 encoding carries the same values. Exit codes: 0 success, 1 data/compute
 error (diagnostic on stderr), 2 usage error.
 
-Each subcommand accepts only the flags it reads, so a flag without an
-effect is a usage error, as is --mar without --metric sortino. The
-exceptions are kept for compatibility:
+COMMANDS names each subcommand's function and the FLAGS it reads, in
+help order, so a flag without an effect is a usage error, as is --mar
+without --metric sortino. The exceptions are kept for compatibility:
 report and sensitivity accept --seed and --jobs, unused (sensitivity
-runs its grid in process).
+runs its grid in process). Each cmd_* but fixture (its CSV ends lines
+in \r\n) returns its rows, and main writes them.
 
 main builds only the named subcommand's parser (0.2-0.3 ms, against 1.6
 ms for all eight on a 2-vCPU VM); help and usage-error text are unchanged.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import io
 import itertools
@@ -119,6 +121,14 @@ def parse_weights(text: str) -> list[tuple[str, float]]:
     return pairs
 
 
+def parse_counts(text: str) -> list[int]:
+    """argparse type of ``bias --N``: a comma list of integers >= 1."""
+    return [int_at_least(1)(x) for x in text.split(",")]
+
+
+parse_counts.__name__ = "int"  # as int_at_least names its parser
+
+
 #: the most values of a 'lo:hi:step' grid
 _GRID_CAP = 10_000
 
@@ -183,44 +193,29 @@ def _reports(series_list, args) -> list[analytics.FactorReport]:
             for s in series_list]
 
 
-def cmd_report(args) -> None:
-    rows = []
-    for r in _reports(_load(args), args):
-        rows.append({
-            "label": r.label,
-            "sharpe": _fmt(r.full_sharpe),
-            "mrp1": _fmt(r.mrp1),
-            "left_sr": _fmt(r.left_sr),
-            "right_sr": _fmt(r.right_sr),
-            "split_date": _mmddyy(r.split_date),
-        })
-    _emit(rows, args.out, args.format)
+def cmd_report(args) -> list[dict]:
+    return [{"label": r.label, "sharpe": _fmt(r.full_sharpe),
+             "mrp1": _fmt(r.mrp1), "left_sr": _fmt(r.left_sr),
+             "right_sr": _fmt(r.right_sr), "split_date": _mmddyy(r.split_date)}
+            for r in _reports(_load(args), args)]
 
 
-def cmd_frontier(args) -> None:
+def cmd_frontier(args) -> list[dict]:
     points = analytics.frontier(_reports(_load(args), args))
-    rows = [{"label": p.label, "sharpe": _fmt(p.x), "mrp": _fmt(p.y),
+    return [{"label": p.label, "sharpe": _fmt(p.x), "mrp": _fmt(p.y),
              "dominated": str(p.dominated).lower()} for p in points]
-    _emit(rows, args.out, args.format)
 
 
-def cmd_sensitivity(args) -> None:
-    kind = _metric_kind(args)
-    rows = []
-    for grid in analytics.sensitivity_grids(_load(args), args.lookbacks,
-                                            args.ds, s=args.splits, kind=kind):
-        for i, lb in enumerate(grid.lookbacks_years):
-            for j, dy in enumerate(grid.d_years):
-                rows.append({
-                    "label": grid.label,
-                    "lookback_years": f"{lb:g}",
-                    "d_years": f"{dy:g}",
-                    "mrp_minus_sharpe": _fmt(float(grid.cells[i, j])),
-                })
-    _emit(rows, args.out, args.format)
+def cmd_sensitivity(args) -> list[dict]:
+    grids = analytics.sensitivity_grids(_load(args), args.lookbacks, args.ds,
+                                        s=args.splits, kind=_metric_kind(args))
+    return [{"label": g.label, "lookback_years": f"{lb:g}", "d_years": f"{dy:g}",
+             "mrp_minus_sharpe": _fmt(float(g.cells[i, j]))}
+            for g in grids for i, lb in enumerate(g.lookbacks_years)
+            for j, dy in enumerate(g.d_years)]
 
 
-def cmd_correlations(args) -> None:
+def cmd_correlations(args) -> list[dict]:
     series_list = _load(args)
     reports = _reports(series_list, args)
     roll_w = analytics.DEFAULT_ROLLING_WINDOW[args.frequency]
@@ -244,10 +239,10 @@ def cmd_correlations(args) -> None:
         for j, other in enumerate(names):
             row[other] = _fmt(float(corr[i, j]))
         rows.append(row)
-    _emit(rows, args.out, args.format)
+    return rows
 
 
-def cmd_portfolio(args) -> None:
+def cmd_portfolio(args) -> list[dict]:
     series_list = _load(args)
     by_label = {s.label: s for s in series_list}
     for name, _ in args.weights:
@@ -257,16 +252,15 @@ def cmd_portfolio(args) -> None:
                                    tuple(by_label[name] for name, _ in args.weights))
     res = analytics.portfolio_mrp(spec, args.splits, args.min_segment,
                                   _metric_kind(args))
-    rows = [{
+    return [{
         "mrp": _fmt(res.value),
         "splits": " ".join(str(t) for t in res.optimal_splits.splits),
         "split_dates": " ".join(day.isoformat() for day in res.split_dates),
         "argmin_segment": str(res.argmin_segment),
     }]
-    _emit(rows, args.out, args.format)
 
 
-def cmd_bias(args) -> None:
+def cmd_bias(args) -> list[dict]:
     rows = []
     log_v = bias_mod._log_uniforms(args.trials, args.seed)  # one for every N
     for n in args.N:
@@ -278,21 +272,22 @@ def cmd_bias(args) -> None:
                      "exact_bias": _fmt(bias_mod.bias_exact(model)),
                      "asymptotic_bias": asym, "simulated_mean": _fmt(mean),
                      "se": _fmt(se)})
-    _emit(rows, args.out, args.format)
+    return rows
 
 
-def cmd_simulate(args) -> None:
+def cmd_simulate(args) -> list[dict]:
     model = bias_mod.BiasModel(mu=args.mu, sigma=args.sigma, s=1, n_s=args.N)
     diag = bias_mod.gumbel_limit_diagnostic(model, args.trials, seed=args.seed)
     rows = [{"N": str(n), "simulated_mean": _fmt(mean), "se": _fmt(se),
              "ks_distance": ""} for n, mean, se in diag.drift]
     rows.append({"N": str(model.N), "simulated_mean": "", "se": "",
                  "ks_distance": _fmt(diag.ks_distance)})
-    _emit(rows, args.out, args.format)
+    return rows
 
 
 def cmd_fixture(args) -> None:
-    spec = ingest.FixtureSpec(**{f: getattr(args, f) for f, _ in FIXTURE})
+    fields = {f.name for f in dataclasses.fields(ingest.FixtureSpec)}
+    spec = ingest.FixtureSpec(**{k: v for k, v in vars(args).items() if k in fields})
     series = ingest.make_fixture(args.seed, spec)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -301,7 +296,9 @@ def cmd_fixture(args) -> None:
         ingest.write_csv(series, sys.stdout)
 
 
-#: every shared flag, defined once; each subcommand names those it reads
+#: every flag, defined once, by the keys that ``COMMANDS`` names: the flag,
+#: or the flag and the name of one of its forms ("--N bias", "--seed compat")
+UNUSED = "accepted for compatibility; has no effect"
 FLAGS = {
     "--input": dict(required=True, help="input CSV path"),
     "--start-date": dict(default="1980-01-01", type=datetime.date.fromisoformat,
@@ -314,47 +311,63 @@ FLAGS = {
     "--min-segment": dict(default="2y", dest="min_segment",
                           help="minimum segment length, e.g. 2y or 504p"),
     "--lookback": dict(default="40y", type=parse_years),
+    "--lookbacks": dict(default="10:40:5y", type=parse_range,
+                        help="lookback grid in years, lo:hi:step or comma list"),
+    "--ds": dict(default="1:5:1y", type=parse_range,
+                 help="minimum-segment grid in years"),
     "--splits": dict(type=int_at_least(1), default=1),
+    "--weights": dict(required=True, type=parse_weights,
+                      help="comma list of label=weight"),
     "--jobs": dict(type=int_at_least(1), default=1),
     "--seed": dict(type=int, default=0),
     "--mu": dict(type=finite, default=0.0),
     "--sigma": dict(type=positive, default=1.0),
+    "--N bias": dict(default=[1, 2, 5, 10, 100], type=parse_counts,
+                     help="comma list of order-statistic counts"),
+    "--N simulate": dict(type=int_at_least(10), default=10_000,
+                         help="order-statistic count (>= 10 for the diagnostic)"),
+    "--trials bias": dict(type=int_at_least(2), default=100_000, help=(
+        "Monte Carlo trials per N (>= 2 for a standard error)")),
     "--out": dict(default=None),
     "--format": dict(choices=["csv", "json"], default="csv"),
+    # report has no randomness and sensitivity no pool; both keep accepting
+    # --seed and --jobs so invocations that pass them still run
+    "--seed compat": dict(type=int, default=0, help=UNUSED),
+    "--jobs compat": dict(type=int_at_least(1), default=1, help=UNUSED),
+    # fixture's flags: the FixtureSpec fields of the same names
+    "--label": dict(type=str, default=ingest.FixtureSpec.label),
+    "--n-pre": dict(type=int_at_least(1), default=ingest.FixtureSpec.n_pre),
+    "--n-post": dict(type=int_at_least(1), default=ingest.FixtureSpec.n_post),
+    "--drift-pre": dict(type=finite, default=ingest.FixtureSpec.drift_pre),
+    "--drift-post": dict(type=finite, default=ingest.FixtureSpec.drift_post),
+    "--vol-pre": dict(type=finite, default=ingest.FixtureSpec.vol_pre),
+    "--vol-post": dict(type=finite, default=ingest.FixtureSpec.vol_post),
 }
+FLAGS["--trials simulate"] = {**FLAGS["--trials bias"], "default": 20_000}
+
 INPUT = ("--input", "--start-date", "--frequency", "--percent", "--metric",
          "--mar")
 OUTPUT = ("--out", "--format")
-#: the ``FixtureSpec`` fields that ``fixture`` takes as flags, with their types
-FIXTURE = (("label", str), ("n_pre", int_at_least(1)),
-           ("n_post", int_at_least(1)), ("drift_pre", finite),
-           ("drift_post", finite), ("vol_pre", finite), ("vol_post", finite))
+REPORT = (*INPUT, "--min-segment", "--lookback", *OUTPUT)
+MODEL = ("--mu", "--sigma", "--seed", *OUTPUT)
+COMPAT = ("--seed compat", "--jobs compat")
 
-
-def _add_flags(p: argparse.ArgumentParser, *names: str,
-               unused: tuple[str, ...] = ()) -> None:
-    """Add the named shared flags; ``unused`` ones are accepted for
-    compatibility and have no effect."""
-    for name in names:
-        p.add_argument(name, **FLAGS[name])
-    for name in unused:
-        p.add_argument(name, **{**FLAGS[name], "help":
-                                "accepted for compatibility; has no effect"})
-
-
-#: every subcommand, in the order the top-level help lists them
-COMMANDS = {"report": cmd_report, "frontier": cmd_frontier,
-            "correlations": cmd_correlations, "sensitivity": cmd_sensitivity,
-            "portfolio": cmd_portfolio, "bias": cmd_bias,
-            "simulate": cmd_simulate, "fixture": cmd_fixture}
-
-
-def parse_counts(text: str) -> list[int]:
-    """argparse type of ``bias --N``: a comma list of integers >= 1."""
-    return [int_at_least(1)(x) for x in text.split(",")]
-
-
-parse_counts.__name__ = "int"  # as int_at_least names its parser
+#: every subcommand, in the order the top-level help lists them: its
+#: function, then the ``FLAGS`` keys of the flags it reads, in help order
+COMMANDS = {
+    "report": (cmd_report, *REPORT, *COMPAT),
+    "frontier": (cmd_frontier, *REPORT),
+    "correlations": (cmd_correlations, *REPORT),
+    "sensitivity": (cmd_sensitivity, *INPUT, "--splits", *OUTPUT, *COMPAT,
+                    "--lookbacks", "--ds"),
+    "portfolio": (cmd_portfolio, *INPUT, "--splits", "--min-segment",
+                  *OUTPUT, "--weights"),
+    "bias": (cmd_bias, *MODEL, "--N bias", "--trials bias"),
+    "simulate": (cmd_simulate, *MODEL, "--N simulate", "--trials simulate"),
+    "fixture": (cmd_fixture, "--seed", "--out", "--label", "--n-pre",
+                "--n-post", "--drift-pre", "--drift-post", "--vol-pre",
+                "--vol-post"),
+}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -368,42 +381,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         dest="command", required=True,
         metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
     for name in COMMANDS if command is None else (command,):
+        func, *keys = COMMANDS[name]
         p = sub.add_parser(name)
         # parser: for checks of more than one flag
-        p.set_defaults(func=COMMANDS[name], parser=p)
-        if name in ("report", "frontier", "correlations"):
-            # report has no randomness and no pool; it keeps accepting
-            # --seed and --jobs so invocations that pass them still run
-            _add_flags(p, *INPUT, "--min-segment", "--lookback", *OUTPUT,
-                       unused=("--seed", "--jobs") if name == "report" else ())
-        elif name == "sensitivity":
-            _add_flags(p, *INPUT, "--splits", *OUTPUT,
-                       unused=("--seed", "--jobs"))
-            p.add_argument("--lookbacks", default="10:40:5y", type=parse_range,
-                           help="lookback grid in years, lo:hi:step or comma list")
-            p.add_argument("--ds", default="1:5:1y", type=parse_range,
-                           help="minimum-segment grid in years")
-        elif name == "portfolio":
-            _add_flags(p, *INPUT, "--splits", "--min-segment", *OUTPUT)
-            p.add_argument("--weights", required=True, type=parse_weights,
-                           help="comma list of label=weight")
-        elif name == "bias":
-            _add_flags(p, "--mu", "--sigma", "--seed", *OUTPUT)
-            p.add_argument("--N", default=[1, 2, 5, 10, 100], type=parse_counts,
-                           help="comma list of order-statistic counts")
-            p.add_argument("--trials", type=int_at_least(2), default=100_000,
-                           help="Monte Carlo trials per N (>= 2 for a standard error)")
-        elif name == "simulate":
-            _add_flags(p, "--mu", "--sigma", "--seed", *OUTPUT)
-            p.add_argument("--N", type=int_at_least(10), default=10_000,
-                           help="order-statistic count (>= 10 for the diagnostic)")
-            p.add_argument("--trials", type=int_at_least(2), default=20_000,
-                           help="Monte Carlo trials per N (>= 2 for a standard error)")
-        else:
-            _add_flags(p, "--seed", "--out")
-            for field, type_ in FIXTURE:
-                p.add_argument("--" + field.replace("_", "-"), type=type_,
-                               default=getattr(ingest.FixtureSpec, field))
+        p.set_defaults(func=func, parser=p)
+        for key in keys:
+            p.add_argument(key.split()[0], **FLAGS[key])
     return parser
 
 
@@ -432,7 +415,9 @@ def main(argv: list[str] | None = None) -> int:
         at_least_2("--ds", f"{years!r}y",
                    Frequency(args.frequency).periods(years))
     try:
-        args.func(args)
+        rows = args.func(args)
+        if rows is not None:  # None: fixture wrote its own CSV
+            _emit(rows, args.out, args.format)
     except (MinRegimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

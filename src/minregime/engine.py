@@ -447,14 +447,10 @@ def mrp_fast(series: ReturnSeries, s: int, d: int,
 
 def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
     """MRP_s of the table's series, and a partition achieving it: (value,
-    splits). At s = 1 the table may hold a replicate matrix, each row
-    searched as a series on its own, bit for bit, with s splits per row.
-    The caller checks that s and d fit (``_check_feasible``).
+    splits). The caller checks that s and d fit (``_check_feasible``).
 
-    At s = 1 one O(n) split scan covers every row, and each row takes its
-    first least worse side. At s >= 2 the table is one series' (the
-    replicate driver gives each row a table of its own, a view): the
-    answer is the least window that can be a segment of a valid partition,
+    At s = 1 one O(n) split scan takes the first least worse side. At s >= 2
+    the answer is the least window that can be a segment of a valid partition,
     read off f[a] = max(a + d, e[a]), e = ``defined_ends``, and greedy cuts,
     so brute force is never needed; windows cost O(1) each via prefix sums. A
     tile certificate (``_certified_ends``) first skips every block of windows
@@ -475,8 +471,8 @@ def _search(table: PrefixTable, s: int, d: int, kind: MetricKind):
     """
     if s == 1:
         worse = np.minimum(*_split_scan(table, d, kind))
-        i = _first_min(worse)[..., None]
-        return np.take_along_axis(worse, i, -1)[..., 0], d + i
+        i = int(_first_min(worse))
+        return float(worse[i]), np.array([d + i])
     n = table.n
     f = np.maximum(np.arange(n, dtype=np.int64) + d, defined_ends(table, kind)[:n])
     lo, hi = _reach(f, n, s)

@@ -714,3 +714,57 @@ class TestConsoleScript:
         assert "{%s}" % ",".join(cli.COMMANDS) in done.stderr
         assert done.stderr.endswith(
             "minregime: error: unrecognized arguments: --bogus\n")
+
+
+def option_table(parser: argparse.ArgumentParser) -> dict:
+    """Each subcommand's options in help order: flags, dest, default,
+    type name, choices, required, action class and help text."""
+    return json.loads(json.dumps({
+        name: [{"flags": a.option_strings, "dest": a.dest,
+                "default": a.default,
+                "type": getattr(a.type, "__name__", None),
+                "choices": a.choices, "required": a.required,
+                "action": type(a).__name__, "help": a.help}
+               for a in p._actions]
+        for name, p in subcommands(parser).items()}))
+
+
+class TestOptionTable:
+    """The options of every subcommand, pinned in
+    ``tests/data/cli_golden/flags.json``. The file holds no argparse
+    layout, so it reads the same on every supported Python."""
+
+    GOLDEN = Path(__file__).parent / "data" / "cli_golden" / "flags.json"
+
+    def test_options_match_the_golden_table(self):
+        golden = json.loads(self.GOLDEN.read_text())
+        table = option_table(build_parser())
+        assert list(table) == list(golden)
+        for name in golden:
+            assert table[name] == golden[name], name
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_narrowed_parser_has_the_same_options(self, name):
+        assert option_table(build_parser(name)) == {
+            name: option_table(build_parser())[name]}
+
+
+class TestUnwritableOut:
+    """An ``--out`` in a missing directory is a data error: exit 1, one
+    ``error:`` line on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--input", "{csv}", "--lookback", "2y",
+         "--min-segment", "0.25y"],
+        ["fixture", "--n-pre", "5", "--n-post", "5"],
+    ], ids=["report", "fixture"])
+    def test_exits_1_without_a_traceback(self, argv, factors_csv, tmp_path,
+                                         capsys):
+        out = tmp_path / "missing" / "out.csv"
+        code, stdout, err = outcome(
+            [str(factors_csv) if a == "{csv}" else a for a in argv]
+            + ["--out", str(out)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.parent.exists()
